@@ -10,7 +10,6 @@ from .container import (
     sha256_digest,
 )
 from .dex import DexUnit, Invocation, MethodRef, parse_dex
-from .dexbuild import build_fixture_dex
 from .manifest import ManifestInfo, extract_manifest_info, parse_binary_xml
 from .matchers import (
     MatchRecord,
@@ -49,7 +48,6 @@ __all__ = [
     "PatternSet",
     "TEE_DETECTORS",
     "analyze_apk",
-    "build_fixture_dex",
     "enumerate_dex",
     "enumerate_native_libs",
     "extract_manifest_info",

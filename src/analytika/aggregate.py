@@ -20,26 +20,30 @@ from . import defaults
 from .attribution import load_known_prefixes, normalize_library, parse_package
 from .errors import DuplicateSha256Error
 from .matchers import TEE_DETECTORS
-from .pipeline import load_corpus_csv
+from .pipeline import load_corpus_csv, load_patterns
 from .report import STATUS_OK, read_report_document
 
 LOCATIONS = ("inmain", "inlib", "obfuscated")
 
 
-@dataclass
+@dataclass(slots=True)
 class CorpusRecord:
+    """One report reduced to the per-app facts the tables read.
+
+    Match facts are filled for ok reports only. Packages stay raw because
+    known prefixes are a table argument.
+    """
+
     sha256: str
     status: str
-    package: str
-    matches: list[dict]
-    crypto_libs: list[str]
-    native_libs: list[dict]
+    detectors: frozenset[str] = frozenset()     # TEE detectors hit
+    location_counts: dict[str, int] = field(default_factory=dict)
+    inlib_packages: dict[str, frozenset[str]] = field(default_factory=dict)
+    crypto_libs: frozenset[str] = frozenset()
+    native_libs: frozenset[str] = frozenset()
     category: str | None = None
     downloads: int | None = None
     last_update: date | None = None
-
-    def tee_matches(self) -> list[dict]:
-        return [m for m in self.matches if m["detector"] in TEE_DETECTORS]
 
 
 @dataclass
@@ -72,11 +76,42 @@ class SelectionFilter:
         return True
 
 
+def _reduce(doc: dict, sha: str, status: str, entry) -> CorpusRecord:
+    record = CorpusRecord(
+        sha256=sha, status=status,
+        category=entry.category if entry else None,
+        downloads=entry.downloads if entry else None,
+        last_update=entry.last_update if entry else None)
+    if status != STATUS_OK:
+        return record
+    detectors = set()
+    location_counts: dict[str, int] = {}
+    inlib: dict[str, set[str]] = {}
+    for m in doc.get("matches", []):
+        detector = m["detector"]
+        if detector not in TEE_DETECTORS:
+            continue
+        detectors.add(detector)
+        location = m["location"]
+        location_counts[location] = location_counts.get(location, 0) + 1
+        if location == "inlib":
+            inlib.setdefault(detector, set()).add(m["package"])
+    record.detectors = frozenset(detectors)
+    record.location_counts = location_counts
+    record.inlib_packages = {d: frozenset(p) for d, p in inlib.items()}
+    record.crypto_libs = frozenset(doc.get("crypto_libs", []))
+    record.native_libs = frozenset(
+        hit["library"] for hit in doc.get("native_libs", []))
+    return record
+
+
 def load_corpus(report_dir, corpus_csv=None) -> Corpus:
     """Join report files with metadata rows on sha256.
 
-    Reports without a metadata row stay in the corpus with null category;
-    metadata rows without a report are counted and otherwise ignored.
+    Each report is reduced to a CorpusRecord as it is read, so memory grows
+    with the number of apps, not matches. Reports without a metadata row
+    stay in the corpus with null category; metadata rows without a report
+    are counted and otherwise ignored.
     """
     report_dir = Path(report_dir)
     meta_by_sha: dict[str, object] = {}
@@ -95,17 +130,8 @@ def load_corpus(report_dir, corpus_csv=None) -> Corpus:
         if sha in seen:
             raise DuplicateSha256Error(sha)
         seen.add(sha)
-        entry = meta_by_sha.get(sha)
-        records.append(CorpusRecord(
-            sha256=sha,
-            status=meta.get("status", "error"),
-            package=meta.get("package", ""),
-            matches=doc.get("matches", []),
-            crypto_libs=doc.get("crypto_libs", []),
-            native_libs=doc.get("native_libs", []),
-            category=entry.category if entry else None,
-            downloads=entry.downloads if entry else None,
-            last_update=entry.last_update if entry else None))
+        records.append(_reduce(doc, sha, meta.get("status", "error"),
+                               meta_by_sha.get(sha)))
 
     unmatched = sum(1 for sha in meta_by_sha if sha not in seen)
     return Corpus(records=records, unmatched_metadata=unmatched)
@@ -120,6 +146,11 @@ def _share(count: int, total: int) -> float:
     return count / total if total else 0.0
 
 
+def _libraries(packages, known_prefixes) -> set[str]:
+    return {normalize_library(parse_package(p), known_prefixes)
+            for p in packages}
+
+
 def api_prevalence(corpus: Corpus) -> dict:
     """Per-detector app counts and shares over successfully analyzed apps.
 
@@ -128,16 +159,11 @@ def api_prevalence(corpus: Corpus) -> dict:
     detectors except the rarely present confirmation dialog one.
     """
     ok = corpus.ok_records()
-    detectors_per_app = []
-    for record in ok:
-        detectors_per_app.append({m["detector"] for m in record.tee_matches()})
-
-    counts = {d: sum(1 for s in detectors_per_app if d in s)
-              for d in TEE_DETECTORS}
-    any_count = sum(1 for s in detectors_per_app if s)
-    all_four = sum(1 for s in detectors_per_app if len(s) == len(TEE_DETECTORS))
-    non_pc = [d for d in TEE_DETECTORS if d != "protected_confirmation"]
-    all_excl_pc = sum(1 for s in detectors_per_app if set(non_pc) <= s)
+    counts = {d: sum(1 for r in ok if d in r.detectors) for d in TEE_DETECTORS}
+    any_count = sum(1 for r in ok if r.detectors)
+    all_four = sum(1 for r in ok if len(r.detectors) == len(TEE_DETECTORS))
+    non_pc = {d for d in TEE_DETECTORS if d != "protected_confirmation"}
+    all_excl_pc = sum(1 for r in ok if non_pc <= r.detectors)
 
     return {
         "ok_apps": len(ok),
@@ -170,22 +196,18 @@ def location_split(corpus: Corpus, known_prefixes=None) -> dict:
     exclusively_inmain = 0
     libs_per_app = []
     for record in ok:
-        tee = record.tee_matches()
-        if not tee:
+        if not record.detectors:
             continue
         matched_apps += 1
-        locations = [m["location"] for m in tee]
-        for loc in locations:
-            if loc in match_counts:
-                match_counts[loc] += 1
+        counts = record.location_counts
         for loc in LOCATIONS:
-            if loc in locations:
+            if loc in counts:
+                match_counts[loc] += counts[loc]
                 apps_with[loc] += 1
-        if all(loc == "inmain" for loc in locations):
+        if counts.keys() == {"inmain"}:
             exclusively_inmain += 1
-        inlib_libs = {normalize_library(parse_package(m["package"]),
-                                        known_prefixes)
-                      for m in tee if m["location"] == "inlib"}
+        inlib_libs = _libraries(set().union(*record.inlib_packages.values()),
+                                known_prefixes)
         if inlib_libs:
             libs_per_app.append(len(inlib_libs))
 
@@ -220,19 +242,16 @@ def top_libraries(corpus: Corpus, detector: str, n: int,
     if known_prefixes is None:
         known_prefixes = load_known_prefixes(
             defaults.default_known_prefixes_path())
-    apps_by_library: dict[str, set[str]] = {}
+    apps_per_library: dict[str, int] = {}
     for record in corpus.ok_records():
-        for m in record.tee_matches():
-            if m["detector"] != detector or m["location"] != "inlib":
-                continue
-            library = normalize_library(parse_package(m["package"]),
-                                        known_prefixes)
-            apps_by_library.setdefault(library, set()).add(record.sha256)
-    ranked = sorted(((lib, len(apps)) for lib, apps in apps_by_library.items()),
+        for library in _libraries(record.inlib_packages.get(detector, ()),
+                                  known_prefixes):
+            apps_per_library[library] = apps_per_library.get(library, 0) + 1
+    ranked = sorted(apps_per_library.items(),
                     key=lambda pair: (-pair[1], pair[0]))
     return {"detector": detector,
             "rows": ranked[:n],
-            "unique_libraries": len(apps_by_library)}
+            "unique_libraries": len(apps_per_library)}
 
 
 def category_breakdown(corpus: Corpus) -> list[dict]:
@@ -242,70 +261,50 @@ def category_breakdown(corpus: Corpus) -> list[dict]:
     several detectors contributes to each of their shares, so a category's
     shares may sum past 1.
     """
-    ok = [r for r in corpus.ok_records() if r.category is not None]
     by_category: dict[str, list[CorpusRecord]] = {}
-    for record in ok:
-        by_category.setdefault(record.category, []).append(record)
+    for record in corpus.ok_records():
+        if record.category is not None:
+            by_category.setdefault(record.category, []).append(record)
 
     rows = []
     for category in sorted(by_category):
         records = by_category[category]
-        detectors_per_app = [{m["detector"] for m in r.tee_matches()}
-                             for r in records]
         row = {"category": category, "ok_apps": len(records)}
         for d in TEE_DETECTORS:
-            apps = sum(1 for s in detectors_per_app if d in s)
+            apps = sum(1 for r in records if d in r.detectors)
             row[d] = {"apps": apps, "share": _share(apps, len(records))}
         rows.append(row)
     return rows
-
-
-def _default_library_universe() -> tuple[list[str], list[str]]:
-    from .matchers import load_pattern_file, load_native_pattern_file
-    software = []
-    for pattern_set in load_pattern_file(
-            defaults.default_bytecode_patterns_path()):
-        if pattern_set.kind == "crypto_software":
-            software.append(pattern_set.detector_id)
-    native = list(dict.fromkeys(
-        p.library for p in load_native_pattern_file(
-            defaults.default_native_patterns_path())))
-    return software, native
 
 
 def crypto_table(corpus: Corpus, software_libs=None, native_libs=None) -> dict:
     """Distinct-app counts per crypto library, software and native.
 
     Libraries from the default pattern universe appear even with zero apps;
-    anything else observed in the reports is appended.
+    anything else observed in the reports is appended. An explicitly empty
+    list means no default rows for that kind.
     """
     if software_libs is None or native_libs is None:
-        default_software, default_native = _default_library_universe()
-        software_libs = software_libs or default_software
-        native_libs = native_libs or default_native
+        patterns = load_patterns()
+        if software_libs is None:
+            software_libs = [s.detector_id for s in patterns.crypto_sets]
+        if native_libs is None:
+            native_libs = [p.library for p in patterns.native_patterns]
     ok = corpus.ok_records()
 
     software_counts = {lib: 0 for lib in software_libs}
     native_counts = {lib: 0 for lib in native_libs}
-    apps_with_software = 0
-    apps_with_native = 0
     for record in ok:
-        libs = set(record.crypto_libs)
-        if libs:
-            apps_with_software += 1
-        for lib in libs:
+        for lib in record.crypto_libs:
             software_counts[lib] = software_counts.get(lib, 0) + 1
-        native = {hit["library"] for hit in record.native_libs}
-        if native:
-            apps_with_native += 1
-        for lib in native:
+        for lib in record.native_libs:
             native_counts[lib] = native_counts.get(lib, 0) + 1
 
     return {
         "software": software_counts,
         "native": native_counts,
-        "apps_with_software": apps_with_software,
-        "apps_with_native": apps_with_native,
+        "apps_with_software": sum(1 for r in ok if r.crypto_libs),
+        "apps_with_native": sum(1 for r in ok if r.native_libs),
         "ok_apps": len(ok),
     }
 

@@ -76,9 +76,12 @@ class DexHeader:
 
 @dataclass(frozen=True)
 class MethodRef:
+    """A method pool entry with its full prototype, so overloads differ."""
+
     defining_class: str     # dotted, e.g. android.media.MediaDrm
     method_name: str
-    shorty: str
+    return_type: str        # dotted, e.g. void or java.security.Key
+    parameters: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -173,6 +176,20 @@ def _u32(data, off, limit):
     if off + 4 > limit:
         raise MalformedDexError(f"short read at {off:#x}")
     return struct.unpack_from("<I", data, off)[0]
+
+
+def _read_type_list(data: bytes, off: int, limit: int,
+                    types: list[str]) -> tuple[str, ...]:
+    """Decode a type_list (u32 size, then u16 type indices); 0 means empty."""
+    if off == 0:
+        return ()
+    size = _u32(data, off, limit)
+    if off + 4 + 2 * size > limit:
+        raise MalformedDexError("type list out of bounds")
+    indices = struct.unpack_from(f"<{size}H", data, off + 4)
+    if indices and max(indices) >= len(types):
+        raise MalformedDexError("type list index out of bounds")
+    return tuple(types[i] for i in indices)
 
 
 def _parse_header(data: bytes) -> DexHeader:
@@ -289,14 +306,16 @@ def parse_dex(data: bytes, entry_name: str = "classes.dex",
             raise MalformedDexError("type descriptor index out of bounds")
         types.append(descriptor_to_dotted(strings[desc_idx]))
 
-    shorties: list[str] = []
+    protos: list[tuple[str, tuple[str, ...]]] = []
     for i in range(header.proto_ids_size):
         off = header.proto_ids_off + 12 * i
         shorty_idx = _u32(data, off, limit)
         return_idx = _u32(data, off + 4, limit)
+        parameters_off = _u32(data, off + 8, limit)
         if shorty_idx >= len(strings) or return_idx >= len(types):
             raise MalformedDexError("proto indices out of bounds")
-        shorties.append(strings[shorty_idx])
+        protos.append((types[return_idx],
+                       _read_type_list(data, parameters_off, limit, types)))
 
     methods: list[MethodRef] = []
     for i in range(header.method_ids_size):
@@ -304,12 +323,14 @@ def parse_dex(data: bytes, entry_name: str = "classes.dex",
         class_idx = _u16(data, off, limit)
         proto_idx = _u16(data, off + 2, limit)
         name_idx = _u32(data, off + 4, limit)
-        if class_idx >= len(types) or proto_idx >= len(shorties) \
+        if class_idx >= len(types) or proto_idx >= len(protos) \
                 or name_idx >= len(strings):
             raise MalformedDexError("method indices out of bounds")
+        return_type, parameters = protos[proto_idx]
         methods.append(MethodRef(defining_class=types[class_idx],
                                  method_name=strings[name_idx],
-                                 shorty=shorties[proto_idx]))
+                                 return_type=return_type,
+                                 parameters=parameters))
 
     invocations: list[Invocation] = []
     class_names: list[str] = []

@@ -39,10 +39,6 @@ class MalformedDexError(AnalytikaError):
     """Input is not a structurally valid DEX file."""
 
 
-class InvalidPlanError(AnalytikaError):
-    """Fixture plan contains names that cannot be encoded into a DEX file."""
-
-
 # -- matching ----------------------------------------------------------------
 
 class PatternParseError(AnalytikaError):

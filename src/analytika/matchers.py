@@ -13,7 +13,7 @@ import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .dex import DexUnit, Invocation
+from .dex import DexUnit, Invocation, MethodRef
 from .errors import PatternParseError
 
 KIND_TEE_API = "tee_api"
@@ -179,11 +179,9 @@ def match_crypto_packages(unit: DexUnit, sets) -> list[MatchRecord]:
         for prefix in pattern_set.class_prefixes:
             prefixes.append((prefix, pattern_set.detector_id))
 
-    by_target: dict[tuple[str, str, str], list[Invocation]] = {}
+    by_target: dict[MethodRef, list[Invocation]] = {}
     for inv in unit.invocations:
-        key = (inv.target.defining_class, inv.target.method_name,
-               inv.target.shorty)
-        by_target.setdefault(key, []).append(inv)
+        by_target.setdefault(inv.target, []).append(inv)
 
     records = []
     for i, ref in enumerate(unit.methods):
@@ -191,7 +189,7 @@ def match_crypto_packages(unit: DexUnit, sets) -> list[MatchRecord]:
                      if _prefix_match(ref.defining_class, prefix)}
         if not detectors:
             continue
-        invs = by_target.get((ref.defining_class, ref.method_name, ref.shorty))
+        invs = by_target.get(ref)
         for detector in sorted(detectors):
             if invs:
                 for inv in invs:

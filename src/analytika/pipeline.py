@@ -94,7 +94,6 @@ class AnalysisConfig:
     timeout_seconds: float = 900
     worker_count: int = 4
     pattern_dir: Path | None = None
-    known_prefixes_path: Path | None = None
     proguard_as_main: bool = True
     force: bool = False
     fetch_endpoint: str | None = None

@@ -14,9 +14,8 @@ import zipfile
 
 import pytest
 
-from analytika.dexbuild import build_fixture_dex
-
 from axml_encoder import manifest_bytes
+from dexbuild import build_fixture_dex
 
 DEFAULT_PACKAGE = "com.fixture.app"
 
@@ -47,6 +46,14 @@ PLANTED_EXPECTED = {
     ("biometrics", "android.hardware.biometrics.BiometricPrompt", "authenticate"),
     ("protected_confirmation", "android.security.ConfirmationPrompt", "presentPrompt"),
 }
+
+# Two overloads with one shorty (VIL): a join on (class, name, shorty)
+# would give each one the other's invocations.
+CIPHER_INIT_OVERLOADS = [
+    ("javax.crypto.Cipher", "init", "void", ("int", "java.security.Key")),
+    ("javax.crypto.Cipher", "init", "void",
+     ("int", "java.security.cert.Certificate")),
+]
 
 # A pattern class planted as a bare string-pool entry; only a matcher that
 # fires on uninvoked class names would report it.

@@ -1,10 +1,11 @@
 """Minimal DEX emitter for test fixtures.
 
 Produces a structurally valid file: correct header with checksum and
-signature, content-sorted string pool, sorted type/proto/method pools, a
-map list, and one class per plan entry whose single static method invokes
-each requested target once. parse_dex recovers exactly the planned
-invocations, and external tooling can open the output as an ordinary DEX.
+signature, content-sorted string pool, sorted type/proto/method pools,
+parameter type lists, a map list, and one class per plan entry whose single
+static method invokes each requested target once. parse_dex recovers
+exactly the planned invocations, and external tooling can open the output
+as an ordinary DEX.
 """
 
 from __future__ import annotations
@@ -15,8 +16,12 @@ import struct
 import zlib
 from typing import Iterable, Sequence
 
-from .dex import MethodRef, dotted_to_descriptor
-from .errors import InvalidPlanError
+from analytika.dex import MethodRef, dotted_to_descriptor
+
+
+class InvalidPlanError(ValueError):
+    """Fixture plan contains names that cannot be encoded into a DEX file."""
+
 
 _SEGMENT = re.compile(r"^[A-Za-z_$][A-Za-z0-9_$]*$")
 _SPECIAL_METHODS = ("<init>", "<clinit>")
@@ -28,6 +33,7 @@ _MAP_PROTO_ID = 0x0003
 _MAP_METHOD_ID = 0x0005
 _MAP_CLASS_DEF = 0x0006
 _MAP_MAP_LIST = 0x1000
+_MAP_TYPE_LIST = 0x1001
 _MAP_CLASS_DATA = 0x2000
 _MAP_CODE = 0x2001
 _MAP_STRING_DATA = 0x2002
@@ -36,6 +42,12 @@ _NO_INDEX = 0xFFFFFFFF
 
 _OBJECT_DESC = "Ljava/lang/Object;"
 _CALLER_METHOD = "run"
+_VOID_PROTO = ("V", ())     # (return descriptor, parameter descriptors)
+
+_PRIMITIVE_DESCRIPTORS = {
+    "void": "V", "boolean": "Z", "byte": "B", "short": "S", "char": "C",
+    "int": "I", "long": "J", "float": "F", "double": "D",
+}
 
 
 def encode_uleb128(value: int) -> bytes:
@@ -84,11 +96,37 @@ def _check_method_name(name: str) -> None:
         raise InvalidPlanError(f"invalid method name: {name!r}")
 
 
-def _as_target(target) -> tuple[str, str]:
+def _type_descriptor(name: str) -> str:
+    """Dotted type name (int, java.security.Key, byte[]) to a descriptor."""
+    dims = 0
+    while name.endswith("[]"):
+        dims += 1
+        name = name[:-2]
+    base = _PRIMITIVE_DESCRIPTORS.get(name)
+    if base is None:
+        _check_class_name(name)
+        base = dotted_to_descriptor(name)
+    return "[" * dims + base
+
+
+def _proto(return_type: str, parameters) -> tuple[str, tuple[str, ...]]:
+    return (_type_descriptor(return_type),
+            tuple(_type_descriptor(p) for p in parameters))
+
+
+def _shorty(proto) -> str:
+    ret, params = proto
+    return "".join("L" if d[0] in "L[" else d for d in (ret,) + params)
+
+
+def _as_target(target) -> tuple[str, str, tuple]:
     if isinstance(target, MethodRef):
-        return target.defining_class, target.method_name
+        return (target.defining_class, target.method_name,
+                _proto(target.return_type, target.parameters))
     if isinstance(target, tuple) and len(target) == 2:
-        return target
+        return target[0], target[1], _VOID_PROTO
+    if isinstance(target, tuple) and len(target) == 4:
+        return target[0], target[1], _proto(target[2], target[3])
     raise InvalidPlanError(f"unusable invocation target: {target!r}")
 
 
@@ -96,12 +134,14 @@ def build_fixture_dex(plan: Sequence[tuple[str, Iterable]], *,
                       extra_strings: Sequence[str] = ()) -> bytes:
     """Emit DEX bytes for `plan`, a list of (caller class, targets).
 
-    Each target is a MethodRef or (dotted class, method name) pair; the
+    Each target is a MethodRef, a (dotted class, method name) pair for a
+    `()V` method, or a (class, method, return type, parameter types) tuple
+    with dotted type names, so overloads can share a class and name. The
     caller's method body contains exactly one invoke-static per target in
     order. `extra_strings` are planted into the string pool without being
     referenced anywhere, for false-positive experiments.
     """
-    callers: list[tuple[str, list[tuple[str, str]]]] = []
+    callers: list[tuple[str, list[tuple[str, str, tuple]]]] = []
     seen = set()
     for caller, targets in plan:
         _check_class_name(caller)
@@ -110,30 +150,29 @@ def build_fixture_dex(plan: Sequence[tuple[str, Iterable]], *,
         seen.add(caller)
         resolved = []
         for target in targets:
-            cls, method = _as_target(target)
+            cls, method, proto = _as_target(target)
             _check_class_name(cls)
             _check_method_name(method)
-            resolved.append((cls, method))
+            resolved.append((dotted_to_descriptor(cls), method, proto))
         callers.append((caller, resolved))
 
     # ---- pools ------------------------------------------------------------
     type_descs = {dotted_to_descriptor(c) for c, _ in callers}
     method_keys = set()
     for caller, targets in callers:
-        method_keys.add((dotted_to_descriptor(caller), _CALLER_METHOD))
-        for cls, method in targets:
-            desc = dotted_to_descriptor(cls)
-            type_descs.add(desc)
-            method_keys.add((desc, method))
+        method_keys.add((dotted_to_descriptor(caller), _CALLER_METHOD,
+                         _VOID_PROTO))
+        method_keys.update(targets)
+    proto_set = {proto for _, _, proto in method_keys}
+    for desc, _, (ret, params) in method_keys:
+        type_descs.update((desc, ret) + params)
 
     have_code = bool(callers)
     if have_code:
         type_descs.add(_OBJECT_DESC)
-        type_descs.add("V")
 
-    string_set = set(type_descs) | {m for _, m in method_keys} | set(extra_strings)
-    if have_code:
-        string_set.add("V")   # shorty of the shared ()V prototype
+    string_set = (set(type_descs) | {m for _, m, _ in method_keys}
+                  | {_shorty(p) for p in proto_set} | set(extra_strings))
 
     utf16_key = lambda s: s.encode("utf-16-be", "surrogatepass")
     strings = sorted(string_set, key=utf16_key)
@@ -142,10 +181,13 @@ def build_fixture_dex(plan: Sequence[tuple[str, Iterable]], *,
     types = sorted(type_descs, key=utf16_key)
     type_index = {t: i for i, t in enumerate(types)}
 
-    protos = [("V", "V")] if method_keys else []     # shorty, return type
+    protos = sorted(proto_set, key=lambda p: (
+        type_index[p[0]], tuple(type_index[d] for d in p[1])))
+    proto_index = {p: i for i, p in enumerate(protos)}
+    type_lists = list(dict.fromkeys(params for _, params in protos if params))
 
-    methods = sorted(method_keys,
-                     key=lambda k: (type_index[k[0]], string_index[k[1]], 0))
+    methods = sorted(method_keys, key=lambda k: (
+        type_index[k[0]], string_index[k[1]], proto_index[k[2]]))
     if len(methods) > 0xFFFF:
         raise InvalidPlanError("method pool exceeds 16-bit invoke index range")
     method_index = {k: i for i, k in enumerate(methods)}
@@ -174,14 +216,26 @@ def build_fixture_dex(plan: Sequence[tuple[str, Iterable]], *,
     def pad4(n):
         return (-n) % 4
 
+    type_list_offs = {}
+    type_list_blobs = []
+    if type_lists:
+        cursor += pad4(cursor)
+    for params in type_lists:
+        blob = struct.pack(f"<I{len(params)}H", len(params),
+                           *(type_index[d] for d in params))
+        blob += b"\x00" * pad4(len(blob))
+        type_list_offs[params] = cursor
+        type_list_blobs.append(blob)
+        cursor += len(blob)
+
     code_pad0 = pad4(cursor) if have_code else 0
     cursor += code_pad0
     code_offs = []
     code_blobs = []
     for caller, targets in callers:
         insns = bytearray()
-        for cls, method in targets:
-            idx = method_index[(dotted_to_descriptor(cls), method)]
+        for target in targets:
+            idx = method_index[target]
             insns += struct.pack("<BBHH", 0x71, 0x00, idx, 0x0000)
         insns += b"\x0e\x00"
         units = len(insns) // 2
@@ -194,7 +248,8 @@ def build_fixture_dex(plan: Sequence[tuple[str, Iterable]], *,
     class_data_offs = []
     class_data_blobs = []
     for i, (caller, _targets) in enumerate(callers):
-        run_idx = method_index[(dotted_to_descriptor(caller), _CALLER_METHOD)]
+        run_idx = method_index[(dotted_to_descriptor(caller), _CALLER_METHOD,
+                                _VOID_PROTO)]
         blob = (encode_uleb128(0) + encode_uleb128(0)
                 + encode_uleb128(1) + encode_uleb128(0)
                 + encode_uleb128(run_idx) + encode_uleb128(0x9)  # public|static
@@ -220,6 +275,9 @@ def build_fixture_dex(plan: Sequence[tuple[str, Iterable]], *,
         map_items.append((_MAP_CLASS_DEF, n_class, off_class_defs))
     if n_str:
         map_items.append((_MAP_STRING_DATA, n_str, string_data_offs[0]))
+    if type_lists:
+        map_items.append((_MAP_TYPE_LIST, len(type_lists),
+                          type_list_offs[type_lists[0]]))
     if n_class:
         map_items.append((_MAP_CODE, n_class, code_offs[0]))
         map_items.append((_MAP_CLASS_DATA, n_class, class_data_offs[0]))
@@ -248,12 +306,18 @@ def build_fixture_dex(plan: Sequence[tuple[str, Iterable]], *,
         buf[off:off + len(string_blobs[i])] = string_blobs[i]
     for i, desc in enumerate(types):
         struct.pack_into("<I", buf, off_type_ids + 4 * i, string_index[desc])
-    for i, (shorty, ret) in enumerate(protos):
+    for i, proto in enumerate(protos):
+        ret, params = proto
         struct.pack_into("<III", buf, off_proto_ids + 12 * i,
-                         string_index[shorty], type_index[ret], 0)
-    for i, (cls_desc, name) in enumerate(methods):
+                         string_index[_shorty(proto)], type_index[ret],
+                         type_list_offs.get(params, 0))
+    for i, (cls_desc, name, proto) in enumerate(methods):
         struct.pack_into("<HHI", buf, off_method_ids + 8 * i,
-                         type_index[cls_desc], 0, string_index[name])
+                         type_index[cls_desc], proto_index[proto],
+                         string_index[name])
+    for params, blob in zip(type_lists, type_list_blobs):
+        off = type_list_offs[params]
+        buf[off:off + len(blob)] = blob
     for i, (caller, _targets) in enumerate(callers):
         struct.pack_into(
             "<8I", buf, off_class_defs + 32 * i,

@@ -41,7 +41,6 @@ from analytika.defaults import (
     default_known_prefixes_path,
 )
 from analytika.dex import descriptor_to_dotted, parse_dex
-from analytika.dexbuild import build_fixture_dex
 from analytika.matchers import NativeLibPattern, match_native_libs, match_tee_apis
 from analytika.pipeline import (
     AnalysisConfig,
@@ -62,6 +61,7 @@ from conftest import (
     make_fixture_apk,
     random_plan,
 )
+from dexbuild import build_fixture_dex
 from dexlister import list_invokes
 
 

@@ -184,6 +184,32 @@ def test_location_split_hand_computed(tmp_path):
     assert stats["libraries_per_app_median"] == pytest.approx(1.0)
 
 
+def test_unknown_location_disqualifies_exclusively_inmain(tmp_path):
+    docs = [
+        report_doc(sha_for(0), matches=[
+            make_match("keystore", "inmain", "com.app.main"),
+            make_match("keystore", "elsewhere", "com.app.main", offset=9)]),
+        report_doc(sha_for(1), matches=[
+            make_match("keystore", "inmain", "com.app.main")]),
+    ]
+    stats = location_split(_corpus(tmp_path, docs))
+    assert stats["apps_exclusively_inmain_share"] == 0.5
+    assert stats["total_matches"] == 2      # the unknown location counts nowhere
+
+
+def test_records_hold_per_app_facts_not_matches(tmp_path):
+    matches = [make_match("drm", "inlib", "com.appsflyer.core", offset=i)
+               for i in range(50)]
+    matches.append(make_match("bouncycastle", "inmain", "com.app.main"))
+    doc = report_doc(sha_for(0), matches=matches, crypto=("bouncycastle",))
+    record = _corpus(tmp_path, [doc]).records[0]
+    assert not hasattr(record, "matches")
+    assert record.detectors == {"drm"}
+    assert record.location_counts == {"inlib": 50}
+    assert record.inlib_packages == {"drm": {"com.appsflyer.core"}}
+    assert record.crypto_libs == {"bouncycastle"}
+
+
 def test_location_obfuscated_only_app(tmp_path):
     docs = [report_doc(sha_for(0), matches=[
         make_match("keystore", "obfuscated", "")])]
@@ -266,6 +292,16 @@ def test_crypto_table_hand_computed(tmp_path):
     assert table["apps_with_native"] == 1
     # default universe rows surface even when unused
     assert table["software"]["apache_tuweni"] == 0
+
+
+def test_crypto_table_explicit_empty_list_is_kept(tmp_path):
+    docs = [report_doc(sha_for(0), crypto=("bouncycastle",),
+                       native=("openssl",))]
+    table = crypto_table(_corpus(tmp_path, docs), software_libs=[],
+                         native_libs=None)
+    assert table["software"] == {"bouncycastle": 1}
+    assert table["native"]["openssl"] == 1
+    assert table["native"]["sodium"] == 0     # default universe still used
 
 
 def test_crypto_table_empty(tmp_path):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import struct
 from collections import Counter
 
 import pytest
@@ -13,10 +14,10 @@ from analytika.dex import (
     descriptor_to_dotted,
     parse_dex,
 )
-from analytika.dexbuild import build_fixture_dex
-from analytika.errors import InvalidPlanError, MalformedDexError
+from analytika.errors import MalformedDexError
 
-from conftest import random_plan
+from conftest import CIPHER_INIT_OVERLOADS, random_plan
+from dexbuild import InvalidPlanError, build_fixture_dex
 from dexlister import list_invokes
 
 
@@ -95,6 +96,54 @@ def test_method_pool_exposes_uninvoked_references():
     assert ("org.jasypt.Util", "run") in {
         (m.defining_class, m.method_name) for m in unit.methods}
     assert unit.invocations == ()
+
+
+CIPHER_OVERLOADS = CIPHER_INIT_OVERLOADS + [
+    ("javax.crypto.Cipher", "doFinal", "byte[]", ("byte[]",)),
+]
+
+
+def test_method_refs_keep_full_prototype():
+    unit = parse_dex(build_fixture_dex([("com.a.B", CIPHER_OVERLOADS)]))
+    prototypes = {(m.defining_class, m.method_name, m.return_type,
+                   m.parameters) for m in unit.methods}
+    assert prototypes == {
+        ("com.a.B", "run", "void", ()),
+        ("javax.crypto.Cipher", "init", "void", ("int", "java.security.Key")),
+        ("javax.crypto.Cipher", "init", "void",
+         ("int", "java.security.cert.Certificate")),
+        ("javax.crypto.Cipher", "doFinal", "byte[]", ("byte[]",)),
+    }
+    targets = [inv.target for inv in unit.invocations]
+    assert len(set(targets)) == 3
+
+
+def _patch_type_lists(data: bytearray, patch) -> int:
+    """Apply patch(data, parameters_off) to every proto with parameters."""
+    header = parse_dex(bytes(data)).header
+    patched = 0
+    for i in range(header.proto_ids_size):
+        slot = header.proto_ids_off + 12 * i + 8
+        parameters_off = struct.unpack_from("<I", data, slot)[0]
+        if parameters_off:
+            patch(data, slot, parameters_off)
+            patched += 1
+    return patched
+
+
+@pytest.mark.parametrize("patch", [
+    # type list starts two bytes before the end of the file
+    lambda d, slot, off: struct.pack_into("<I", d, slot, len(d) - 2),
+    # declared size runs past the end of the file
+    lambda d, slot, off: struct.pack_into("<I", d, off, 0x0FFFFFFF),
+    # type index past the type pool
+    lambda d, slot, off: struct.pack_into("<H", d, off + 4, 0xFFFF),
+], ids=["offset", "size", "index"])
+def test_bad_type_list_is_malformed(patch):
+    data = bytearray(build_fixture_dex([("com.a.B", CIPHER_OVERLOADS)]))
+    assert _patch_type_lists(data, patch) == 3
+    with pytest.raises(MalformedDexError):
+        parse_dex(bytes(data))
 
 
 def test_extra_strings_planted_but_inert():

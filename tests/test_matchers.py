@@ -3,7 +3,6 @@ from __future__ import annotations
 import pytest
 
 from analytika.dex import Invocation, MethodRef, parse_dex
-from analytika.dexbuild import build_fixture_dex
 from analytika.errors import PatternParseError
 from analytika.matchers import (
     NativeLibPattern,
@@ -15,7 +14,13 @@ from analytika.matchers import (
 )
 from analytika.pipeline import load_patterns
 
-from conftest import PLANTED_EXPECTED, PLANTED_PLAN, UNREFERENCED_PATTERN_STRING
+from conftest import (
+    CIPHER_INIT_OVERLOADS,
+    PLANTED_EXPECTED,
+    PLANTED_PLAN,
+    UNREFERENCED_PATTERN_STRING,
+)
+from dexbuild import build_fixture_dex
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +30,7 @@ def patterns():
 
 def _inv(target_class, method, caller="com.app.Main", offset=0x100):
     return Invocation(caller_class=caller,
-                      target=MethodRef(target_class, method, "V"),
+                      target=MethodRef(target_class, method, "void", ()),
                       dex_file="classes.dex", code_offset=offset)
 
 
@@ -158,6 +163,16 @@ def test_two_libraries_detected(patterns):
     ]))
     records = match_crypto_packages(unit, patterns.crypto_sets)
     assert {r.detector_id for r in records} == {"google_tink", "jetpack_security"}
+
+
+def test_same_shorty_overloads_give_one_record_per_invocation(patterns):
+    unit = parse_dex(build_fixture_dex(
+        [("com.app.Main", CIPHER_INIT_OVERLOADS)]))
+    records = match_crypto_packages(unit, patterns.crypto_sets)
+    assert len(records) == 2
+    assert {r.code_offset for r in records} == {
+        inv.code_offset for inv in unit.invocations}
+    assert {r.caller_class for r in records} == {"com.app.Main"}
 
 
 def test_uninvoked_crypto_reference_counts_at_app_scope(patterns):
