@@ -9,7 +9,7 @@ from .container import (
     read_entry,
     sha256_digest,
 )
-from .dex import DexUnit, Invocation, MethodRef, parse_dex
+from .dex import DexUnit, MethodRef, parse_dex
 from .manifest import ManifestInfo, extract_manifest_info, parse_binary_xml
 from .matchers import (
     MatchRecord,
@@ -40,7 +40,6 @@ __all__ = [
     "CorpusEntry",
     "DexUnit",
     "EntryMeta",
-    "Invocation",
     "ManifestInfo",
     "MatchRecord",
     "MethodRef",

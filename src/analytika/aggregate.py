@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import statistics
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
@@ -281,8 +282,8 @@ def crypto_table(corpus: Corpus, software_libs=None, native_libs=None) -> dict:
     """Distinct-app counts per crypto library, software and native.
 
     Libraries from the default pattern universe appear even with zero apps;
-    anything else observed in the reports is appended. An explicitly empty
-    list means no default rows for that kind.
+    anything else observed in the reports is appended in sorted order. An
+    explicitly empty list means no default rows for that kind.
     """
     if software_libs is None or native_libs is None:
         patterns = load_patterns()
@@ -292,21 +293,21 @@ def crypto_table(corpus: Corpus, software_libs=None, native_libs=None) -> dict:
             native_libs = [p.library for p in patterns.native_patterns]
     ok = corpus.ok_records()
 
-    software_counts = {lib: 0 for lib in software_libs}
-    native_counts = {lib: 0 for lib in native_libs}
-    for record in ok:
-        for lib in record.crypto_libs:
-            software_counts[lib] = software_counts.get(lib, 0) + 1
-        for lib in record.native_libs:
-            native_counts[lib] = native_counts.get(lib, 0) + 1
-
+    software = Counter(lib for r in ok for lib in r.crypto_libs)
+    native = Counter(lib for r in ok for lib in r.native_libs)
     return {
-        "software": software_counts,
-        "native": native_counts,
+        "software": _universe_first(software, software_libs),
+        "native": _universe_first(native, native_libs),
         "apps_with_software": sum(1 for r in ok if r.crypto_libs),
         "apps_with_native": sum(1 for r in ok if r.native_libs),
         "ok_apps": len(ok),
     }
+
+
+def _universe_first(counts: Counter, universe) -> dict:
+    """Universe libraries in their order, then the others sorted by name."""
+    extras = sorted(counts.keys() - set(universe))
+    return {lib: counts[lib] for lib in [*universe, *extras]}
 
 
 @dataclass

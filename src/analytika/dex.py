@@ -2,16 +2,18 @@
 
 The parser decodes the string/type/proto/method pools and walks every
 concrete method body instruction by instruction, using the per-format
-width table, to collect each invoke-kind target. That invocation list is
-the substrate all detector matching runs on; the full method pool is also
-kept because package-reference matching needs methods that are referenced
-without being invoked.
+width table, to collect each invoke-kind instruction. Invokes are kept as
+three parallel index columns (calling class_def, method-pool entry, byte
+offset), so detectors resolve each method-pool entry once and select
+invokes by index; the full method pool also serves package-reference
+matching, which needs methods that are referenced without being invoked.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from typing import Callable
 
 from .errors import MalformedDexError
@@ -85,22 +87,18 @@ class MethodRef:
 
 
 @dataclass(frozen=True)
-class Invocation:
-    caller_class: str
-    target: MethodRef
-    dex_file: str
-    code_offset: int        # absolute byte offset of the invoke instruction
-
-
-@dataclass(frozen=True)
 class DexUnit:
+    """Parsed pools plus every invoke as parallel columns, in parse order."""
+
     header: DexHeader
     strings: tuple[str, ...]
     types: tuple[str, ...]
     methods: tuple[MethodRef, ...]
-    invocations: tuple[Invocation, ...]
+    class_names: tuple[str, ...]    # one per class_def, data or not
+    invoke_callers: array           # class_def index into class_names
+    invoke_methods: array           # method-pool index into methods
+    invoke_offsets: array           # absolute byte offset of the instruction
     entry_name: str
-    class_names: tuple[str, ...] = field(default=())
 
 
 def descriptor_to_dotted(desc: str) -> str:
@@ -281,7 +279,7 @@ def _walk_insns(data: bytes, insns_off: int, insns_units: int, limit: int,
 
 def parse_dex(data: bytes, entry_name: str = "classes.dex",
               cancel_check: Callable[[], None] | None = None) -> DexUnit:
-    """Parse one DEX file into pools plus the full invocation list.
+    """Parse one DEX file into pools plus the invoke columns.
 
     `cancel_check` runs once per class definition so oversized inputs can be
     abandoned cooperatively. Raises MalformedDexError on any structural
@@ -332,7 +330,8 @@ def parse_dex(data: bytes, entry_name: str = "classes.dex",
                                  return_type=return_type,
                                  parameters=parameters))
 
-    invocations: list[Invocation] = []
+    invoke_callers, invoke_methods, invoke_offsets = (
+        array("I"), array("I"), array("I"))
     class_names: list[str] = []
     for i in range(header.class_defs_size):
         if cancel_check is not None:
@@ -342,8 +341,7 @@ def parse_dex(data: bytes, entry_name: str = "classes.dex",
         class_data_off = _u32(data, off + 24, limit)
         if class_idx >= len(types):
             raise MalformedDexError("class_def type index out of bounds")
-        caller = types[class_idx]
-        class_names.append(caller)
+        class_names.append(types[class_idx])
         if class_data_off == 0:
             continue
         if class_data_off >= limit:
@@ -353,13 +351,15 @@ def parse_dex(data: bytes, entry_name: str = "classes.dex",
             insns_units = _u32(data, code_off + 12, limit)
             for insn_off, method_idx in _walk_insns(
                     data, code_off + 16, insns_units, limit, len(methods)):
-                invocations.append(Invocation(
-                    caller_class=caller, target=methods[method_idx],
-                    dex_file=entry_name, code_offset=insn_off))
+                invoke_callers.append(i)
+                invoke_methods.append(method_idx)
+                invoke_offsets.append(insn_off)
 
     return DexUnit(header=header, strings=tuple(strings), types=tuple(types),
-                   methods=tuple(methods), invocations=tuple(invocations),
-                   entry_name=entry_name, class_names=tuple(class_names))
+                   methods=tuple(methods), class_names=tuple(class_names),
+                   invoke_callers=invoke_callers,
+                   invoke_methods=invoke_methods,
+                   invoke_offsets=invoke_offsets, entry_name=entry_name)
 
 
 def _iter_code_offsets(data: bytes, class_data_off: int, limit: int,

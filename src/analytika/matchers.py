@@ -13,7 +13,7 @@ import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .dex import DexUnit, Invocation, MethodRef
+from .dex import DexUnit
 from .errors import PatternParseError
 
 KIND_TEE_API = "tee_api"
@@ -123,12 +123,13 @@ def _class_candidates(dotted: str):
         yield dotted
 
 
-def match_tee_apis(invocations, sets) -> list[MatchRecord]:
-    """Match invocations against invocation-level API detectors.
+def match_tee_apis(unit: DexUnit, sets) -> list[MatchRecord]:
+    """Match a unit's invokes against invocation-level API detectors.
 
     A record is produced only when the invoked method hits a (class, method)
     row; a pattern class matches itself and its inner classes. Class
-    references that are never invoked do not match.
+    references that are never invoked do not match. Each method-pool entry
+    is resolved once, whatever its number of invokes.
     """
     index: dict[str, dict[str, set[str]]] = {}
     for pattern_set in sets:
@@ -138,23 +139,15 @@ def match_tee_apis(invocations, sets) -> list[MatchRecord]:
             index.setdefault(cls, {}).setdefault(
                 pattern_set.detector_id, set()).add(method)
 
-    records = []
-    for inv in invocations:
+    hits = []
+    for ref in unit.methods:
         hit: set[str] = set()
-        for candidate in _class_candidates(inv.target.defining_class):
+        for candidate in _class_candidates(ref.defining_class):
             for detector, methods in index.get(candidate, {}).items():
-                if WILDCARD in methods or inv.target.method_name in methods:
+                if WILDCARD in methods or ref.method_name in methods:
                     hit.add(detector)
-        for detector in sorted(hit):
-            records.append(MatchRecord(
-                detector_id=detector,
-                target_class=inv.target.defining_class,
-                target_method=inv.target.method_name,
-                caller_class=inv.caller_class,
-                dex_file=inv.dex_file,
-                code_offset=inv.code_offset))
-    records.sort(key=lambda r: (r.dex_file, r.code_offset, r.detector_id))
-    return records
+        hits.append(sorted(hit))
+    return _emit_records(unit, hits, uninvoked=False)
 
 
 def _prefix_match(class_name: str, prefix: str) -> bool:
@@ -179,35 +172,37 @@ def match_crypto_packages(unit: DexUnit, sets) -> list[MatchRecord]:
         for prefix in pattern_set.class_prefixes:
             prefixes.append((prefix, pattern_set.detector_id))
 
-    by_target: dict[MethodRef, list[Invocation]] = {}
-    for inv in unit.invocations:
-        by_target.setdefault(inv.target, []).append(inv)
+    hits = [sorted({det for prefix, det in prefixes
+                    if _prefix_match(ref.defining_class, prefix)})
+            for ref in unit.methods]
+    return _emit_records(unit, hits, uninvoked=True)
 
-    records = []
-    for i, ref in enumerate(unit.methods):
-        detectors = {det for prefix, det in prefixes
-                     if _prefix_match(ref.defining_class, prefix)}
-        if not detectors:
-            continue
-        invs = by_target.get(ref)
-        for detector in sorted(detectors):
-            if invs:
-                for inv in invs:
-                    records.append(MatchRecord(
-                        detector_id=detector,
-                        target_class=ref.defining_class,
-                        target_method=ref.method_name,
-                        caller_class=inv.caller_class,
-                        dex_file=inv.dex_file,
-                        code_offset=inv.code_offset))
-            else:
-                records.append(MatchRecord(
-                    detector_id=detector,
-                    target_class=ref.defining_class,
-                    target_method=ref.method_name,
-                    caller_class="",
-                    dex_file=unit.entry_name,
-                    code_offset=unit.header.method_ids_off + 8 * i))
+
+def _emit_records(unit: DexUnit, hits: list[list[str]],
+                  uninvoked: bool) -> list[MatchRecord]:
+    """Records for the detectors hit by each method-pool entry.
+
+    `hits[i]` lists the sorted detectors of pool entry i. Each invoke of a
+    hit entry gives one record per detector; with `uninvoked`, a hit entry
+    that is never invoked gives one record per detector at its pool slot.
+    """
+    sites = [(unit.class_names[caller], method_idx, offset)
+             for caller, method_idx, offset in zip(
+                 unit.invoke_callers, unit.invoke_methods, unit.invoke_offsets)
+             if hits[method_idx]]
+    if uninvoked:
+        invoked = {method_idx for _, method_idx, _ in sites}
+        sites += [("", i, unit.header.method_ids_off + 8 * i)
+                  for i, detectors in enumerate(hits)
+                  if detectors and i not in invoked]
+    records = [MatchRecord(detector_id=detector,
+                           target_class=unit.methods[method_idx].defining_class,
+                           target_method=unit.methods[method_idx].method_name,
+                           caller_class=caller,
+                           dex_file=unit.entry_name,
+                           code_offset=offset)
+               for caller, method_idx, offset in sites
+               for detector in hits[method_idx]]
     records.sort(key=lambda r: (r.dex_file, r.code_offset, r.detector_id))
     return records
 

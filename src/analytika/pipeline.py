@@ -242,14 +242,15 @@ def analyze_apk(data: bytes, entry: CorpusEntry, config: AnalysisConfig,
 
         tee_records = []
         crypto_records = []
-        with _stage(timings, "dex"):
-            for dex_name in enumerate_dex(index):
-                deadline.check()
+        for dex_name in enumerate_dex(index):
+            deadline.check()
+            with _stage(timings, "inflate"):
                 raw = read_entry(index, dex_name, cancel_check=deadline.check)
+            with _stage(timings, "dex_parse"):
                 unit = parse_dex(raw, dex_name, cancel_check=deadline.check)
-                deadline.check()
-                tee_records.extend(
-                    match_tee_apis(unit.invocations, patterns.tee_sets))
+            deadline.check()
+            with _stage(timings, "match"):
+                tee_records.extend(match_tee_apis(unit, patterns.tee_sets))
                 crypto_records.extend(
                     match_crypto_packages(unit, patterns.crypto_sets))
 
@@ -414,6 +415,7 @@ def fetch_by_hash(sha256: str, endpoint: str, api_key: str,
         with urllib.request.urlopen(url, timeout=timeout) as response:
             data = response.read()
     except urllib.error.HTTPError as exc:
+        exc.close()             # the error holds the response connection
         raise HttpStatusError(exc.code) from exc
     except urllib.error.URLError as exc:
         raise NetworkError(str(exc)) from exc

@@ -11,8 +11,11 @@ from __future__ import annotations
 import io
 import random
 import zipfile
+from typing import NamedTuple
 
 import pytest
+
+from analytika.dex import MethodRef
 
 from axml_encoder import manifest_bytes
 from dexbuild import build_fixture_dex
@@ -58,6 +61,19 @@ CIPHER_INIT_OVERLOADS = [
 # A pattern class planted as a bare string-pool entry; only a matcher that
 # fires on uninvoked class names would report it.
 UNREFERENCED_PATTERN_STRING = "Landroid/security/keystore/KeyProperties;"
+
+
+class Invoke(NamedTuple):
+    caller_class: str
+    target: MethodRef
+    code_offset: int
+
+
+def invokes(unit) -> list[Invoke]:
+    """A parsed unit's invoke columns as rows, in parse order."""
+    return [Invoke(unit.class_names[caller], unit.methods[method_idx], offset)
+            for caller, method_idx, offset in zip(
+                unit.invoke_callers, unit.invoke_methods, unit.invoke_offsets)]
 
 
 def make_apk(entries: dict[str, bytes], stored: tuple[str, ...] = ()) -> bytes:

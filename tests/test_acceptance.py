@@ -58,6 +58,7 @@ from conftest import (
     PLANTED_EXPECTED,
     PLANTED_PLAN,
     UNREFERENCED_PATTERN_STRING,
+    invokes,
     make_fixture_apk,
     random_plan,
 )
@@ -77,7 +78,7 @@ def criterion(number: int, title: str):
 
 def _invocation_multiset(unit):
     return Counter((inv.caller_class, inv.target.defining_class,
-                    inv.target.method_name) for inv in unit.invocations)
+                    inv.target.method_name) for inv in invokes(unit))
 
 
 def _plan_multiset(plan):
@@ -121,7 +122,7 @@ def test_ac02_disassembler_oracle_parity(smoke_corpus):
                 raw = zf.read(entry)
                 unit = parse_dex(raw, entry)
                 mine |= {(inv.caller_class, inv.target.defining_class,
-                          inv.target.method_name) for inv in unit.invocations}
+                          inv.target.method_name) for inv in invokes(unit)}
                 theirs |= {(descriptor_to_dotted(c), descriptor_to_dotted(t), m)
                            for c, t, m in list_invokes(raw)}
             missing = theirs - mine
@@ -135,7 +136,7 @@ def test_ac03_planted_detection_and_false_positive_rule():
         unit = parse_dex(build_fixture_dex(
             PLANTED_PLAN, extra_strings=(UNREFERENCED_PATTERN_STRING,)))
         assert UNREFERENCED_PATTERN_STRING in unit.strings
-        records = match_tee_apis(unit.invocations, patterns.tee_sets)
+        records = match_tee_apis(unit, patterns.tee_sets)
         assert len(records) == 6
         assert {(r.detector_id, r.target_class, r.target_method)
                 for r in records} == PLANTED_EXPECTED

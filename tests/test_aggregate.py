@@ -304,6 +304,23 @@ def test_crypto_table_explicit_empty_list_is_kept(tmp_path):
     assert table["native"]["sodium"] == 0     # default universe still used
 
 
+def test_crypto_table_extras_follow_defaults_sorted(tmp_path):
+    # Reports are read in sha order, which here is reverse name order, and
+    # the last report's library set has no order of its own.
+    docs = [report_doc(sha_for(0), crypto=("custom_d",), native=("native_d",)),
+            report_doc(sha_for(1), crypto=("custom_c",), native=("native_c",)),
+            report_doc(sha_for(2), crypto=("custom_b", "custom_a"),
+                       native=("native_b", "native_a"))]
+    table = crypto_table(_corpus(tmp_path, docs),
+                         software_libs=["zeta", "alpha"], native_libs=["zz"])
+    assert list(table["software"]) == [
+        "zeta", "alpha", "custom_a", "custom_b", "custom_c", "custom_d"]
+    assert list(table["native"]) == [
+        "zz", "native_a", "native_b", "native_c", "native_d"]
+    assert table["software"]["custom_a"] == 1
+    assert table["software"]["zeta"] == 0
+
+
 def test_crypto_table_empty(tmp_path):
     table = crypto_table(_corpus(tmp_path, [report_doc(sha_for(0))]))
     assert table["apps_with_software"] == 0

@@ -103,6 +103,7 @@ def test_analyze_remote_corpus_with_api_key_env(tmp_path, monkeypatch):
                      "--api-key-env", "TEST_DL_KEY"])
     finally:
         server.shutdown()
+        server.server_close()
     assert code == 0
     assert seen_keys == ["sekrit"]
     doc = json.loads((out_dir / f"{sha}.json").read_text())

@@ -16,14 +16,14 @@ from analytika.dex import (
 )
 from analytika.errors import MalformedDexError
 
-from conftest import CIPHER_INIT_OVERLOADS, random_plan
+from conftest import CIPHER_INIT_OVERLOADS, invokes, random_plan
 from dexbuild import InvalidPlanError, build_fixture_dex
 from dexlister import list_invokes
 
 
 def _invocation_multiset(unit):
     return Counter((inv.caller_class, inv.target.defining_class,
-                    inv.target.method_name) for inv in unit.invocations)
+                    inv.target.method_name) for inv in invokes(unit))
 
 
 def _plan_multiset(plan):
@@ -36,22 +36,22 @@ def test_single_invocation_round_trip():
     plan = [("com.test.Main", [("android.media.MediaDrm", "<init>")])]
     unit = parse_dex(build_fixture_dex(plan))
     assert _invocation_multiset(unit) == _plan_multiset(plan)
-    inv = unit.invocations[0]
+    inv = invokes(unit)[0]
     assert inv.caller_class == "com.test.Main"
-    assert inv.dex_file == "classes.dex"
+    assert unit.entry_name == "classes.dex"
     assert 0 < inv.code_offset < unit.header.file_size
 
 
 def test_empty_plan_parses_to_nothing():
     unit = parse_dex(build_fixture_dex([]))
-    assert unit.invocations == ()
+    assert invokes(unit) == []
     assert unit.methods == ()
     assert unit.class_names == ()
 
 
 def test_plan_with_class_but_no_calls():
     unit = parse_dex(build_fixture_dex([("com.empty.C", [])]))
-    assert unit.invocations == ()
+    assert invokes(unit) == []
     assert unit.class_names == ("com.empty.C",)
 
 
@@ -95,7 +95,7 @@ def test_method_pool_exposes_uninvoked_references():
     unit = parse_dex(build_fixture_dex([("org.jasypt.Util", [])]))
     assert ("org.jasypt.Util", "run") in {
         (m.defining_class, m.method_name) for m in unit.methods}
-    assert unit.invocations == ()
+    assert invokes(unit) == []
 
 
 CIPHER_OVERLOADS = CIPHER_INIT_OVERLOADS + [
@@ -114,7 +114,7 @@ def test_method_refs_keep_full_prototype():
          ("int", "java.security.cert.Certificate")),
         ("javax.crypto.Cipher", "doFinal", "byte[]", ("byte[]",)),
     }
-    targets = [inv.target for inv in unit.invocations]
+    targets = [inv.target for inv in invokes(unit)]
     assert len(set(targets)) == 3
 
 
@@ -187,7 +187,7 @@ def test_agrees_with_independent_lister(smoke_corpus):
             unit = parse_dex(raw, name)
             mine = {(inv.caller_class,
                      inv.target.defining_class,
-                     inv.target.method_name) for inv in unit.invocations}
+                     inv.target.method_name) for inv in invokes(unit)}
             theirs = {(descriptor_to_dotted(c), descriptor_to_dotted(t), m)
                       for c, t, m in list_invokes(raw)}
             assert mine == theirs

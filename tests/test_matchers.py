@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import struct
+
 import pytest
 
-from analytika.dex import Invocation, MethodRef, parse_dex
+from analytika.dex import parse_dex
 from analytika.errors import PatternParseError
 from analytika.matchers import (
     NativeLibPattern,
@@ -19,6 +21,7 @@ from conftest import (
     PLANTED_EXPECTED,
     PLANTED_PLAN,
     UNREFERENCED_PATTERN_STRING,
+    invokes,
 )
 from dexbuild import build_fixture_dex
 
@@ -28,10 +31,10 @@ def patterns():
     return load_patterns()
 
 
-def _inv(target_class, method, caller="com.app.Main", offset=0x100):
-    return Invocation(caller_class=caller,
-                      target=MethodRef(target_class, method, "void", ()),
-                      dex_file="classes.dex", code_offset=offset)
+def _unit(target_class, method):
+    """A parsed unit whose only invoke calls target_class.method."""
+    return parse_dex(build_fixture_dex(
+        [("com.app.Main", [(target_class, method)])]))
 
 
 def test_load_pattern_file_rows(tmp_path, patterns):
@@ -73,7 +76,7 @@ def test_load_native_pattern_file(tmp_path):
 
 
 def test_media_drm_invocation_matches_drm(patterns):
-    records = match_tee_apis([_inv("android.media.MediaDrm", "openSession")],
+    records = match_tee_apis(_unit("android.media.MediaDrm", "openSession"),
                              patterns.tee_sets)
     assert [r.detector_id for r in records] == ["drm"]
     assert records[0].target_method == "openSession"
@@ -81,7 +84,7 @@ def test_media_drm_invocation_matches_drm(patterns):
 
 def test_method_list_gates_matches(patterns):
     records = match_tee_apis(
-        [_inv("android.security.keystore.KeyGenParameterSpec", "toString")],
+        _unit("android.security.keystore.KeyGenParameterSpec", "toString"),
         patterns.tee_sets)
     assert records == []
 
@@ -90,21 +93,21 @@ def test_inner_class_matches_outer_pattern(patterns):
     # MediaDrm rows cover the outer class only; an inner class invocation
     # still belongs to the same detector.
     records = match_tee_apis(
-        [_inv("android.media.MediaDrm$SessionThing", "openSession")],
+        _unit("android.media.MediaDrm$SessionThing", "openSession"),
         patterns.tee_sets)
     assert [r.detector_id for r in records] == ["drm"]
 
 
 def test_prefix_lookalike_class_does_not_match(patterns):
     records = match_tee_apis(
-        [_inv("android.media.MediaDrmX", "openSession")], patterns.tee_sets)
+        _unit("android.media.MediaDrmX", "openSession"), patterns.tee_sets)
     assert records == []
 
 
 def test_planted_fixture_yields_exactly_expected_records(patterns):
     unit = parse_dex(build_fixture_dex(
         PLANTED_PLAN, extra_strings=(UNREFERENCED_PATTERN_STRING,)))
-    records = match_tee_apis(unit.invocations, patterns.tee_sets)
+    records = match_tee_apis(unit, patterns.tee_sets)
     assert len(records) == 6
     assert {(r.detector_id, r.target_class, r.target_method)
             for r in records} == PLANTED_EXPECTED
@@ -117,7 +120,7 @@ def test_unreferenced_pattern_class_never_matches(patterns):
         [("com.app.Main", [("java.lang.String", "valueOf")])],
         extra_strings=("Landroid/media/MediaDrm;",)))
     assert "Landroid/media/MediaDrm;" in unit.strings
-    records = match_tee_apis(unit.invocations, patterns.tee_sets)
+    records = match_tee_apis(unit, patterns.tee_sets)
     assert records == []
 
 
@@ -126,7 +129,7 @@ def test_string_scan_oracle_agreement(patterns):
     # that are present but never invoked.
     unit = parse_dex(build_fixture_dex(
         PLANTED_PLAN, extra_strings=("Landroid/drm/DrmStore;",)))
-    records = match_tee_apis(unit.invocations, patterns.tee_sets)
+    records = match_tee_apis(unit, patterns.tee_sets)
     matched = {r.detector_id for r in records}
 
     scanned = set()
@@ -171,7 +174,7 @@ def test_same_shorty_overloads_give_one_record_per_invocation(patterns):
     records = match_crypto_packages(unit, patterns.crypto_sets)
     assert len(records) == 2
     assert {r.code_offset for r in records} == {
-        inv.code_offset for inv in unit.invocations}
+        inv.code_offset for inv in invokes(unit)}
     assert {r.caller_class for r in records} == {"com.app.Main"}
 
 
@@ -242,7 +245,7 @@ def test_records_never_fall_outside_loaded_patterns(patterns, smoke_corpus):
             if not name.endswith(".dex"):
                 continue
             unit = parse_dex(zf.read(name), name)
-            for record in match_tee_apis(unit.invocations, patterns.tee_sets):
+            for record in match_tee_apis(unit, patterns.tee_sets):
                 assert satisfied_by_rows(record), record
             for record in match_crypto_packages(unit, patterns.crypto_sets):
                 assert under_crypto_prefix(record), record
@@ -250,9 +253,22 @@ def test_records_never_fall_outside_loaded_patterns(patterns, smoke_corpus):
 
 def test_record_ordering_is_stable(patterns):
     unit = parse_dex(build_fixture_dex(PLANTED_PLAN))
-    first = match_tee_apis(unit.invocations, patterns.tee_sets)
-    second = match_tee_apis(tuple(reversed(unit.invocations)), patterns.tee_sets)
-    assert [(r.dex_file, r.code_offset, r.detector_id) for r in first] == \
-           [(r.dex_file, r.code_offset, r.detector_id) for r in second]
-    offsets = [(r.dex_file, r.code_offset) for r in first]
+    records = match_tee_apis(unit, patterns.tee_sets)
+    offsets = [(r.dex_file, r.code_offset) for r in records]
     assert offsets == sorted(offsets)
+
+
+def test_class_def_without_data_keeps_caller_attribution(patterns):
+    # A class_def with class_data_off == 0 holds no code, but it still has
+    # a class_def index, so callers after it must map past it.
+    data = bytearray(build_fixture_dex([
+        ("com.app.Empty", [("java.lang.String", "valueOf")]),
+        ("com.app.Caller", [("android.media.MediaDrm", "openSession")]),
+    ]))
+    header = parse_dex(bytes(data)).header
+    struct.pack_into("<I", data, header.class_defs_off + 24, 0)
+    unit = parse_dex(bytes(data))
+    assert unit.class_names == ("com.app.Empty", "com.app.Caller")
+    records = match_tee_apis(unit, patterns.tee_sets)
+    assert [(r.detector_id, r.caller_class) for r in records] == [
+        ("drm", "com.app.Caller")]

@@ -48,6 +48,9 @@ def test_analyze_planted_fixture(tmp_path, fixture_apk_bytes):
     assert report.native_lib_hits == [
         ("openssl", "lib/arm64-v8a/libcrypto.so")]
     assert report.crypto_software_libs == []
+    # bytecode time is split by layer; there is no combined stage
+    assert {"inflate", "dex_parse", "match"} <= report.timings.keys()
+    assert "dex" not in report.timings
 
     by_caller = {m.caller_class: m.location for m in report.matches}
     assert by_caller["com.fixture.app.MainActivity"] == "inmain"
@@ -284,6 +287,7 @@ def stub_server(fixture_apk_bytes):
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/download"
     server.shutdown()
+    server.server_close()
 
 
 def test_fetch_by_hash_round_trip(stub_server, fixture_apk_bytes):
