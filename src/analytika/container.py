@@ -36,6 +36,11 @@ _DEX_NAME = re.compile(r"^classes(?:\.dex|([2-9]|[1-9][0-9]+)\.dex)$")
 
 _READ_CHUNK = 1 << 20
 
+# Largest declared uncompressed size read_entry accepts. A 4 MB deflate
+# stream can truly inflate to the 4 GiB a ZIP size field allows, so larger
+# entries are refused before any inflation.
+MAX_ENTRY_SIZE = 512 << 20
+
 
 @dataclass(frozen=True)
 class EntryMeta:
@@ -169,14 +174,20 @@ def read_entry(index: ArchiveIndex, name: str,
                cancel_check: Callable[[], None] | None = None) -> bytes:
     """Return the fully decompressed bytes of one entry.
 
-    `cancel_check` is invoked between decompression chunks so long inflations
-    can be abandoned cooperatively.
+    An entry declaring more than MAX_ENTRY_SIZE bytes raises
+    SizeMismatchError before any inflation. `cancel_check` is invoked
+    between decompression chunks so long inflations can be abandoned
+    cooperatively.
     """
     meta = index.get(name)
     if meta is None:
         raise EntryNotFoundError(name)
     if meta.flags & 0x1:
         raise DecompressionError(f"encrypted entry: {name!r}")
+    if meta.uncompressed_size > MAX_ENTRY_SIZE:
+        raise SizeMismatchError(
+            f"entry {name!r} declares {meta.uncompressed_size} bytes, "
+            f"over the {MAX_ENTRY_SIZE}-byte limit")
     raw = index._data[meta.data_offset:meta.data_offset + meta.compressed_size]
 
     if meta.method == "stored":

@@ -1,12 +1,17 @@
 """DEX bytecode parsing: pools, class definitions, and method invocations.
 
-The parser decodes the string/type/proto/method pools and walks every
-concrete method body instruction by instruction, using the per-format
-width table, to collect each invoke-kind instruction. Invokes are kept as
-three parallel index columns (calling class_def, method-pool entry, byte
-offset), so detectors resolve each method-pool entry once and select
-invokes by index; the full method pool also serves package-reference
-matching, which needs methods that are referenced without being invoked.
+The parser reads each fixed-width pool (string/type/proto/method ids and
+class_defs) with one bulk struct call; the header check has already bounded
+every pool region by the file size. String data that is pure ASCII up to
+its NUL terminator is decoded as ASCII, anything else by the modified-UTF-8
+decoder. Every concrete method body is walked instruction by instruction,
+with byte tables for the width and the invoke kind of each opcode, and the
+walk returns the (offset, method index) pair of each invoke-kind
+instruction. Invokes are kept as three parallel index columns (calling
+class_def, method-pool entry, byte offset), so detectors resolve each
+method-pool entry once and select invokes by index; the full method pool
+also serves package-reference matching, which needs methods that are
+referenced without being invoked.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 import struct
 from array import array
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from .errors import MalformedDexError
 
@@ -47,6 +52,10 @@ for _lo, _hi, _w in _WIDTH_RANGES:
         INSTRUCTION_WIDTHS[_op] = _w
 
 INVOKE_OPCODES = frozenset(range(0x6E, 0x73)) | frozenset(range(0x74, 0x79))
+
+# The same two facts as byte tables, for the per-instruction lookup.
+_WIDTHS = bytes(INSTRUCTION_WIDTHS)
+_IS_INVOKE = bytes(op in INVOKE_OPCODES for op in range(256))
 
 _PRIMITIVES = {
     "V": "void", "Z": "boolean", "B": "byte", "S": "short", "C": "char",
@@ -118,6 +127,8 @@ def dotted_to_descriptor(name: str) -> str:
 
 
 def _read_uleb128(data: bytes, pos: int, limit: int) -> tuple[int, int]:
+    if pos < limit and data[pos] < 0x80:
+        return data[pos], pos + 1
     result = 0
     shift = 0
     for _ in range(5):
@@ -235,8 +246,8 @@ def _parse_header(data: bytes) -> DexHeader:
 
 
 def _walk_insns(data: bytes, insns_off: int, insns_units: int, limit: int,
-                method_count: int):
-    """Yield (absolute_offset, method_index) for every invoke instruction.
+                method_count: int) -> list[tuple[int, int]]:
+    """Return (absolute_offset, method_index) for every invoke instruction.
 
     Walk is bounded by the code region: every step advances at least one
     code unit and overrunning the region is an error, so mutated input can
@@ -245,10 +256,21 @@ def _walk_insns(data: bytes, insns_off: int, insns_units: int, limit: int,
     end = insns_off + 2 * insns_units
     if end > limit:
         raise MalformedDexError("instruction region out of bounds")
+    widths, is_invoke = _WIDTHS, _IS_INVOKE
+    found = []
     pos = insns_off
     while pos < end:
         op = data[pos]
-        if op == 0x00:
+        units = widths[op]
+        if is_invoke[op]:
+            if pos + 4 > end:
+                raise MalformedDexError(f"short read at {pos + 2:#x}")
+            idx = data[pos + 2] | data[pos + 3] << 8
+            if idx >= method_count:
+                raise MalformedDexError(
+                    f"invoke references method {idx} of {method_count}")
+            found.append((pos, idx))
+        elif op == 0x00:
             marker = data[pos + 1] if pos + 1 < end else 0
             if marker == 0x01:      # packed-switch payload
                 size = _u16(data, pos + 2, end)
@@ -260,21 +282,18 @@ def _walk_insns(data: bytes, insns_off: int, insns_units: int, limit: int,
                 width = _u16(data, pos + 2, end)
                 count = _u32(data, pos + 4, end)
                 units = (count * width + 1) // 2 + 4
-            else:
-                units = 1
-        else:
-            units = INSTRUCTION_WIDTHS[op]
-            if units == 0:
-                raise MalformedDexError(f"invalid opcode {op:#x} at {pos:#x}")
-            if op in INVOKE_OPCODES:
-                idx = _u16(data, pos + 2, end)
-                if idx >= method_count:
-                    raise MalformedDexError(
-                        f"invoke references method {idx} of {method_count}")
-                yield pos, idx
+        elif units == 0:
+            raise MalformedDexError(f"invalid opcode {op:#x} at {pos:#x}")
         pos += 2 * units
         if pos > end:
             raise MalformedDexError("instruction walk escaped code region")
+    return found
+
+
+def _fixed_pool(data: bytes, fmt: str, off: int, count: int,
+                width: int) -> Iterator[tuple[int, ...]]:
+    """Unpack `count` fixed-width pool items; the header bounds the region."""
+    return struct.iter_unpack(fmt, data[off:off + width * count])
 
 
 def parse_dex(data: bytes, entry_name: str = "classes.dex",
@@ -289,38 +308,40 @@ def parse_dex(data: bytes, entry_name: str = "classes.dex",
     limit = header.file_size
 
     strings: list[str] = []
-    for i in range(header.string_ids_size):
-        data_off = _u32(data, header.string_ids_off + 4 * i, limit)
+    for (data_off,) in _fixed_pool(data, "<I", header.string_ids_off,
+                                   header.string_ids_size, 4):
         if data_off >= limit:
             raise MalformedDexError("string data offset out of bounds")
         _utf16_len, pos = _read_uleb128(data, data_off, limit)
+        # MUTF-8 encodes U+0000 as C0 80, so the first 00 byte ends the
+        # string; an all-ASCII body decodes the same as ASCII.
+        end = data.find(0, pos, limit)
+        if end >= 0:
+            body = data[pos:end]
+            if body.isascii():
+                strings.append(body.decode("ascii"))
+                continue
         text, _ = decode_mutf8(data, pos, limit)
         strings.append(text)
 
     types: list[str] = []
-    for i in range(header.type_ids_size):
-        desc_idx = _u32(data, header.type_ids_off + 4 * i, limit)
+    for (desc_idx,) in _fixed_pool(data, "<I", header.type_ids_off,
+                                   header.type_ids_size, 4):
         if desc_idx >= len(strings):
             raise MalformedDexError("type descriptor index out of bounds")
         types.append(descriptor_to_dotted(strings[desc_idx]))
 
     protos: list[tuple[str, tuple[str, ...]]] = []
-    for i in range(header.proto_ids_size):
-        off = header.proto_ids_off + 12 * i
-        shorty_idx = _u32(data, off, limit)
-        return_idx = _u32(data, off + 4, limit)
-        parameters_off = _u32(data, off + 8, limit)
+    for shorty_idx, return_idx, parameters_off in _fixed_pool(
+            data, "<3I", header.proto_ids_off, header.proto_ids_size, 12):
         if shorty_idx >= len(strings) or return_idx >= len(types):
             raise MalformedDexError("proto indices out of bounds")
         protos.append((types[return_idx],
                        _read_type_list(data, parameters_off, limit, types)))
 
     methods: list[MethodRef] = []
-    for i in range(header.method_ids_size):
-        off = header.method_ids_off + 8 * i
-        class_idx = _u16(data, off, limit)
-        proto_idx = _u16(data, off + 2, limit)
-        name_idx = _u32(data, off + 4, limit)
+    for class_idx, proto_idx, name_idx in _fixed_pool(
+            data, "<2HI", header.method_ids_off, header.method_ids_size, 8):
         if class_idx >= len(types) or proto_idx >= len(protos) \
                 or name_idx >= len(strings):
             raise MalformedDexError("method indices out of bounds")
@@ -333,12 +354,12 @@ def parse_dex(data: bytes, entry_name: str = "classes.dex",
     invoke_callers, invoke_methods, invoke_offsets = (
         array("I"), array("I"), array("I"))
     class_names: list[str] = []
-    for i in range(header.class_defs_size):
+    # class_idx and class_data_off of each 32-byte class_def_item
+    class_defs = _fixed_pool(data, "<I20xI4x", header.class_defs_off,
+                             header.class_defs_size, 32)
+    for i, (class_idx, class_data_off) in enumerate(class_defs):
         if cancel_check is not None:
             cancel_check()
-        off = header.class_defs_off + 32 * i
-        class_idx = _u32(data, off, limit)
-        class_data_off = _u32(data, off + 24, limit)
         if class_idx >= len(types):
             raise MalformedDexError("class_def type index out of bounds")
         class_names.append(types[class_idx])
@@ -346,14 +367,17 @@ def parse_dex(data: bytes, entry_name: str = "classes.dex",
             continue
         if class_data_off >= limit:
             raise MalformedDexError("class_data offset out of bounds")
+        found: list[tuple[int, int]] = []
         for code_off in _iter_code_offsets(data, class_data_off, limit,
                                            len(methods)):
             insns_units = _u32(data, code_off + 12, limit)
-            for insn_off, method_idx in _walk_insns(
-                    data, code_off + 16, insns_units, limit, len(methods)):
-                invoke_callers.append(i)
-                invoke_methods.append(method_idx)
-                invoke_offsets.append(insn_off)
+            found += _walk_insns(data, code_off + 16, insns_units, limit,
+                                 len(methods))
+        if found:
+            offsets, targets = zip(*found)
+            invoke_callers.extend([i] * len(found))
+            invoke_methods.extend(targets)
+            invoke_offsets.extend(offsets)
 
     return DexUnit(header=header, strings=tuple(strings), types=tuple(types),
                    methods=tuple(methods), class_names=tuple(class_names),

@@ -129,7 +129,8 @@ def match_tee_apis(unit: DexUnit, sets) -> list[MatchRecord]:
     A record is produced only when the invoked method hits a (class, method)
     row; a pattern class matches itself and its inner classes. Class
     references that are never invoked do not match. Each method-pool entry
-    is resolved once, whatever its number of invokes.
+    is resolved once, whatever its number of invokes, and the pattern rows
+    of each defining class (with its enclosing classes) are gathered once.
     """
     index: dict[str, dict[str, set[str]]] = {}
     for pattern_set in sets:
@@ -139,14 +140,20 @@ def match_tee_apis(unit: DexUnit, sets) -> list[MatchRecord]:
             index.setdefault(cls, {}).setdefault(
                 pattern_set.detector_id, set()).add(method)
 
+    by_class: dict[str, list[tuple[str, set[str]]]] = {}
     hits = []
     for ref in unit.methods:
-        hit: set[str] = set()
-        for candidate in _class_candidates(ref.defining_class):
-            for detector, methods in index.get(candidate, {}).items():
-                if WILDCARD in methods or ref.method_name in methods:
-                    hit.add(detector)
-        hits.append(sorted(hit))
+        rows = by_class.get(ref.defining_class)
+        if rows is None:
+            rows = by_class[ref.defining_class] = [
+                row for candidate in _class_candidates(ref.defining_class)
+                for row in index.get(candidate, {}).items()]
+        if not rows:
+            hits.append([])
+            continue
+        hits.append(sorted({detector for detector, methods in rows
+                            if WILDCARD in methods
+                            or ref.method_name in methods}))
     return _emit_records(unit, hits, uninvoked=False)
 
 
@@ -163,7 +170,8 @@ def match_crypto_packages(unit: DexUnit, sets) -> list[MatchRecord]:
     Every method reference under a detector prefix produces a record; when
     the reference is actually invoked the record carries the caller, one
     record per invocation. Uninvoked references carry an empty caller (and
-    point at the method pool slot) so they only count at app scope.
+    point at the method pool slot) so they only count at app scope. The
+    prefix test runs once per defining class, not once per pool entry.
     """
     prefixes: list[tuple[str, str]] = []
     for pattern_set in sets:
@@ -172,9 +180,15 @@ def match_crypto_packages(unit: DexUnit, sets) -> list[MatchRecord]:
         for prefix in pattern_set.class_prefixes:
             prefixes.append((prefix, pattern_set.detector_id))
 
-    hits = [sorted({det for prefix, det in prefixes
-                    if _prefix_match(ref.defining_class, prefix)})
-            for ref in unit.methods]
+    by_class: dict[str, list[str]] = {}
+    hits = []
+    for ref in unit.methods:
+        detectors = by_class.get(ref.defining_class)
+        if detectors is None:
+            detectors = by_class[ref.defining_class] = sorted({
+                det for prefix, det in prefixes
+                if _prefix_match(ref.defining_class, prefix)})
+        hits.append(detectors)
     return _emit_records(unit, hits, uninvoked=True)
 
 
@@ -186,9 +200,9 @@ def _emit_records(unit: DexUnit, hits: list[list[str]],
     hit entry gives one record per detector; with `uninvoked`, a hit entry
     that is never invoked gives one record per detector at its pool slot.
     """
-    sites = [(unit.class_names[caller], method_idx, offset)
-             for caller, method_idx, offset in zip(
-                 unit.invoke_callers, unit.invoke_methods, unit.invoke_offsets)
+    callers, offsets = unit.invoke_callers, unit.invoke_offsets
+    sites = [(unit.class_names[callers[k]], method_idx, offsets[k])
+             for k, method_idx in enumerate(unit.invoke_methods)
              if hits[method_idx]]
     if uninvoked:
         invoked = {method_idx for _, method_idx, _ in sites}

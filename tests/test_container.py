@@ -8,7 +8,9 @@ import zipfile
 
 import pytest
 
+from analytika import container
 from analytika.container import (
+    MAX_ENTRY_SIZE,
     enumerate_dex,
     enumerate_native_libs,
     open_archive,
@@ -146,6 +148,20 @@ def test_size_mismatch_detected():
     struct.pack_into("<I", data, cd + 24, usize + 1)
     index = open_archive(bytes(data))
     with pytest.raises(SizeMismatchError):
+        read_entry(index, "f.bin")
+
+
+def test_declared_size_over_cap_rejected_before_inflation(monkeypatch):
+    data = bytearray(make_apk({"f.bin": b"abcdef" * 50}))
+    cd = _central_dir_offset(data)
+    struct.pack_into("<I", data, cd + 24, MAX_ENTRY_SIZE + 1)
+    index = open_archive(bytes(data))
+
+    def no_inflation(*args):
+        raise AssertionError("inflation started")
+
+    monkeypatch.setattr(container.zlib, "decompressobj", no_inflation)
+    with pytest.raises(SizeMismatchError, match="limit"):
         read_entry(index, "f.bin")
 
 

@@ -10,7 +10,9 @@ from analytika.dex import (
     INSTRUCTION_WIDTHS,
     INVOKE_OPCODES,
     MethodRef,
+    _read_uleb128,
     _walk_insns,
+    decode_mutf8,
     descriptor_to_dotted,
     parse_dex,
 )
@@ -156,6 +158,53 @@ def test_extra_strings_planted_but_inert():
                for m in unit.methods)
 
 
+# ASCII, an embedded NUL (C0 80), 2- and 3-byte sequences and a
+# supplementary character (a surrogate pair, two 3-byte sequences).
+MIXED_STRINGS = ("plain ascii", "nul\x00inside", "caf\u00e9", "\u20ac sign",
+                 "emoji \U0001F600", "\x00")
+
+
+def _string_data(data: bytes) -> list[tuple[int, int]]:
+    """(string_ids slot, string body offset) for each string pool entry."""
+    header = parse_dex(data).header
+    out = []
+    for i in range(header.string_ids_size):
+        slot = header.string_ids_off + 4 * i
+        data_off = struct.unpack_from("<I", data, slot)[0]
+        out.append((slot, _read_uleb128(data, data_off, len(data))[1]))
+    return out
+
+
+def test_string_pool_matches_mutf8_decoder():
+    data = build_fixture_dex([("com.a.B", [("x.y.Z", "go")])],
+                             extra_strings=MIXED_STRINGS)
+    unit = parse_dex(data)
+    assert list(unit.strings) == [decode_mutf8(data, pos, len(data))[0]
+                                  for _, pos in _string_data(data)]
+    assert set(MIXED_STRINGS) <= set(unit.strings)
+
+
+def _with_string_body(data: bytes, slot: int, body: bytes) -> bytes:
+    """Append a string_data_item at the end and point string_ids[slot] at it."""
+    out = bytearray(data)
+    struct.pack_into("<I", out, slot, len(out))
+    out += body
+    struct.pack_into("<I", out, 32, len(out))     # header file_size
+    return bytes(out)
+
+
+@pytest.mark.parametrize("body", [
+    b"\x05abcde",              # last string, no terminator
+    b"\x02\xc3\x41\x00",       # two-byte lead, bad continuation byte
+    b"\x01\xe2\x82\x00",       # three-byte lead cut by the terminator
+], ids=["unterminated", "bad-continuation", "short-three-byte"])
+def test_malformed_string_data_still_raises(body):
+    data = build_fixture_dex([("com.a.B", [])], extra_strings=MIXED_STRINGS)
+    last_slot = _string_data(data)[-1][0]
+    with pytest.raises(MalformedDexError):
+        parse_dex(_with_string_body(data, last_slot, body))
+
+
 def test_invalid_plans_rejected():
     with pytest.raises(InvalidPlanError):
         build_fixture_dex([("com.a.B", []), ("com.a.B", [])])
@@ -244,6 +293,15 @@ def test_walker_rejects_undefined_opcode():
     insns = _units(0x003E)
     with pytest.raises(MalformedDexError):
         list(_walk_insns(insns, 0, len(insns) // 2, len(insns), 1))
+
+
+@pytest.mark.parametrize("tail", [b"", b"\x00"], ids=["none", "one-byte"])
+def test_walker_rejects_invoke_index_past_region(tail):
+    # invoke-static whose method index would sit past the code region and
+    # past the buffer: the walk must report it, not read out of range.
+    insns = _units(0x0071) + tail
+    with pytest.raises(MalformedDexError):
+        _walk_insns(insns, 0, 1, len(insns), 1)
 
 
 def test_width_table_shape():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import struct
 
 import pytest
@@ -8,6 +9,7 @@ from analytika.dex import parse_dex
 from analytika.errors import PatternParseError
 from analytika.matchers import (
     NativeLibPattern,
+    _prefix_match,
     load_native_pattern_file,
     load_pattern_file,
     match_crypto_packages,
@@ -272,3 +274,55 @@ def test_class_def_without_data_keeps_caller_attribution(patterns):
     records = match_tee_apis(unit, patterns.tee_sets)
     assert [(r.detector_id, r.caller_class) for r in records] == [
         ("drm", "com.app.Caller")]
+
+
+# Crypto classes with inner classes, and near misses that share a prefix
+# string but not a package boundary.
+_CRYPTO_PARITY_CLASSES = (
+    "org.bouncycastle.crypto.Digest", "org.bouncycastle.crypto.Digest$Inner",
+    "org.bouncycastle.jce.Provider", "org.bouncycastleX.crypto.Digest",
+    "org.bouncycastle.cryptoX.Digest", "javax.crypto.Cipher",
+    "javax.crypto.Cipher$Spec", "javax.cryptography.Cipher",
+    "org.jasypt.Util", "org.jasypt.Util$Inner", "org.jasyptX.Util",
+    "com.google.crypto.tink.Aead", "com.google.crypto.tinkX.Aead",
+    "java.security.KeyStore", "java.securityX.KeyStore", "a.b.C",
+)
+
+
+def _crypto_oracle(unit, sets):
+    """Record tuples from _prefix_match run on every pool entry."""
+    def detectors(ref):
+        return sorted({s.detector_id for s in sets for prefix in s.class_prefixes
+                       if _prefix_match(ref.defining_class, prefix)})
+
+    rows = []
+    invoked = set()
+    for row in invokes(unit):
+        invoked.add(row.target)
+        rows += [(det, row.target.defining_class, row.target.method_name,
+                  row.caller_class, row.code_offset)
+                 for det in detectors(row.target)]
+    for i, ref in enumerate(unit.methods):
+        if ref not in invoked:
+            rows += [(det, ref.defining_class, ref.method_name, "",
+                      unit.header.method_ids_off + 8 * i)
+                     for det in detectors(ref)]
+    return sorted(rows, key=lambda r: (r[4], r[0]))
+
+
+def test_crypto_matching_agrees_with_per_entry_oracle(patterns):
+    rng = random.Random(2024)
+    for _ in range(40):
+        plan = []
+        for c in range(rng.randint(1, 8)):
+            caller = rng.choice(_CRYPTO_PARITY_CLASSES[:3] + ("com.app.Main",))
+            plan.append((f"{caller}{c}", [
+                (rng.choice(_CRYPTO_PARITY_CLASSES), f"m{rng.randint(0, 4)}")
+                for _ in range(rng.randint(0, 8))]))
+        unit = parse_dex(build_fixture_dex(plan))
+        records = match_crypto_packages(unit, patterns.crypto_sets)
+        assert {r.dex_file for r in records} <= {unit.entry_name}
+        assert [(r.detector_id, r.target_class, r.target_method,
+                 r.caller_class, r.code_offset)
+                for r in records] == _crypto_oracle(unit,
+                                                     patterns.crypto_sets)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import struct
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -8,7 +9,7 @@ from urllib.parse import parse_qs, urlparse
 
 import pytest
 
-from analytika.container import sha256_digest
+from analytika.container import MAX_ENTRY_SIZE, sha256_digest
 from analytika.errors import HashMismatchError, HttpStatusError
 from analytika.pipeline import (
     AnalysisConfig,
@@ -82,6 +83,37 @@ def test_truncated_apk_is_error(tmp_path, fixture_apk_bytes):
     report = analyze_apk(broken, _entry_for(broken), _config(tmp_path))
     assert report.status == "error"
     assert report.matches == []
+
+
+def _patch_declared_size(apk: bytes, name: str, size: int) -> bytes:
+    """Set one entry's central-directory uncompressed size field."""
+    data = bytearray(apk)
+    eocd = data.rfind(b"PK\x05\x06")
+    count, _cd_size, off = struct.unpack_from("<HII", data, eocd + 10)
+    for _ in range(count):
+        name_len, extra_len, comment_len = struct.unpack_from(
+            "<3H", data, off + 28)
+        if data[off + 46:off + 46 + name_len] == name.encode():
+            struct.pack_into("<I", data, off + 24, size)
+            return bytes(data)
+        off += 46 + name_len + extra_len + comment_len
+    raise KeyError(name)
+
+
+def test_entry_declared_past_size_cap_is_one_error(tmp_path):
+    apk = _patch_declared_size(
+        make_fixture_apk(dex_plans=[[("com.a.B", [("x.y.Z", "go")])]]),
+        "classes.dex", MAX_ENTRY_SIZE + 1)
+    entries = _write_corpus(tmp_path, {"capped": apk})
+    summary = run_corpus(entries, _config(tmp_path))
+    assert summary.as_dict() == {"analyzed": 1, "ok": 0, "timeout": 0,
+                                 "error": 1, "skipped": 0}
+    reports = sorted((tmp_path / "reports").glob("*.json"))
+    assert len(reports) == 1
+    doc = read_report_document(reports[0])
+    assert doc["meta"]["status"] == "error"
+    assert "limit" in doc["meta"]["message"]
+    assert doc["matches"] == []
 
 
 def test_missing_manifest_is_error(tmp_path):
