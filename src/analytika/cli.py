@@ -78,21 +78,30 @@ def _cmd_analyze(args) -> int:
                   file=sys.stderr)
             return 2
 
-    config = AnalysisConfig(
-        output_dir=Path(args.out),
-        timeout_seconds=args.timeout,
-        worker_count=args.workers,
-        pattern_dir=Path(args.patterns) if args.patterns else None,
-        proguard_as_main=args.proguard_as_main,
-        force=args.force,
-        fetch_endpoint=args.fetch_endpoint,
-        api_key=api_key)
+    try:
+        config = AnalysisConfig(
+            output_dir=Path(args.out),
+            timeout_seconds=args.timeout,
+            worker_count=args.workers,
+            pattern_dir=Path(args.patterns) if args.patterns else None,
+            proguard_as_main=args.proguard_as_main,
+            force=args.force,
+            fetch_endpoint=args.fetch_endpoint,
+            api_key=api_key)
+    except ValueError as exc:
+        print(f"invalid option: {exc}", file=sys.stderr)
+        return 2
 
     entries: list[CorpusEntry] = []
     if args.corpus:
         entries.extend(load_corpus_csv(args.corpus))
     for apk_path in args.apk:
-        data = Path(apk_path).read_bytes()
+        try:
+            data = Path(apk_path).read_bytes()
+        except OSError as exc:
+            print(f"cannot read {apk_path}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 2
         entries.append(CorpusEntry(sha256=sha256_digest(data), source=apk_path))
 
     summary = run_corpus(entries, config)

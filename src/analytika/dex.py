@@ -6,12 +6,12 @@ every pool region by the file size. String data that is pure ASCII up to
 its NUL terminator is decoded as ASCII, anything else by the modified-UTF-8
 decoder. Every concrete method body is walked instruction by instruction,
 with byte tables for the width and the invoke kind of each opcode, and the
-walk returns the (offset, method index) pair of each invoke-kind
-instruction. Invokes are kept as three parallel index columns (calling
-class_def, method-pool entry, byte offset), so detectors resolve each
-method-pool entry once and select invokes by index; the full method pool
-also serves package-reference matching, which needs methods that are
-referenced without being invoked.
+walk appends the byte offset and method index of each invoke-kind
+instruction straight onto the unit's columns. Invokes are kept as three
+parallel index columns (calling class_def, method-pool entry, byte offset),
+so detectors resolve each method-pool entry once and select invokes by
+index; the full method pool also serves package-reference matching, which
+needs methods that are referenced without being invoked.
 """
 
 from __future__ import annotations
@@ -246,10 +246,11 @@ def _parse_header(data: bytes) -> DexHeader:
 
 
 def _walk_insns(data: bytes, insns_off: int, insns_units: int, limit: int,
-                method_count: int) -> list[tuple[int, int]]:
-    """Return (absolute_offset, method_index) for every invoke instruction.
+                method_count: int, offsets: array, methods: array) -> None:
+    """Append the absolute offset and method index of every invoke.
 
-    Walk is bounded by the code region: every step advances at least one
+    Each invoke adds one slot to `offsets` and one to `methods`. The walk
+    is bounded by the code region: every step advances at least one
     code unit and overrunning the region is an error, so mutated input can
     never loop unboundedly.
     """
@@ -257,7 +258,7 @@ def _walk_insns(data: bytes, insns_off: int, insns_units: int, limit: int,
     if end > limit:
         raise MalformedDexError("instruction region out of bounds")
     widths, is_invoke = _WIDTHS, _IS_INVOKE
-    found = []
+    add_offset, add_method = offsets.append, methods.append
     pos = insns_off
     while pos < end:
         op = data[pos]
@@ -269,7 +270,8 @@ def _walk_insns(data: bytes, insns_off: int, insns_units: int, limit: int,
             if idx >= method_count:
                 raise MalformedDexError(
                     f"invoke references method {idx} of {method_count}")
-            found.append((pos, idx))
+            add_offset(pos)
+            add_method(idx)
         elif op == 0x00:
             marker = data[pos + 1] if pos + 1 < end else 0
             if marker == 0x01:      # packed-switch payload
@@ -287,7 +289,6 @@ def _walk_insns(data: bytes, insns_off: int, insns_units: int, limit: int,
         pos += 2 * units
         if pos > end:
             raise MalformedDexError("instruction walk escaped code region")
-    return found
 
 
 def _fixed_pool(data: bytes, fmt: str, off: int, count: int,
@@ -367,17 +368,13 @@ def parse_dex(data: bytes, entry_name: str = "classes.dex",
             continue
         if class_data_off >= limit:
             raise MalformedDexError("class_data offset out of bounds")
-        found: list[tuple[int, int]] = []
+        before = len(invoke_methods)
         for code_off in _iter_code_offsets(data, class_data_off, limit,
                                            len(methods)):
             insns_units = _u32(data, code_off + 12, limit)
-            found += _walk_insns(data, code_off + 16, insns_units, limit,
-                                 len(methods))
-        if found:
-            offsets, targets = zip(*found)
-            invoke_callers.extend([i] * len(found))
-            invoke_methods.extend(targets)
-            invoke_offsets.extend(offsets)
+            _walk_insns(data, code_off + 16, insns_units, limit, len(methods),
+                        invoke_offsets, invoke_methods)
+        invoke_callers.extend([i] * (len(invoke_methods) - before))
 
     return DexUnit(header=header, strings=tuple(strings), types=tuple(types),
                    methods=tuple(methods), class_names=tuple(class_names),

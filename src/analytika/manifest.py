@@ -15,12 +15,8 @@ from .errors import MalformedManifestError, MissingPackageNameError
 
 _CHUNK_XML = 0x0003
 _CHUNK_STRING_POOL = 0x0001
-_CHUNK_RESOURCE_MAP = 0x0180
-_CHUNK_NS_START = 0x0100
-_CHUNK_NS_END = 0x0101
 _CHUNK_ELEM_START = 0x0102
 _CHUNK_ELEM_END = 0x0103
-_CHUNK_CDATA = 0x0104
 
 _UTF8_FLAG = 1 << 8
 _NO_INDEX = 0xFFFFFFFF
@@ -194,11 +190,9 @@ def parse_binary_xml(data: bytes) -> XmlElement:
             if not stack:
                 raise MalformedManifestError("end element without matching start")
             stack.pop()
-        elif ctype in (_CHUNK_RESOURCE_MAP, _CHUNK_NS_START, _CHUNK_NS_END,
-                       _CHUNK_CDATA):
-            pass
-        else:
-            pass  # unknown chunk: skip by declared size
+        # Resource-map, namespace and CDATA chunks hold nothing the manifest
+        # facts need; they and chunks of unknown type are skipped by their
+        # declared size.
         off += size
 
     if stack:

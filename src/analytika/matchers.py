@@ -115,53 +115,48 @@ def load_native_pattern_file(path) -> list[NativeLibPattern]:
     return patterns
 
 
-def _class_candidates(dotted: str):
-    """The class itself plus every enclosing class, innermost first."""
-    yield dotted
-    while "$" in dotted:
-        dotted = dotted.rsplit("$", 1)[0]
-        yield dotted
+def _enclosing(name: str, sep: str):
+    """`name` and every name enclosing it along `sep`, innermost first."""
+    while True:
+        yield name
+        cut = name.rfind(sep)
+        if cut < 0:
+            return
+        name = name[:cut]
+
+
+def _rows_by_class(unit: DexUnit, index: dict, sep: str) -> dict[str, list]:
+    """For each defining class in the method pool, the index rows of the
+    class and of every name enclosing it along `sep`."""
+    return {cls: [row for name in _enclosing(cls, sep)
+                  for row in index.get(name, ())]
+            for cls in {ref.defining_class for ref in unit.methods}}
 
 
 def match_tee_apis(unit: DexUnit, sets) -> list[MatchRecord]:
     """Match a unit's invokes against invocation-level API detectors.
 
     A record is produced only when the invoked method hits a (class, method)
-    row; a pattern class matches itself and its inner classes. Class
-    references that are never invoked do not match. Each method-pool entry
-    is resolved once, whatever its number of invokes, and the pattern rows
-    of each defining class (with its enclosing classes) are gathered once.
+    row; a pattern class matches itself and its inner classes, found by
+    looking up each enclosing class along `$`. Class references that are
+    never invoked do not match. Each defining class is resolved once and
+    each method-pool entry once, whatever its number of invokes.
     """
-    index: dict[str, dict[str, set[str]]] = {}
+    index: dict[str, list[tuple[str, str]]] = {}
     for pattern_set in sets:
         if pattern_set.kind != KIND_TEE_API:
             raise ValueError(f"not an API pattern set: {pattern_set.detector_id}")
         for cls, method in pattern_set.method_patterns:
-            index.setdefault(cls, {}).setdefault(
-                pattern_set.detector_id, set()).add(method)
+            index.setdefault(cls, []).append((pattern_set.detector_id, method))
 
-    by_class: dict[str, list[tuple[str, set[str]]]] = {}
+    by_class = _rows_by_class(unit, index, "$")
     hits = []
     for ref in unit.methods:
-        rows = by_class.get(ref.defining_class)
-        if rows is None:
-            rows = by_class[ref.defining_class] = [
-                row for candidate in _class_candidates(ref.defining_class)
-                for row in index.get(candidate, {}).items()]
-        if not rows:
-            hits.append([])
-            continue
-        hits.append(sorted({detector for detector, methods in rows
-                            if WILDCARD in methods
-                            or ref.method_name in methods}))
+        rows = by_class[ref.defining_class]
+        hits.append(sorted({detector for detector, method in rows
+                            if method in (WILDCARD, ref.method_name)})
+                    if rows else [])
     return _emit_records(unit, hits, uninvoked=False)
-
-
-def _prefix_match(class_name: str, prefix: str) -> bool:
-    if not class_name.startswith(prefix):
-        return False
-    rest = class_name[len(prefix):]
-    return rest == "" or rest.startswith(".")
 
 
 def match_crypto_packages(unit: DexUnit, sets) -> list[MatchRecord]:
@@ -170,26 +165,21 @@ def match_crypto_packages(unit: DexUnit, sets) -> list[MatchRecord]:
     Every method reference under a detector prefix produces a record; when
     the reference is actually invoked the record carries the caller, one
     record per invocation. Uninvoked references carry an empty caller (and
-    point at the method pool slot) so they only count at app scope. The
-    prefix test runs once per defining class, not once per pool entry.
+    point at the method pool slot) so they only count at app scope. A class
+    sits under a prefix when the prefix is the class itself or one of its
+    enclosing packages along `.`; each defining class is resolved once.
     """
-    prefixes: list[tuple[str, str]] = []
+    index: dict[str, list[str]] = {}
     for pattern_set in sets:
         if pattern_set.kind != KIND_CRYPTO_SOFTWARE:
             raise ValueError(f"not a crypto pattern set: {pattern_set.detector_id}")
         for prefix in pattern_set.class_prefixes:
-            prefixes.append((prefix, pattern_set.detector_id))
+            index.setdefault(prefix, []).append(pattern_set.detector_id)
 
-    by_class: dict[str, list[str]] = {}
-    hits = []
-    for ref in unit.methods:
-        detectors = by_class.get(ref.defining_class)
-        if detectors is None:
-            detectors = by_class[ref.defining_class] = sorted({
-                det for prefix, det in prefixes
-                if _prefix_match(ref.defining_class, prefix)})
-        hits.append(detectors)
-    return _emit_records(unit, hits, uninvoked=True)
+    by_class = {cls: sorted(set(detectors)) for cls, detectors
+                in _rows_by_class(unit, index, ".").items()}
+    return _emit_records(unit, [by_class[ref.defining_class]
+                                for ref in unit.methods], uninvoked=True)
 
 
 def _emit_records(unit: DexUnit, hits: list[list[str]],

@@ -216,15 +216,12 @@ def analyze_apk(data: bytes, entry: CorpusEntry, config: AnalysisConfig,
 
     timings: dict[str, float] = {}
     started = time.perf_counter()
-    report = AppReport(sha256=entry.sha256 or "",
-                       expected_package_name=entry.expected_package_name)
+    with _stage(timings, "digest"):
+        digest = sha256_digest(data)
     try:
-        with _stage(timings, "digest"):
-            digest = sha256_digest(data)
-            report.sha256 = entry.sha256 or digest
-            if entry.sha256 and digest != entry.sha256.lower():
-                raise AnalytikaError(
-                    f"hash mismatch: expected {entry.sha256}, computed {digest}")
+        if entry.sha256 and digest != entry.sha256.lower():
+            raise AnalytikaError(
+                f"hash mismatch: expected {entry.sha256}, computed {digest}")
         deadline.check()
 
         with _stage(timings, "archive"):
@@ -268,44 +265,40 @@ def analyze_apk(data: bytes, entry: CorpusEntry, config: AnalysisConfig,
             native_hits = match_native_libs(enumerate_native_libs(index),
                                             patterns.native_patterns)
 
-        matches = sorted(tee_records + crypto_records,
-                         key=lambda r: (r.dex_file, r.code_offset, r.detector_id))
-        report.package_name = info.package_name
-        report.permissions = info.permissions
-        report.min_sdk = info.min_sdk
-        report.package_name_check = compare_package_names(
-            entry.expected_package_name, info.package_name)
-        report.matches = matches
-        report.native_lib_hits = native_hits
-        report.crypto_software_libs = sorted(
-            {r.detector_id for r in crypto_records})
-        report.api_summary = {
-            d: any(m.detector_id == d for m in tee_records)
-            for d in TEE_DETECTORS}
-        report.status = STATUS_OK
+        tee_hit = {r.detector_id for r in tee_records}
+        report = AppReport(
+            sha256=entry.sha256 or digest,
+            package_name=info.package_name,
+            expected_package_name=entry.expected_package_name,
+            status=STATUS_OK,
+            package_name_check=compare_package_names(
+                entry.expected_package_name, info.package_name),
+            permissions=info.permissions,
+            min_sdk=info.min_sdk,
+            matches=sorted(tee_records + crypto_records,
+                           key=lambda r: (r.dex_file, r.code_offset,
+                                          r.detector_id)),
+            native_lib_hits=native_hits,
+            crypto_software_libs=sorted(
+                {r.detector_id for r in crypto_records}),
+            api_summary={d: d in tee_hit for d in TEE_DETECTORS})
     except AnalysisTimeout as exc:
-        _reset_to_failure(report, STATUS_TIMEOUT, str(exc))
+        report = _failure_report(entry, STATUS_TIMEOUT, str(exc), digest)
     except Exception as exc:  # any stage failure excludes the app
-        _reset_to_failure(report, STATUS_ERROR, str(exc))
+        report = _failure_report(entry, STATUS_ERROR, str(exc), digest)
 
     timings["total"] = time.perf_counter() - started
     report.timings = timings
     return report
 
 
-def _reset_to_failure(report: AppReport, status: str, message: str) -> None:
-    # Drop everything except identity so failure reports stay deterministic
-    # regardless of which stage the failure surfaced in.
-    report.package_name = ""
-    report.permissions = ()
-    report.min_sdk = None
-    report.package_name_check = "unchecked"
-    report.matches = []
-    report.native_lib_hits = []
-    report.crypto_software_libs = []
-    report.api_summary = {}
-    report.status = status
-    report.message = message
+def _failure_report(entry: CorpusEntry, status: str, message: str,
+                    digest: str) -> AppReport:
+    """A report holding only the app's identity, whatever stage failed, so
+    failure reports stay deterministic and carry no partial results."""
+    return AppReport(sha256=entry.sha256 or digest,
+                     expected_package_name=entry.expected_package_name,
+                     status=status, message=message)
 
 
 @dataclass
@@ -377,10 +370,8 @@ def run_corpus(entries, config: AnalysisConfig) -> RunSummary:
         try:
             data = _load_entry_bytes(entry, config)
         except Exception as exc:
-            report = AppReport(sha256=entry.sha256,
-                               expected_package_name=entry.expected_package_name,
-                               status=STATUS_ERROR,
-                               message=f"could not load app bytes: {exc}")
+            report = _failure_report(entry, STATUS_ERROR,
+                                     f"could not load app bytes: {exc}", "")
             report.timings = {"total": time.perf_counter() - started}
         else:
             report = analyze_apk(data, entry, config, patterns=patterns)

@@ -169,7 +169,7 @@ def build_slow_apk(package: str = "com.slow.app", dex_copies: int = 100,
     """An app whose many identical bytecode entries take seconds to parse.
 
     The full analysis takes well over four times the 1 s deadline of the
-    timeout tests (about 5.7 s on a 2-vCPU host), so a faster parser still
+    timeout tests (about 5 s on a 2-vCPU host), so a faster parser still
     leaves the app timing out; the deadline stops the work at 1 s.
     """
     plan = []

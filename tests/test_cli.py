@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import errno
 import json
+import os
+
+import pytest
 
 from analytika.cli import main
 from analytika.container import sha256_digest
@@ -64,6 +68,35 @@ def test_analyze_error_exit_code(tmp_path):
     bad = tmp_path / "broken.apk"
     bad.write_bytes(b"not an archive at all")
     assert main(["analyze", str(bad), "--out", str(tmp_path / "r")]) == 1
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--workers", "0", "worker_count"),
+    ("--timeout", "0.5", "timeout_seconds"),
+], ids=["workers", "timeout"])
+def test_analyze_rejects_out_of_range_option(tmp_path, capsys, flag, value,
+                                             field):
+    apk_path = tmp_path / "app.apk"
+    apk_path.write_bytes(planted_apk())
+    out_dir = tmp_path / "reports"
+    code = main(["analyze", str(apk_path), "--out", str(out_dir),
+                 flag, value])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert field in err
+    assert not out_dir.exists()
+
+
+def test_analyze_unreadable_apk_path(tmp_path, capsys):
+    missing = tmp_path / "missing.apk"
+    out_dir = tmp_path / "reports"
+    code = main(["analyze", str(missing), "--out", str(out_dir)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        f"cannot read {missing}: {os.strerror(errno.ENOENT)}"]
+    assert not out_dir.exists()
 
 
 def test_analyze_remote_corpus_with_api_key_env(tmp_path, monkeypatch):

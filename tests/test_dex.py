@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import struct
+from array import array
 from collections import Counter
 
 import pytest
@@ -274,25 +275,33 @@ def _units(*values):
     return bytes(out)
 
 
+def _walk(insns, units=None):
+    """The (offsets, methods) columns one walk appends for a one-method pool."""
+    offsets, methods = array("I"), array("I")
+    _walk_insns(insns, 0, len(insns) // 2 if units is None else units,
+                len(insns), 1, offsets, methods)
+    return offsets, methods
+
+
 def test_walker_skips_payload_pseudo_instructions():
     # invoke-static idx=0 | packed-switch-payload size=2 | return-void
     insns = _units(0x0071, 0x0000, 0x0000)
     insns += _units(0x0100, 0x0002, 0, 0, 0, 0, 0, 0)   # 2*2+4 = 8 units
     insns += _units(0x000E)
-    hits = list(_walk_insns(insns, 0, len(insns) // 2, len(insns), 1))
-    assert [idx for _, idx in hits] == [0]
+    _offsets, methods = _walk(insns)
+    assert list(methods) == [0]
 
 
 def test_walker_rejects_escaping_payload():
     insns = _units(0x0300, 0x0004, 0xFFFF, 0xFFFF)   # fill-array, huge count
     with pytest.raises(MalformedDexError):
-        list(_walk_insns(insns, 0, len(insns) // 2, len(insns), 1))
+        _walk(insns)
 
 
 def test_walker_rejects_undefined_opcode():
     insns = _units(0x003E)
     with pytest.raises(MalformedDexError):
-        list(_walk_insns(insns, 0, len(insns) // 2, len(insns), 1))
+        _walk(insns)
 
 
 @pytest.mark.parametrize("tail", [b"", b"\x00"], ids=["none", "one-byte"])
@@ -301,7 +310,7 @@ def test_walker_rejects_invoke_index_past_region(tail):
     # past the buffer: the walk must report it, not read out of range.
     insns = _units(0x0071) + tail
     with pytest.raises(MalformedDexError):
-        _walk_insns(insns, 0, 1, len(insns), 1)
+        _walk(insns, units=1)
 
 
 def test_width_table_shape():

@@ -9,7 +9,6 @@ from analytika.dex import parse_dex
 from analytika.errors import PatternParseError
 from analytika.matchers import (
     NativeLibPattern,
-    _prefix_match,
     load_native_pattern_file,
     load_pattern_file,
     match_crypto_packages,
@@ -287,6 +286,15 @@ _CRYPTO_PARITY_CLASSES = (
     "com.google.crypto.tink.Aead", "com.google.crypto.tinkX.Aead",
     "java.security.KeyStore", "java.securityX.KeyStore", "a.b.C",
 )
+
+
+def _prefix_match(class_name: str, prefix: str) -> bool:
+    """The package-prefix rule stated directly: the class is the prefix or
+    continues it after a `.`."""
+    if not class_name.startswith(prefix):
+        return False
+    rest = class_name[len(prefix):]
+    return rest == "" or rest.startswith(".")
 
 
 def _crypto_oracle(unit, sets):

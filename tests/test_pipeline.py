@@ -22,7 +22,7 @@ from analytika.pipeline import (
 )
 from analytika.report import deterministic_document, read_report_document
 
-from conftest import make_fixture_apk, planted_apk
+from conftest import PLANTED_PLAN, make_fixture_apk, planted_apk
 
 
 def _config(tmp_path, **kwargs):
@@ -83,6 +83,32 @@ def test_truncated_apk_is_error(tmp_path, fixture_apk_bytes):
     report = analyze_apk(broken, _entry_for(broken), _config(tmp_path))
     assert report.status == "error"
     assert report.matches == []
+
+
+def test_failed_app_keeps_no_partial_results(tmp_path):
+    # classes.dex is matched before classes2.dex fails to parse; none of
+    # its matches, nor the manifest or native facts, may reach the report.
+    plan = PLANTED_PLAN + [
+        ("com.fixture.app.Vault", [("org.bouncycastle.crypto.Digest",
+                                    "update")])]
+    good = make_fixture_apk(dex_plans=[plan],
+                            native_libs=("lib/arm64-v8a/libcrypto.so",))
+    meta = analyze_apk(good, _entry_for(good), _config(tmp_path)).to_document()
+    assert meta["matches"] and meta["crypto_libs"] and meta["native_libs"]
+    assert all(meta["meta"]["api_summary"].values())
+
+    apk = make_fixture_apk(dex_plans=[plan],
+                           native_libs=("lib/arm64-v8a/libcrypto.so",),
+                           extra_entries={"classes2.dex": b"dex\n035\0junk"})
+    report = analyze_apk(apk, _entry_for(apk), _config(tmp_path))
+    assert "match" in report.timings     # the failure came after matching
+    doc = report.to_document()
+    assert doc["meta"]["status"] == "error"
+    assert doc["meta"]["package"] == ""
+    assert doc["matches"] == []
+    assert doc["crypto_libs"] == []
+    assert doc["native_libs"] == []
+    assert not any(doc["meta"]["api_summary"].values())
 
 
 def _patch_declared_size(apk: bytes, name: str, size: int) -> bytes:
