@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import logging
 import os
 import sys
 from datetime import date
 from pathlib import Path
 
-from . import aggregate, defaults
+from . import defaults
 from .attribution import load_known_prefixes
 from .container import sha256_digest
 from .pipeline import AnalysisConfig, CorpusEntry, load_corpus_csv, run_corpus
@@ -94,7 +95,13 @@ def _cmd_analyze(args) -> int:
 
     entries: list[CorpusEntry] = []
     if args.corpus:
-        entries.extend(load_corpus_csv(args.corpus))
+        try:
+            entries.extend(load_corpus_csv(args.corpus))
+        except (OSError, ValueError, csv.Error) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            print(f"cannot read corpus {args.corpus}: {reason}",
+                  file=sys.stderr)
+            return 2
     for apk_path in args.apk:
         try:
             data = Path(apk_path).read_bytes()
@@ -116,6 +123,8 @@ def _pct(share: float) -> str:
 
 
 def _cmd_stats(args) -> int:
+    from . import aggregate     # only stats needs it; analyze starts faster
+
     corpus = aggregate.load_corpus(args.reports, args.corpus)
 
     selection = None

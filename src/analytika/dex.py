@@ -4,9 +4,10 @@ The parser reads each fixed-width pool (string/type/proto/method ids and
 class_defs) with one bulk struct call; the header check has already bounded
 every pool region by the file size. String data that is pure ASCII up to
 its NUL terminator is decoded as ASCII, anything else by the modified-UTF-8
-decoder. Every concrete method body is walked instruction by instruction,
-with byte tables for the width and the invoke kind of each opcode, and the
-walk appends the byte offset and method index of each invoke-kind
+decoder. Each class_data item is decoded in one pass, and every concrete
+method body is walked, instruction by instruction, as soon as its entry is
+decoded, with byte tables for the step and the invoke kind of each opcode;
+the walk appends the byte offset and method index of each invoke-kind
 instruction straight onto the unit's columns. Invokes are kept as three
 parallel index columns (calling class_def, method-pool entry, byte offset),
 so detectors resolve each method-pool entry once and select invokes by
@@ -19,7 +20,7 @@ from __future__ import annotations
 import struct
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import MalformedDexError
 
@@ -53,9 +54,12 @@ for _lo, _hi, _w in _WIDTH_RANGES:
 
 INVOKE_OPCODES = frozenset(range(0x6E, 0x73)) | frozenset(range(0x74, 0x79))
 
-# The same two facts as byte tables, for the per-instruction lookup.
-_WIDTHS = bytes(INSTRUCTION_WIDTHS)
+# The same two facts as byte tables, for the per-instruction lookup; the
+# widths are doubled into byte steps.
+_STEPS = bytes(2 * w for w in INSTRUCTION_WIDTHS)
 _IS_INVOKE = bytes(op in INVOKE_OPCODES for op in range(256))
+
+_U32 = struct.Struct("<I")
 
 _PRIMITIVES = {
     "V": "void", "Z": "boolean", "B": "byte", "S": "short", "C": "char",
@@ -85,9 +89,11 @@ class DexHeader:
     data_off: int
 
 
-@dataclass(frozen=True)
-class MethodRef:
-    """A method pool entry with its full prototype, so overloads differ."""
+class MethodRef(NamedTuple):
+    """A method pool entry with its full prototype, so overloads differ.
+
+    A named tuple: immutable, and equal to the plain 4-tuple of its fields.
+    """
 
     defining_class: str     # dotted, e.g. android.media.MediaDrm
     method_name: str
@@ -257,13 +263,12 @@ def _walk_insns(data: bytes, insns_off: int, insns_units: int, limit: int,
     end = insns_off + 2 * insns_units
     if end > limit:
         raise MalformedDexError("instruction region out of bounds")
-    widths, is_invoke = _WIDTHS, _IS_INVOKE
+    steps, is_invoke = _STEPS, _IS_INVOKE
     add_offset, add_method = offsets.append, methods.append
     pos = insns_off
     while pos < end:
         op = data[pos]
-        units = widths[op]
-        if is_invoke[op]:
+        if is_invoke[op]:           # every invoke format is 3 code units
             if pos + 4 > end:
                 raise MalformedDexError(f"short read at {pos + 2:#x}")
             idx = data[pos + 2] | data[pos + 3] << 8
@@ -272,23 +277,25 @@ def _walk_insns(data: bytes, insns_off: int, insns_units: int, limit: int,
                     f"invoke references method {idx} of {method_count}")
             add_offset(pos)
             add_method(idx)
-        elif op == 0x00:
+            pos += 6
+            continue
+        step = steps[op]
+        if op == 0x00:
             marker = data[pos + 1] if pos + 1 < end else 0
             if marker == 0x01:      # packed-switch payload
-                size = _u16(data, pos + 2, end)
-                units = size * 2 + 4
+                step = 2 * (_u16(data, pos + 2, end) * 2 + 4)
             elif marker == 0x02:    # sparse-switch payload
-                size = _u16(data, pos + 2, end)
-                units = size * 4 + 2
+                step = 2 * (_u16(data, pos + 2, end) * 4 + 2)
             elif marker == 0x03:    # fill-array-data payload
                 width = _u16(data, pos + 2, end)
                 count = _u32(data, pos + 4, end)
-                units = (count * width + 1) // 2 + 4
-        elif units == 0:
+                step = 2 * ((count * width + 1) // 2 + 4)
+        elif not step:
             raise MalformedDexError(f"invalid opcode {op:#x} at {pos:#x}")
-        pos += 2 * units
-        if pos > end:
-            raise MalformedDexError("instruction walk escaped code region")
+        pos += step
+    # The loop stops at the first step past `end`, so one check suffices.
+    if pos > end:
+        raise MalformedDexError("instruction walk escaped code region")
 
 
 def _fixed_pool(data: bytes, fmt: str, off: int, count: int,
@@ -340,17 +347,16 @@ def parse_dex(data: bytes, entry_name: str = "classes.dex",
         protos.append((types[return_idx],
                        _read_type_list(data, parameters_off, limit, types)))
 
+    # tuple.__new__ skips the named tuple's Python-level constructor.
+    new_ref = tuple.__new__
     methods: list[MethodRef] = []
     for class_idx, proto_idx, name_idx in _fixed_pool(
             data, "<2HI", header.method_ids_off, header.method_ids_size, 8):
         if class_idx >= len(types) or proto_idx >= len(protos) \
                 or name_idx >= len(strings):
             raise MalformedDexError("method indices out of bounds")
-        return_type, parameters = protos[proto_idx]
-        methods.append(MethodRef(defining_class=types[class_idx],
-                                 method_name=strings[name_idx],
-                                 return_type=return_type,
-                                 parameters=parameters))
+        methods.append(new_ref(MethodRef, (types[class_idx], strings[name_idx])
+                               + protos[proto_idx]))
 
     invoke_callers, invoke_methods, invoke_offsets = (
         array("I"), array("I"), array("I"))
@@ -369,11 +375,8 @@ def parse_dex(data: bytes, entry_name: str = "classes.dex",
         if class_data_off >= limit:
             raise MalformedDexError("class_data offset out of bounds")
         before = len(invoke_methods)
-        for code_off in _iter_code_offsets(data, class_data_off, limit,
-                                           len(methods)):
-            insns_units = _u32(data, code_off + 12, limit)
-            _walk_insns(data, code_off + 16, insns_units, limit, len(methods),
-                        invoke_offsets, invoke_methods)
+        _walk_class_data(data, class_data_off, limit, len(methods),
+                         invoke_offsets, invoke_methods)
         invoke_callers.extend([i] * (len(invoke_methods) - before))
 
     return DexUnit(header=header, strings=tuple(strings), types=tuple(types),
@@ -383,27 +386,49 @@ def parse_dex(data: bytes, entry_name: str = "classes.dex",
                    invoke_offsets=invoke_offsets, entry_name=entry_name)
 
 
-def _iter_code_offsets(data: bytes, class_data_off: int, limit: int,
-                       method_count: int):
-    pos = class_data_off
+def _walk_class_data(data: bytes, pos: int, limit: int, method_count: int,
+                     offsets: array, methods: array) -> None:
+    """Walk the code of every method of the class_data_item at `pos`.
+
+    A uleb128 of one byte (below 0x80) is read inline, a longer one by
+    `_read_uleb128`; `insns_size` is read with one prebuilt struct once the
+    code item's bounds check has passed. Each method's code is walked
+    before the next method is decoded, so of two faults in one item the
+    earlier is reported.
+    """
     static_fields, pos = _read_uleb128(data, pos, limit)
     instance_fields, pos = _read_uleb128(data, pos, limit)
     direct_methods, pos = _read_uleb128(data, pos, limit)
     virtual_methods, pos = _read_uleb128(data, pos, limit)
-    for _ in range(static_fields + instance_fields):
-        _, pos = _read_uleb128(data, pos, limit)
-        _, pos = _read_uleb128(data, pos, limit)
+    # Skip each field's field_idx_diff and access_flags.
+    for _ in range(2 * (static_fields + instance_fields)):
+        if pos < limit and data[pos] < 0x80:
+            pos += 1
+        else:
+            pos = _read_uleb128(data, pos, limit)[1]
+    read_insns_units = _U32.unpack_from
     for count in (direct_methods, virtual_methods):
         method_idx = 0
         for _ in range(count):
-            diff, pos = _read_uleb128(data, pos, limit)
-            _access, pos = _read_uleb128(data, pos, limit)
+            # method_idx_diff, access_flags, code_off
+            if pos < limit and data[pos] < 0x80:
+                method_idx += data[pos]
+                pos += 1
+            else:
+                diff, pos = _read_uleb128(data, pos, limit)
+                method_idx += diff
+            if pos < limit and data[pos] < 0x80:
+                pos += 1
+            else:
+                pos = _read_uleb128(data, pos, limit)[1]
+            # code_off is 0 or past the header, so rarely a single byte.
             code_off, pos = _read_uleb128(data, pos, limit)
-            method_idx += diff
             if method_idx >= method_count:
                 raise MalformedDexError("encoded method index out of bounds")
             if code_off == 0:
                 continue
             if code_off + 16 > limit:
                 raise MalformedDexError("code item out of bounds")
-            yield code_off
+            _walk_insns(data, code_off + 16,
+                        read_insns_units(data, code_off + 12)[0], limit,
+                        method_count, offsets, methods)

@@ -10,7 +10,7 @@ soon as its classes are referenced.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .dex import DexUnit

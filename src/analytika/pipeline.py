@@ -16,9 +16,6 @@ import os
 import tempfile
 import threading
 import time
-import urllib.error
-import urllib.parse
-import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -400,6 +397,11 @@ def run_corpus(entries, config: AnalysisConfig) -> RunSummary:
 def fetch_by_hash(sha256: str, endpoint: str, api_key: str,
                   timeout: float = 60.0) -> bytes:
     """Download one APK by digest and verify the bytes before returning."""
+    # Imported here: the HTTP stack costs every other run its start-up.
+    import urllib.error
+    import urllib.parse
+    import urllib.request
+
     query = urllib.parse.urlencode({"apikey": api_key, "sha256": sha256})
     url = f"{endpoint}?{query}"
     try:

@@ -164,12 +164,12 @@ def build_smoke_corpus(seed: int = 7, count: int = 6):
     return corpus
 
 
-def build_slow_apk(package: str = "com.slow.app", dex_copies: int = 100,
+def build_slow_apk(package: str = "com.slow.app", dex_copies: int = 150,
                    classes: int = 1500) -> bytes:
     """An app whose many identical bytecode entries take seconds to parse.
 
     The full analysis takes well over four times the 1 s deadline of the
-    timeout tests (about 5 s on a 2-vCPU host), so a faster parser still
+    timeout tests (about 6 s on a 2-vCPU host), so a faster parser still
     leaves the app timing out; the deadline stops the work at 1 s.
     """
     plan = []

@@ -3,9 +3,13 @@ from __future__ import annotations
 import errno
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import analytika
 from analytika.cli import main
 from analytika.container import sha256_digest
 
@@ -97,6 +101,45 @@ def test_analyze_unreadable_apk_path(tmp_path, capsys):
     assert err.splitlines() == [
         f"cannot read {missing}: {os.strerror(errno.ENOENT)}"]
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("abc,def\n", "{corpus}: expected 6 columns, got 2"),
+    ("x" * 200_000 + "\n", "field larger than field limit (131072)"),
+], ids=["short-row", "overlong-field"])
+def test_analyze_malformed_corpus(tmp_path, capsys, text, reason):
+    corpus = tmp_path / "bad.csv"
+    corpus.write_text(text)
+    out_dir = tmp_path / "reports"
+    code = main(["analyze", "--corpus", str(corpus), "--out", str(out_dir)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        f"cannot read corpus {corpus}: {reason.format(corpus=corpus)}"]
+    assert not out_dir.exists()
+
+
+def test_analyze_missing_corpus(tmp_path, capsys):
+    corpus = tmp_path / "nope.csv"
+    out_dir = tmp_path / "reports"
+    code = main(["analyze", "--corpus", str(corpus), "--out", str(out_dir)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        f"cannot read corpus {corpus}: {os.strerror(errno.ENOENT)}"]
+    assert not out_dir.exists()
+
+
+def test_cli_import_leaves_http_and_stats_unloaded():
+    probe = ("import sys, analytika.cli; print(sorted(m for m in ("
+             "'urllib.request', 'http.client', 'analytika.aggregate')"
+             " if m in sys.modules))")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(analytika.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_analyze_remote_corpus_with_api_key_env(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 import struct
 from array import array
@@ -11,7 +12,9 @@ from analytika.dex import (
     INSTRUCTION_WIDTHS,
     INVOKE_OPCODES,
     MethodRef,
+    _parse_header,
     _read_uleb128,
+    _u32,
     _walk_insns,
     decode_mutf8,
     descriptor_to_dotted,
@@ -19,8 +22,9 @@ from analytika.dex import (
 )
 from analytika.errors import MalformedDexError
 
+import dexfuzz
 from conftest import CIPHER_INIT_OVERLOADS, invokes, random_plan
-from dexbuild import InvalidPlanError, build_fixture_dex
+from dexbuild import InvalidPlanError, build_fixture_dex, encode_uleb128
 from dexlister import list_invokes
 
 
@@ -119,6 +123,18 @@ def test_method_refs_keep_full_prototype():
     }
     targets = [inv.target for inv in invokes(unit)]
     assert len(set(targets)) == 3
+
+
+def test_method_ref_is_a_plain_tuple():
+    ref = MethodRef("javax.crypto.Cipher", "init", "void", ("int",))
+    assert ref == ("javax.crypto.Cipher", "init", "void", ("int",))
+    assert hash(ref) == hash(tuple(ref))
+    assert MethodRef._fields == ("defining_class", "method_name",
+                                 "return_type", "parameters")
+    with pytest.raises(AttributeError):
+        ref.method_name = "doFinal"
+    unit = parse_dex(build_fixture_dex([("com.a.B", CIPHER_OVERLOADS)]))
+    assert all(type(m) is MethodRef for m in unit.methods)
 
 
 def _patch_type_lists(data: bytearray, patch) -> int:
@@ -244,19 +260,22 @@ def test_agrees_with_independent_lister(smoke_corpus):
 
 
 def test_byte_flip_fuzz_never_crashes():
-    base = build_fixture_dex(random_plan(random.Random(77), max_classes=8))
-    rng = random.Random(4242)
     outcomes = {"ok": 0, "malformed": 0}
-    for _ in range(400):
-        mutated = bytearray(base)
-        for _ in range(rng.randint(1, 3)):
-            mutated[rng.randrange(len(mutated))] = rng.randrange(256)
+    for mutated in dexfuzz.flip_cases():
         try:
-            parse_dex(bytes(mutated))
+            parse_dex(mutated)
             outcomes["ok"] += 1
         except MalformedDexError:
             outcomes["malformed"] += 1
     assert sum(outcomes.values()) == 400
+
+
+@pytest.mark.parametrize("name", ["flip", "truncate", "class_data_flip"])
+def test_fuzz_outcomes_match_golden(name):
+    golden = json.loads(dexfuzz.GOLDEN_PATH.read_text(encoding="utf-8"))
+    cases = {"flip": dexfuzz.flip_cases, "truncate": dexfuzz.truncation_cases,
+             "class_data_flip": dexfuzz.class_data_flip_cases}[name]()
+    assert dexfuzz.runs([dexfuzz.outcome(d) for d in cases]) == golden[name]
 
 
 def test_truncation_fuzz_never_crashes():
@@ -318,3 +337,153 @@ def test_width_table_shape():
     assert all(op in INVOKE_OPCODES or INSTRUCTION_WIDTHS[op] >= 0
                for op in range(256))
     assert all(INSTRUCTION_WIDTHS[op] == 3 for op in INVOKE_OPCODES)
+
+
+def _iter_code_offsets(data: bytes, class_data_off: int, limit: int,
+                       method_count: int):
+    """Reference class_data decoder: one `_read_uleb128` per field, yielding
+    each code item offset before the next method is decoded."""
+    pos = class_data_off
+    static_fields, pos = _read_uleb128(data, pos, limit)
+    instance_fields, pos = _read_uleb128(data, pos, limit)
+    direct_methods, pos = _read_uleb128(data, pos, limit)
+    virtual_methods, pos = _read_uleb128(data, pos, limit)
+    for _ in range(static_fields + instance_fields):
+        _, pos = _read_uleb128(data, pos, limit)
+        _, pos = _read_uleb128(data, pos, limit)
+    for count in (direct_methods, virtual_methods):
+        method_idx = 0
+        for _ in range(count):
+            diff, pos = _read_uleb128(data, pos, limit)
+            _access, pos = _read_uleb128(data, pos, limit)
+            code_off, pos = _read_uleb128(data, pos, limit)
+            method_idx += diff
+            if method_idx >= method_count:
+                raise MalformedDexError("encoded method index out of bounds")
+            if code_off == 0:
+                continue
+            if code_off + 16 > limit:
+                raise MalformedDexError("code item out of bounds")
+            yield code_off
+
+
+def _oracle_columns(data: bytes):
+    """The invoke columns (callers, methods, offsets) from walking each code
+    item `_iter_code_offsets` yields, as it is yielded; or the error."""
+    header = _parse_header(data)
+    limit = header.file_size
+    callers, offsets, methods = array("I"), array("I"), array("I")
+    try:
+        for i in range(header.class_defs_size):
+            class_data_off = _u32(data, header.class_defs_off + 32 * i + 24,
+                                  limit)
+            if class_data_off == 0:
+                continue
+            before = len(methods)
+            for code_off in _iter_code_offsets(data, class_data_off, limit,
+                                               header.method_ids_size):
+                _walk_insns(data, code_off + 16, _u32(data, code_off + 12,
+                                                      limit),
+                            limit, header.method_ids_size, offsets, methods)
+            callers.extend([i] * (len(methods) - before))
+    except MalformedDexError as exc:
+        return str(exc)
+    return list(callers), list(methods), list(offsets)
+
+
+def _parsed_columns(data: bytes):
+    try:
+        unit = parse_dex(data)
+    except MalformedDexError as exc:
+        return str(exc)
+    return (list(unit.invoke_callers), list(unit.invoke_methods),
+            list(unit.invoke_offsets))
+
+
+CODE_AT = 0x4000        # code items from here on take three-byte offsets
+
+
+def _invoke_code(*method_indices, tail=b"\x0e\x00"):
+    """Instructions invoking each method index in turn, then `tail`."""
+    return b"".join(struct.pack("<BBHH", 0x71, 0, idx, 0)
+                    for idx in method_indices) + tail
+
+
+def _with_class_data(class_data_for, code=()):
+    """A two-class fixture whose first class_def points at a new class_data
+    item. Each body in `code` becomes a code item placed from CODE_AT on;
+    `class_data_for(code_offsets)` gives the item, which is written last,
+    so a uleb128 left open at its end runs off the end of the file."""
+    base = build_fixture_dex([("com.a.First", [("x.y.Z", "go")]),
+                              ("com.a.Second", [("x.y.Z", "stop")])])
+    data = bytearray(base) + bytes(CODE_AT - len(base))
+    code_offsets = []
+    for insns in code:
+        code_offsets.append(len(data))
+        data += struct.pack("<4HII", 1, 0, 0, 0, 0, len(insns) // 2) + insns
+        data += bytes(-len(data) % 4)
+    class_data_off = len(data)
+    data += class_data_for(code_offsets)
+    header = _parse_header(base)
+    struct.pack_into("<I", data, header.class_defs_off + 24, class_data_off)
+    struct.pack_into("<I", data, 32, len(data))
+    return bytes(data)
+
+
+def _uleb(*values):
+    return b"".join(encode_uleb128(v) for v in values)
+
+
+# The fixture's method pool: com.a.First.run, com.a.Second.run, x.y.Z.go and
+# x.y.Z.stop.
+POOL = 4
+
+CLASS_DATA_CASES = {
+    # two fields with multi-byte diffs and flags, a constructor (0x10001,
+    # three bytes) and an abstract method (code_off 0) among the direct
+    # methods, one virtual method; every code offset takes three bytes
+    "three-byte-values": (
+        lambda offs: _uleb(2, 0, 2, 1, 200, 0x19, 1, 0x1002,
+                           0, 0x10001, offs[0], 1, 0x401, 0,
+                           2, 0x1, offs[1]),
+        [_invoke_code(1, 0), _invoke_code(3, 3, 2)], None),
+    "method-index-past-pool": (
+        lambda offs: _uleb(0, 0, 1, 0, POOL, 0x1, offs[0]),
+        [_invoke_code(0)], "encoded method index out of bounds"),
+    "virtual-index-past-pool": (
+        lambda offs: _uleb(0, 0, 1, 1, 3, 0x1, offs[0], POOL, 0x1, offs[0]),
+        [_invoke_code(0)], "encoded method index out of bounds"),
+    "code-item-past-file-end": (
+        lambda offs: _uleb(0, 0, 1, 0, 0, 0x1, 0x1FFFFF),
+        [], "code item out of bounds"),
+    "uleb-runs-off-end": (
+        lambda offs: _uleb(0, 0, 1, 0, 0, 0x1) + b"\x80\x80",
+        [], "uleb128 runs past end of file"),
+    "uleb-longer-than-five-bytes": (
+        lambda offs: _uleb(0, 0, 1, 0, 0) + b"\x81" * 6 + b"\x00",
+        [], "uleb128 longer than five bytes"),
+    # method 0's walk fails before method 1's index is decoded
+    "walk-fault-before-index-fault": (
+        lambda offs: _uleb(0, 0, 2, 0, 0, 0x1, offs[0], POOL, 0x1, offs[1]),
+        [_invoke_code(POOL), _invoke_code(0)],
+        f"invoke references method {POOL} of {POOL}"),
+    # method 0's index fails before its code, or method 1's, is walked
+    "index-fault-before-walk-fault": (
+        lambda offs: _uleb(0, 0, 2, 0, POOL, 0x1, offs[0], 0, 0x1, offs[1]),
+        [_invoke_code(0), _invoke_code(POOL)],
+        "encoded method index out of bounds"),
+}
+
+
+@pytest.mark.parametrize("case", list(CLASS_DATA_CASES))
+def test_class_data_decoding_agrees_with_reference(case):
+    class_data_for, code, error = CLASS_DATA_CASES[case]
+    data = _with_class_data(class_data_for, code)
+    expected = _oracle_columns(data)
+    assert _parsed_columns(data) == expected
+    if error is None:
+        callers, methods, _offsets = expected
+        assert callers == [0, 0, 0, 0, 0, 1]
+        assert methods == [1, 0, 3, 3, 2, 3]
+    else:
+        assert expected == error
