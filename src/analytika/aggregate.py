@@ -19,9 +19,9 @@ from pathlib import Path
 
 from . import defaults
 from .attribution import load_known_prefixes, normalize_library, parse_package
+from .corpus import load_corpus_csv
 from .errors import DuplicateSha256Error
-from .matchers import TEE_DETECTORS
-from .pipeline import load_corpus_csv, load_patterns
+from .matchers import TEE_DETECTORS, load_patterns
 from .report import STATUS_OK, read_report_document
 
 LOCATIONS = ("inmain", "inlib", "obfuscated")
@@ -107,7 +107,13 @@ def _reduce(doc: dict, sha: str, status: str, entry) -> CorpusRecord:
 
 
 def load_corpus(report_dir, corpus_csv=None) -> Corpus:
-    """Join report files with metadata rows on sha256.
+    """Join report files with the rows of a corpus CSV (see join_reports)."""
+    entries = load_corpus_csv(corpus_csv) if corpus_csv is not None else ()
+    return join_reports(report_dir, entries)
+
+
+def join_reports(report_dir, entries) -> Corpus:
+    """Join report files with corpus metadata entries on sha256.
 
     Each report is reduced to a CorpusRecord as it is read, so memory grows
     with the number of apps, not matches. Reports without a metadata row
@@ -116,11 +122,10 @@ def load_corpus(report_dir, corpus_csv=None) -> Corpus:
     """
     report_dir = Path(report_dir)
     meta_by_sha: dict[str, object] = {}
-    if corpus_csv is not None:
-        for entry in load_corpus_csv(corpus_csv):
-            if entry.sha256 in meta_by_sha:
-                raise DuplicateSha256Error(entry.sha256)
-            meta_by_sha[entry.sha256] = entry
+    for entry in entries:
+        if entry.sha256 in meta_by_sha:
+            raise DuplicateSha256Error(entry.sha256)
+        meta_by_sha[entry.sha256] = entry
 
     records = []
     seen = set()

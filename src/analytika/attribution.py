@@ -10,7 +10,8 @@ without looking shrunken form the obfuscated group.
 from __future__ import annotations
 
 import re
-from pathlib import Path
+
+from .defaults import read_list
 
 PackageName = tuple[str, ...]
 
@@ -93,10 +94,4 @@ def normalize_library(match_pkg: PackageName,
 
 def load_known_prefixes(path) -> list[PackageName]:
     """Read one dotted prefix per line; # starts a comment."""
-    prefixes = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        prefixes.append(parse_package(line))
-    return prefixes
+    return [parse_package(line) for line in read_list(path)]

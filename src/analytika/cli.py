@@ -7,13 +7,33 @@ import csv
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from datetime import date
 from pathlib import Path
 
-from . import defaults
-from .attribution import load_known_prefixes
-from .container import sha256_digest
-from .pipeline import AnalysisConfig, CorpusEntry, load_corpus_csv, run_corpus
+# Each command imports its own modules when it runs, so `stats` never loads
+# the archive, DEX and manifest readers and `analyze` never loads `aggregate`.
+
+
+class _Unusable(Exception):
+    """An argument the command cannot use; `main` prints it and exits 2."""
+
+
+@contextmanager
+def _reading(subject: str):
+    """Turn a failure to read `subject` into one `_Unusable` line."""
+    try:
+        yield
+    except (OSError, ValueError, csv.Error) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise _Unusable(f"cannot read {subject}: {reason}") from None
+
+
+def _read_corpus(path) -> list:
+    from .corpus import load_corpus_csv
+
+    with _reading(f"corpus {path}"):
+        return load_corpus_csv(path)
 
 
 def _bool_flag(value: str) -> bool:
@@ -67,17 +87,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_analyze(args) -> int:
+    from .container import sha256_digest
+    from .corpus import CorpusEntry
+    from .pipeline import AnalysisConfig, run_corpus
+
     if not args.apk and not args.corpus:
-        print("nothing to analyze: give APK paths or --corpus", file=sys.stderr)
-        return 2
+        raise _Unusable("nothing to analyze: give APK paths or --corpus")
 
     api_key = None
     if args.fetch_endpoint:
         api_key = os.environ.get(args.api_key_env)
         if not api_key:
-            print(f"--fetch-endpoint given but ${args.api_key_env} is unset",
-                  file=sys.stderr)
-            return 2
+            raise _Unusable(
+                f"--fetch-endpoint given but ${args.api_key_env} is unset")
 
     try:
         config = AnalysisConfig(
@@ -90,25 +112,12 @@ def _cmd_analyze(args) -> int:
             fetch_endpoint=args.fetch_endpoint,
             api_key=api_key)
     except ValueError as exc:
-        print(f"invalid option: {exc}", file=sys.stderr)
-        return 2
+        raise _Unusable(f"invalid option: {exc}") from None
 
-    entries: list[CorpusEntry] = []
-    if args.corpus:
-        try:
-            entries.extend(load_corpus_csv(args.corpus))
-        except (OSError, ValueError, csv.Error) as exc:
-            reason = getattr(exc, "strerror", None) or exc
-            print(f"cannot read corpus {args.corpus}: {reason}",
-                  file=sys.stderr)
-            return 2
+    entries = _read_corpus(args.corpus) if args.corpus else []
     for apk_path in args.apk:
-        try:
+        with _reading(apk_path):
             data = Path(apk_path).read_bytes()
-        except OSError as exc:
-            print(f"cannot read {apk_path}: {exc.strerror or exc}",
-                  file=sys.stderr)
-            return 2
         entries.append(CorpusEntry(sha256=sha256_digest(data), source=apk_path))
 
     summary = run_corpus(entries, config)
@@ -123,26 +132,39 @@ def _pct(share: float) -> str:
 
 
 def _cmd_stats(args) -> int:
-    from . import aggregate     # only stats needs it; analyze starts faster
+    from . import aggregate, defaults
+    from .attribution import load_known_prefixes
 
-    corpus = aggregate.load_corpus(args.reports, args.corpus)
-
+    # Every argument file is read before the reports, so an unusable one
+    # fails fast and no table is written.
+    with _reading(f"reports {args.reports}"):
+        os.scandir(args.reports).close()
     selection = None
     if args.filter_defaults:
         selection = aggregate.SelectionFilter()
     elif (args.min_downloads is not None or args.min_date is not None
           or args.exclude_categories):
-        selection = aggregate.SelectionFilter(
-            min_downloads=args.min_downloads or 0,
-            min_last_update=args.min_date or date.min,
-            excluded_categories=(
-                defaults.load_game_categories(args.exclude_categories)
-                if args.exclude_categories else frozenset()))
+        excluded = frozenset()
+        if args.exclude_categories:
+            with _reading(f"excluded categories {args.exclude_categories}"):
+                excluded = defaults.load_game_categories(
+                    args.exclude_categories)
+        try:
+            selection = aggregate.SelectionFilter(
+                min_downloads=args.min_downloads or 0,
+                min_last_update=args.min_date or date.min,
+                excluded_categories=excluded)
+        except ValueError as exc:
+            raise _Unusable(f"invalid option: {exc}") from None
+    prefixes_path = (args.known_prefixes
+                     or defaults.default_known_prefixes_path())
+    with _reading(f"known prefixes {prefixes_path}"):
+        prefixes = load_known_prefixes(prefixes_path)
+    entries = _read_corpus(args.corpus) if args.corpus else []
+
+    corpus = aggregate.join_reports(args.reports, entries)
     if selection is not None:
         corpus = aggregate.apply_filter(corpus, selection)
-
-    prefixes = load_known_prefixes(
-        args.known_prefixes or defaults.default_known_prefixes_path())
     stats = aggregate.compute_stats(corpus, top_n=args.top_n,
                                     known_prefixes=prefixes)
     written = aggregate.write_stats(stats, args.out)
@@ -164,9 +186,12 @@ def _cmd_stats(args) -> int:
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
-    if args.command == "analyze":
-        return _cmd_analyze(args)
-    return _cmd_stats(args)
+    command = _cmd_analyze if args.command == "analyze" else _cmd_stats
+    try:
+        return command(args)
+    except _Unusable as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

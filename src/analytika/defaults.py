@@ -26,11 +26,14 @@ def default_game_categories_path() -> Path:
     return _data_path("game_categories.txt")
 
 
+def read_list(path) -> list[str]:
+    """The stripped lines of a one-entry-per-line file, without blank lines
+    and lines starting with #."""
+    lines = (line.strip()
+             for line in Path(path).read_text(encoding="utf-8").splitlines())
+    return [line for line in lines if line and not line.startswith("#")]
+
+
 def load_game_categories(path=None) -> frozenset[str]:
-    source = Path(path) if path is not None else default_game_categories_path()
-    names = []
-    for line in source.read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            names.append(line)
-    return frozenset(names)
+    return frozenset(read_list(
+        path if path is not None else default_game_categories_path()))

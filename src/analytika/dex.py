@@ -27,7 +27,6 @@ from .errors import MalformedDexError
 SUPPORTED_VERSIONS = (b"035", b"037", b"038", b"039")
 
 _ENDIAN_CONSTANT = 0x12345678
-_NO_INDEX = 0xFFFFFFFF
 
 # Instruction widths in 16-bit code units, one slot per opcode; 0 marks
 # opcodes with no defined format. Derived from the Dalvik format ids
@@ -126,10 +125,6 @@ def descriptor_to_dotted(desc: str) -> str:
     else:
         base = _PRIMITIVES.get(desc, desc)
     return base + "[]" * dims
-
-
-def dotted_to_descriptor(name: str) -> str:
-    return "L" + name.replace(".", "/") + ";"
 
 
 def _read_uleb128(data: bytes, pos: int, limit: int) -> tuple[int, int]:

@@ -12,9 +12,13 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .dex import DexUnit
+from . import defaults
 from .errors import PatternParseError
+
+if TYPE_CHECKING:
+    from .dex import DexUnit
 
 KIND_TEE_API = "tee_api"
 KIND_CRYPTO_SOFTWARE = "crypto_software"
@@ -113,6 +117,29 @@ def load_native_pattern_file(path) -> list[NativeLibPattern]:
             raise PatternParseError(f"{path}:{line_no}: empty library name")
         patterns.append(NativeLibPattern(library, stem))
     return patterns
+
+
+@dataclass(frozen=True)
+class LoadedPatterns:
+    tee_sets: tuple
+    crypto_sets: tuple
+    native_patterns: tuple
+
+
+def load_patterns(pattern_dir=None) -> LoadedPatterns:
+    """Both pattern files of `pattern_dir`, or the shipped ones."""
+    if pattern_dir is None:
+        bytecode = defaults.default_bytecode_patterns_path()
+        native = defaults.default_native_patterns_path()
+    else:
+        pattern_dir = Path(pattern_dir)
+        bytecode = pattern_dir / "bytecode_patterns.csv"
+        native = pattern_dir / "native_patterns.csv"
+    sets = load_pattern_file(bytecode)
+    return LoadedPatterns(
+        tee_sets=tuple(s for s in sets if s.kind == KIND_TEE_API),
+        crypto_sets=tuple(s for s in sets if s.kind == KIND_CRYPTO_SOFTWARE),
+        native_patterns=tuple(load_native_pattern_file(native)))
 
 
 def _enclosing(name: str, sep: str):

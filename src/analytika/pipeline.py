@@ -10,7 +10,6 @@ without affecting its siblings. Failed apps keep no partial results.
 
 from __future__ import annotations
 
-import csv
 import logging
 import os
 import tempfile
@@ -19,10 +18,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from datetime import date
 from pathlib import Path
 
-from . import defaults
 from .attribution import (
     classify_location,
     package_of_class,
@@ -36,6 +33,7 @@ from .container import (
     read_entry,
     sha256_digest,
 )
+from .corpus import REMOTE_SOURCE, CorpusEntry
 from .dex import parse_dex
 from .errors import (
     AnalysisTimeout,
@@ -47,11 +45,9 @@ from .errors import (
 )
 from .manifest import extract_manifest_info, parse_binary_xml
 from .matchers import (
-    KIND_CRYPTO_SOFTWARE,
-    KIND_TEE_API,
     TEE_DETECTORS,
-    load_native_pattern_file,
-    load_pattern_file,
+    LoadedPatterns,
+    load_patterns,
     match_crypto_packages,
     match_native_libs,
     match_tee_apis,
@@ -69,8 +65,6 @@ from .report import (
 log = logging.getLogger(__name__)
 
 MANIFEST_ENTRY = "AndroidManifest.xml"
-
-REMOTE_SOURCE = "remote"
 
 
 class Deadline:
@@ -103,79 +97,6 @@ class AnalysisConfig:
             raise ValueError("worker_count must be at least 1")
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    sha256: str
-    expected_package_name: str | None = None
-    category: str | None = None
-    downloads: int | None = None
-    last_update: date | None = None
-    source: str = ""            # filesystem path, or "remote"
-
-    def __post_init__(self):
-        if self.sha256 and not _is_sha256(self.sha256):
-            raise ValueError(f"not a sha256 hex digest: {self.sha256!r}")
-
-
-def _is_sha256(text: str) -> bool:
-    return len(text) == 64 and all(c in "0123456789abcdef" for c in text.lower())
-
-
-def load_corpus_csv(path) -> list[CorpusEntry]:
-    """Read corpus metadata rows.
-
-    Columns: sha256,package_name,category,downloads,last_update,path_or_remote.
-    A header row is recognized by its literal first cell. Relative paths are
-    resolved against the CSV's own directory. Download counts must already be
-    plain integers (bucketed strings resolved upstream).
-    """
-    path = Path(path)
-    entries = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        for row in csv.reader(handle):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            if row[0].strip().lower() == "sha256":
-                continue
-            if len(row) != 6:
-                raise ValueError(f"{path}: expected 6 columns, got {len(row)}")
-            sha, package, category, downloads, last_update, source = \
-                (cell.strip() for cell in row)
-            source_value = source
-            if source and source != REMOTE_SOURCE and not os.path.isabs(source):
-                source_value = str(path.parent / source)
-            entries.append(CorpusEntry(
-                sha256=sha.lower(),
-                expected_package_name=package or None,
-                category=category or None,
-                downloads=int(downloads) if downloads else None,
-                last_update=date.fromisoformat(last_update) if last_update else None,
-                source=source_value))
-    return entries
-
-
-@dataclass(frozen=True)
-class LoadedPatterns:
-    tee_sets: tuple
-    crypto_sets: tuple
-    native_patterns: tuple
-
-
-def load_patterns(pattern_dir=None) -> LoadedPatterns:
-    if pattern_dir is None:
-        bytecode = defaults.default_bytecode_patterns_path()
-        native = defaults.default_native_patterns_path()
-    else:
-        pattern_dir = Path(pattern_dir)
-        bytecode = pattern_dir / "bytecode_patterns.csv"
-        native = pattern_dir / "native_patterns.csv"
-    sets = load_pattern_file(bytecode)
-    return LoadedPatterns(
-        tee_sets=tuple(s for s in sets if s.kind == KIND_TEE_API),
-        crypto_sets=tuple(s for s in sets if s.kind == KIND_CRYPTO_SOFTWARE),
-        native_patterns=tuple(load_native_pattern_file(native)))
-
-
 @contextmanager
 def _stage(timings: dict, name: str):
     start = time.perf_counter()
@@ -198,8 +119,7 @@ def compare_package_names(expected: str | None, actual: str) -> str:
 
 
 def analyze_apk(data: bytes, entry: CorpusEntry, config: AnalysisConfig,
-                patterns: LoadedPatterns | None = None,
-                deadline: Deadline | None = None) -> AppReport:
+                patterns: LoadedPatterns | None = None) -> AppReport:
     """Analyze one app end to end; never raises.
 
     Any failure (digest mismatch, malformed input, deadline) is captured in
@@ -208,8 +128,7 @@ def analyze_apk(data: bytes, entry: CorpusEntry, config: AnalysisConfig,
     """
     if patterns is None:
         patterns = load_patterns(config.pattern_dir)
-    if deadline is None:
-        deadline = Deadline(config.timeout_seconds)
+    deadline = Deadline(config.timeout_seconds)
 
     timings: dict[str, float] = {}
     started = time.perf_counter()

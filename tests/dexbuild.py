@@ -16,7 +16,7 @@ import struct
 import zlib
 from typing import Iterable, Sequence
 
-from analytika.dex import MethodRef, dotted_to_descriptor
+from analytika.dex import MethodRef
 
 
 class InvalidPlanError(ValueError):
@@ -48,6 +48,10 @@ _PRIMITIVE_DESCRIPTORS = {
     "void": "V", "boolean": "Z", "byte": "B", "short": "S", "char": "C",
     "int": "I", "long": "J", "float": "F", "double": "D",
 }
+
+
+def dotted_to_descriptor(name: str) -> str:
+    return "L" + name.replace(".", "/") + ";"
 
 
 def encode_uleb128(value: int) -> bytes:

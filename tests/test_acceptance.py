@@ -36,19 +36,19 @@ from analytika.aggregate import (
 )
 from analytika.attribution import classify_location, load_known_prefixes, parse_package
 from analytika.container import sha256_digest
+from analytika.corpus import CorpusEntry
 from analytika.defaults import (
     default_game_categories_path,
     default_known_prefixes_path,
 )
 from analytika.dex import descriptor_to_dotted, parse_dex
-from analytika.matchers import NativeLibPattern, match_native_libs, match_tee_apis
-from analytika.pipeline import (
-    AnalysisConfig,
-    CorpusEntry,
-    analyze_apk,
+from analytika.matchers import (
+    NativeLibPattern,
     load_patterns,
-    run_corpus,
+    match_native_libs,
+    match_tee_apis,
 )
+from analytika.pipeline import AnalysisConfig, analyze_apk, run_corpus
 from analytika.report import deterministic_document, read_report_document
 
 import golden_corpus

@@ -229,3 +229,78 @@ def test_stats_explicit_filter_flags(tmp_path):
                  "--out", str(out_dir)]) == 0
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["totals"]["analyzed"] == 1
+
+
+_ENOENT = os.strerror(errno.ENOENT)
+
+
+@pytest.mark.parametrize("extra, line", [
+    (["--corpus", "{tmp}/nope.csv"],
+     f"cannot read corpus {{tmp}}/nope.csv: {_ENOENT}"),
+    (["--corpus", "{tmp}/short.csv"],
+     "cannot read corpus {tmp}/short.csv: {tmp}/short.csv: "
+     "expected 6 columns, got 2"),
+    (["--exclude-categories", "{tmp}/nope.txt"],
+     f"cannot read excluded categories {{tmp}}/nope.txt: {_ENOENT}"),
+    (["--known-prefixes", "{tmp}/nope.txt"],
+     f"cannot read known prefixes {{tmp}}/nope.txt: {_ENOENT}"),
+    (["--reports", "{tmp}/nope"],
+     f"cannot read reports {{tmp}}/nope: {_ENOENT}"),
+    (["--reports", "{tmp}/short.csv"],
+     f"cannot read reports {{tmp}}/short.csv: {os.strerror(errno.ENOTDIR)}"),
+    (["--min-downloads", "-1"],
+     "invalid option: min_downloads must be non-negative"),
+], ids=["missing-corpus", "short-row-corpus", "missing-exclude-categories",
+        "missing-known-prefixes", "missing-reports", "reports-not-a-directory",
+        "negative-min-downloads"])
+def test_stats_rejects_unusable_argument(tmp_path, capsys, extra, line):
+    report_dir = tmp_path / "reports"
+    synth.write_report(report_dir, synth.report_doc(synth.sha_for(0)))
+    (tmp_path / "short.csv").write_text("abc,def\n")
+    out_dir = tmp_path / "tables"
+    argv = ["stats", "--out", str(out_dir)]
+    if "--reports" not in extra:
+        argv += ["--reports", str(report_dir)]
+    code = main(argv + [arg.format(tmp=tmp_path) for arg in extra])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [line.format(tmp=tmp_path)]
+    assert not out_dir.exists()
+
+
+def _python(*args) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports the package under test."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(analytika.__file__).parents[1]))
+    done = subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done
+
+
+def test_stats_leaves_analysis_modules_unloaded(tmp_path):
+    report_dir = tmp_path / "reports"
+    synth.random_corpus(__import__("random").Random(5), report_dir,
+                        tmp_path / "corpus.csv", apps=12)
+    probe = ("import sys; from analytika.cli import main; "
+             "code = main(sys.argv[1:]); "
+             "print(sorted(m for m in ('analytika.container', 'analytika.dex',"
+             " 'analytika.manifest', 'analytika.pipeline') if m in sys.modules));"
+             " sys.exit(code)")
+    done = _python("-c", probe, "stats", "--reports", str(report_dir),
+                   "--corpus", str(tmp_path / "corpus.csv"),
+                   "--out", str(tmp_path / "tables"), "--filter-defaults")
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "tables" / "prevalence.csv").exists()
+
+
+def test_package_root_imports_no_submodule():
+    done = _python("-c", "import sys, analytika; print(sorted("
+                   "m for m in sys.modules if m.startswith('analytika.')))")
+    assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("module", sorted(
+    "analytika" if path.stem == "__init__" else f"analytika.{path.stem}"
+    for path in Path(analytika.__file__).parent.glob("*.py")))
+def test_module_imports_alone(module):
+    _python("-c", f"import {module}")

@@ -11,11 +11,11 @@ from analytika.matchers import (
     NativeLibPattern,
     load_native_pattern_file,
     load_pattern_file,
+    load_patterns,
     match_crypto_packages,
     match_native_libs,
     match_tee_apis,
 )
-from analytika.pipeline import load_patterns
 
 from conftest import (
     CIPHER_INIT_OVERLOADS,

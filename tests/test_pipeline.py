@@ -10,14 +10,13 @@ from urllib.parse import parse_qs, urlparse
 import pytest
 
 from analytika.container import MAX_ENTRY_SIZE, sha256_digest
+from analytika.corpus import CorpusEntry, load_corpus_csv
 from analytika.errors import HashMismatchError, HttpStatusError
 from analytika.pipeline import (
     AnalysisConfig,
-    CorpusEntry,
     analyze_apk,
     compare_package_names,
     fetch_by_hash,
-    load_corpus_csv,
     run_corpus,
 )
 from analytika.report import deterministic_document, read_report_document
