@@ -18,13 +18,14 @@ from datetime import date
 from pathlib import Path
 
 from . import defaults
-from .attribution import load_known_prefixes, normalize_library, parse_package
+from .attribution import (LOCATION_INLIB, LOCATION_INMAIN, LOCATION_OBFUSCATED,
+                          load_known_prefixes, normalize_library, parse_package)
 from .corpus import load_corpus_csv
-from .errors import DuplicateSha256Error
+from .errors import DuplicateSha256Error, MalformedReportError
 from .matchers import TEE_DETECTORS, load_patterns
 from .report import STATUS_OK, read_report_document
 
-LOCATIONS = ("inmain", "inlib", "obfuscated")
+LOCATIONS = (LOCATION_INMAIN, LOCATION_INLIB, LOCATION_OBFUSCATED)
 
 
 @dataclass(slots=True)
@@ -68,13 +69,9 @@ class SelectionFilter:
             raise ValueError("min_downloads must be non-negative")
 
     def keeps(self, record: CorpusRecord) -> bool:
-        if (record.downloads or 0) < self.min_downloads:
-            return False
-        if (record.last_update or date.min) < self.min_last_update:
-            return False
-        if record.category in self.excluded_categories:
-            return False
-        return True
+        return ((record.downloads or 0) >= self.min_downloads
+                and (record.last_update or date.min) >= self.min_last_update
+                and record.category not in self.excluded_categories)
 
 
 def _reduce(doc: dict, sha: str, status: str, entry) -> CorpusRecord:
@@ -95,7 +92,7 @@ def _reduce(doc: dict, sha: str, status: str, entry) -> CorpusRecord:
         detectors.add(detector)
         location = m["location"]
         location_counts[location] = location_counts.get(location, 0) + 1
-        if location == "inlib":
+        if location == LOCATION_INLIB:
             inlib.setdefault(detector, set()).add(m["package"])
     record.detectors = frozenset(detectors)
     record.location_counts = location_counts
@@ -118,23 +115,29 @@ def join_reports(report_dir, entries) -> Corpus:
     Each report is reduced to a CorpusRecord as it is read, so memory grows
     with the number of apps, not matches. Reports without a metadata row
     stay in the corpus with null category; metadata rows without a report
-    are counted and otherwise ignored.
+    are counted and otherwise ignored. A repeated entry sha256 raises
+    DuplicateSha256Error before any report is read.
     """
     report_dir = Path(report_dir)
     meta_by_sha: dict[str, object] = {}
     for entry in entries:
         if entry.sha256 in meta_by_sha:
-            raise DuplicateSha256Error(entry.sha256)
+            raise DuplicateSha256Error(f"sha256 {entry.sha256} is listed twice")
         meta_by_sha[entry.sha256] = entry
 
     records = []
     seen = set()
     for path in sorted(report_dir.glob("*.json")):
-        doc = read_report_document(path)
+        try:
+            doc = read_report_document(path)
+        except (OSError, ValueError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise MalformedReportError(f"{path}: {reason}") from None
         meta = doc.get("meta", {})
         sha = meta.get("sha256", path.stem)
         if sha in seen:
-            raise DuplicateSha256Error(sha)
+            raise MalformedReportError(
+                f"{path}: sha256 {sha} repeats an earlier report")
         seen.add(sha)
         records.append(_reduce(doc, sha, meta.get("status", "error"),
                                meta_by_sha.get(sha)))
@@ -184,16 +187,13 @@ def api_prevalence(corpus: Corpus) -> dict:
     }
 
 
-def location_split(corpus: Corpus, known_prefixes=None) -> dict:
+def location_split(corpus: Corpus, known_prefixes) -> dict:
     """Where matches live: per-match location shares plus per-app views.
 
     App-level shares are relative to apps that have at least one detector
     match. The libraries-per-app distribution counts distinct normalized
     libraries among apps that have at least one library-located match.
     """
-    if known_prefixes is None:
-        known_prefixes = load_known_prefixes(
-            defaults.default_known_prefixes_path())
     ok = corpus.ok_records()
 
     match_counts = {loc: 0 for loc in LOCATIONS}
@@ -210,7 +210,7 @@ def location_split(corpus: Corpus, known_prefixes=None) -> dict:
             if loc in counts:
                 match_counts[loc] += counts[loc]
                 apps_with[loc] += 1
-        if counts.keys() == {"inmain"}:
+        if counts.keys() == {LOCATION_INMAIN}:
             exclusively_inmain += 1
         inlib_libs = _libraries(set().union(*record.inlib_packages.values()),
                                 known_prefixes)
@@ -238,21 +238,17 @@ def location_split(corpus: Corpus, known_prefixes=None) -> dict:
 
 
 def top_libraries(corpus: Corpus, detector: str, n: int,
-                  known_prefixes=None) -> dict:
+                  known_prefixes) -> dict:
     """Rank libraries by how many apps embed a matching call for `detector`.
 
     Only library-located matches count; ties break lexicographically.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if known_prefixes is None:
-        known_prefixes = load_known_prefixes(
-            defaults.default_known_prefixes_path())
-    apps_per_library: dict[str, int] = {}
-    for record in corpus.ok_records():
+    apps_per_library = Counter(
+        library for record in corpus.ok_records()
         for library in _libraries(record.inlib_packages.get(detector, ()),
-                                  known_prefixes):
-            apps_per_library[library] = apps_per_library.get(library, 0) + 1
+                                  known_prefixes))
     ranked = sorted(apps_per_library.items(),
                     key=lambda pair: (-pair[1], pair[0]))
     return {"detector": detector,
@@ -327,6 +323,10 @@ class CorpusStats:
 
 def compute_stats(corpus: Corpus, top_n: int = 10,
                   known_prefixes=None) -> CorpusStats:
+    """All result tables; known prefixes default to the shipped file."""
+    if known_prefixes is None:
+        known_prefixes = load_known_prefixes(
+            defaults.default_known_prefixes_path())
     records = corpus.records
     totals = {
         "analyzed": len(records),
@@ -344,11 +344,12 @@ def compute_stats(corpus: Corpus, top_n: int = 10,
         crypto=crypto_table(corpus))
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> Path:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+    return path
 
 
 def write_stats(stats: CorpusStats, out_dir) -> list[Path]:
@@ -365,33 +366,24 @@ def write_stats(stats: CorpusStats, out_dir) -> list[Path]:
                    "all_excl_protected_confirmation"):
         cell = stats.prevalence[metric]
         prevalence_rows.append([metric, cell["apps"], cell["share"]])
-    path = out_dir / "prevalence.csv"
-    _write_csv(path, ["metric", "apps", "share"], prevalence_rows)
-    written.append(path)
+    written.append(_write_csv(out_dir / "prevalence.csv",
+                              ["metric", "apps", "share"], prevalence_rows))
 
     loc = stats.locations
-    location_rows = [
-        ["matched_apps", loc["matched_apps"]],
-        ["matches_total", loc["total_matches"]],
-        ["matches_inmain", loc["match_counts"]["inmain"]],
-        ["matches_inlib", loc["match_counts"]["inlib"]],
-        ["matches_obfuscated", loc["match_counts"]["obfuscated"]],
-        ["inlib_match_share", loc["inlib_match_share"]],
-        ["apps_with_inlib_share", loc["apps_with_inlib_share"]],
-        ["apps_with_inmain_share", loc["apps_with_inmain_share"]],
-        ["apps_with_obfuscated_share", loc["apps_with_obfuscated_share"]],
-        ["apps_exclusively_inmain_share", loc["apps_exclusively_inmain_share"]],
-        ["libraries_per_app_mean", loc["libraries_per_app_mean"]],
-        ["libraries_per_app_median", loc["libraries_per_app_median"]],
-    ]
-    path = out_dir / "locations.csv"
-    _write_csv(path, ["metric", "value"], location_rows)
-    written.append(path)
+    location_rows = [["matched_apps", loc["matched_apps"]],
+                     ["matches_total", loc["total_matches"]]]
+    location_rows += [[f"matches_{where}", loc["match_counts"][where]]
+                      for where in LOCATIONS]
+    location_rows += [[key, loc[key]] for key in (
+        "inlib_match_share", "apps_with_inlib_share", "apps_with_inmain_share",
+        "apps_with_obfuscated_share", "apps_exclusively_inmain_share",
+        "libraries_per_app_mean", "libraries_per_app_median")]
+    written.append(_write_csv(out_dir / "locations.csv", ["metric", "value"],
+                              location_rows))
 
     for detector, table in stats.top_libs.items():
-        path = out_dir / f"top_libs_{detector}.csv"
-        _write_csv(path, ["library", "apps"], table["rows"])
-        written.append(path)
+        written.append(_write_csv(out_dir / f"top_libs_{detector}.csv",
+                                  ["library", "apps"], table["rows"]))
 
     wide_rows = []
     long_rows = []
@@ -401,13 +393,13 @@ def write_stats(stats: CorpusStats, out_dir) -> list[Path]:
         for d in TEE_DETECTORS:
             long_rows.append([row["category"], d, row[d]["apps"],
                               row[d]["share"]])
-    path = out_dir / "categories.csv"
-    _write_csv(path, ["category", "ok_apps"]
-               + [f"{d}_share" for d in TEE_DETECTORS], wide_rows)
-    written.append(path)
-    path = out_dir / "categories_long.csv"
-    _write_csv(path, ["category", "detector", "apps", "share"], long_rows)
-    written.append(path)
+    written.append(_write_csv(
+        out_dir / "categories.csv",
+        ["category", "ok_apps"] + [f"{d}_share" for d in TEE_DETECTORS],
+        wide_rows))
+    written.append(_write_csv(out_dir / "categories_long.csv",
+                              ["category", "detector", "apps", "share"],
+                              long_rows))
 
     crypto_rows = [["software", lib, count]
                    for lib, count in stats.crypto["software"].items()]
@@ -415,9 +407,8 @@ def write_stats(stats: CorpusStats, out_dir) -> list[Path]:
                     for lib, count in stats.crypto["native"].items()]
     crypto_rows.append(["software", "(any)", stats.crypto["apps_with_software"]])
     crypto_rows.append(["native", "(any)", stats.crypto["apps_with_native"]])
-    path = out_dir / "crypto.csv"
-    _write_csv(path, ["kind", "library", "apps"], crypto_rows)
-    written.append(path)
+    written.append(_write_csv(out_dir / "crypto.csv",
+                              ["kind", "library", "apps"], crypto_rows))
 
     summary = {
         "totals": stats.totals,

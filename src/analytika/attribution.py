@@ -10,6 +10,7 @@ without looking shrunken form the obfuscated group.
 from __future__ import annotations
 
 import re
+from collections.abc import Container
 
 from .defaults import read_list
 
@@ -75,23 +76,19 @@ def classify_location(app_pkg: PackageName, match_pkg: PackageName, *,
 
 
 def normalize_library(match_pkg: PackageName,
-                      known_prefixes: list[PackageName]) -> str:
+                      known_prefixes: Container[PackageName]) -> str:
     """Grouping key for library rankings.
 
     The longest known prefix wins; unknown packages are truncated to their
     first four segments. Idempotent: normalizing a normalized name returns
     it unchanged.
     """
-    best: PackageName | None = None
-    for prefix in known_prefixes:
-        if prefix and (match_pkg == prefix or is_subpackage(match_pkg, prefix)):
-            if best is None or len(prefix) > len(best):
-                best = prefix
-    if best is not None:
-        return render_package(best)
+    for n in range(len(match_pkg), 0, -1):
+        if match_pkg[:n] in known_prefixes:
+            return render_package(match_pkg[:n])
     return render_package(match_pkg[:_NORMALIZE_DEPTH])
 
 
-def load_known_prefixes(path) -> list[PackageName]:
+def load_known_prefixes(path) -> frozenset[PackageName]:
     """Read one dotted prefix per line; # starts a comment."""
-    return [parse_package(line) for line in read_list(path)]
+    return frozenset(parse_package(line) for line in read_list(path))

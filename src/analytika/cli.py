@@ -134,9 +134,10 @@ def _pct(share: float) -> str:
 def _cmd_stats(args) -> int:
     from . import aggregate, defaults
     from .attribution import load_known_prefixes
+    from .errors import DuplicateSha256Error, MalformedReportError
 
-    # Every argument file is read before the reports, so an unusable one
-    # fails fast and no table is written.
+    # Every argument file is read and checked before the reports, so an
+    # unusable one fails fast and no table is written.
     with _reading(f"reports {args.reports}"):
         os.scandir(args.reports).close()
     selection = None
@@ -162,7 +163,12 @@ def _cmd_stats(args) -> int:
         prefixes = load_known_prefixes(prefixes_path)
     entries = _read_corpus(args.corpus) if args.corpus else []
 
-    corpus = aggregate.join_reports(args.reports, entries)
+    try:
+        corpus = aggregate.join_reports(args.reports, entries)
+    except DuplicateSha256Error as exc:
+        raise _Unusable(f"cannot read corpus {args.corpus}: {exc}") from None
+    except MalformedReportError as exc:
+        raise _Unusable(f"cannot read report {exc}") from None
     if selection is not None:
         corpus = aggregate.apply_filter(corpus, selection)
     stats = aggregate.compute_stats(corpus, top_n=args.top_n,

@@ -201,26 +201,18 @@ def read_entry(index: ArchiveIndex, name: str,
     decomp = zlib.decompressobj(-15)
     try:
         pos = 0
-        while pos < len(raw):
+        while decomp.unconsumed_tail or pos < len(raw):
+            # decompress() stops at max_length; feed its leftover input first
+            data = decomp.unconsumed_tail
+            if not data:
+                data = raw[pos:pos + _READ_CHUNK]
+                pos += _READ_CHUNK
             if cancel_check is not None:
                 cancel_check()
-            chunk = decomp.decompress(raw[pos:pos + _READ_CHUNK],
-                                      want - len(out) + 1)
-            out += chunk
+            out += decomp.decompress(data, want - len(out) + 1)
             if len(out) > want:
                 raise SizeMismatchError(
                     f"entry {name!r} inflates past declared size {want}")
-            pos += _READ_CHUNK
-            # decompress() may stop early when max_length is hit
-            while decomp.unconsumed_tail:
-                if cancel_check is not None:
-                    cancel_check()
-                chunk = decomp.decompress(decomp.unconsumed_tail,
-                                          want - len(out) + 1)
-                out += chunk
-                if len(out) > want:
-                    raise SizeMismatchError(
-                        f"entry {name!r} inflates past declared size {want}")
         out += decomp.flush()
     except zlib.error as exc:
         raise DecompressionError(f"corrupt deflate stream in {name!r}: {exc}") from exc

@@ -71,3 +71,7 @@ class HashMismatchError(AnalytikaError):
 
 class DuplicateSha256Error(AnalytikaError):
     """Corpus metadata contains the same sha256 more than once."""
+
+
+class MalformedReportError(AnalytikaError):
+    """A report file is not one JSON object or repeats a report's sha256."""

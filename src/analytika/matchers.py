@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -68,6 +69,10 @@ class MatchRecord:
     code_offset: int
     location: str = ""
     attributed_package: str = ""
+
+
+# The order of matches in a report: by DEX file, code offset, then detector.
+MATCH_ORDER = attrgetter("dex_file", "code_offset", "detector_id")
 
 
 def _pattern_rows(path: Path) -> list[list[str]]:
@@ -234,7 +239,7 @@ def _emit_records(unit: DexUnit, hits: list[list[str]],
                            code_offset=offset)
                for caller, method_idx, offset in sites
                for detector in hits[method_idx]]
-    records.sort(key=lambda r: (r.dex_file, r.code_offset, r.detector_id))
+    records.sort(key=MATCH_ORDER)
     return records
 
 

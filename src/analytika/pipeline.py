@@ -45,6 +45,7 @@ from .errors import (
 )
 from .manifest import extract_manifest_info, parse_binary_xml
 from .matchers import (
+    MATCH_ORDER,
     TEE_DETECTORS,
     LoadedPatterns,
     load_patterns,
@@ -191,9 +192,7 @@ def analyze_apk(data: bytes, entry: CorpusEntry, config: AnalysisConfig,
                 entry.expected_package_name, info.package_name),
             permissions=info.permissions,
             min_sdk=info.min_sdk,
-            matches=sorted(tee_records + crypto_records,
-                           key=lambda r: (r.dex_file, r.code_offset,
-                                          r.detector_id)),
+            matches=sorted(tee_records + crypto_records, key=MATCH_ORDER),
             native_lib_hits=native_hits,
             crypto_software_libs=sorted(
                 {r.detector_id for r in crypto_records}),

@@ -106,4 +106,7 @@ def write_report(report: AppReport, out_dir) -> Path:
 
 def read_report_document(path) -> dict:
     with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
+        doc = json.load(handle)
+    if not isinstance(doc, dict):
+        raise ValueError("not a JSON object")
+    return doc

@@ -17,10 +17,14 @@ from analytika.aggregate import (
     top_libraries,
     write_stats,
 )
+from analytika.attribution import load_known_prefixes
+from analytika.defaults import default_known_prefixes_path
 from analytika.errors import DuplicateSha256Error
 
 import synth
 from synth import make_match, report_doc, sha_for, write_corpus_csv, write_report
+
+PREFIXES = load_known_prefixes(default_known_prefixes_path())
 
 
 def _corpus(tmp_path, docs, rows=None):
@@ -173,7 +177,7 @@ def test_location_split_hand_computed(tmp_path):
         report_doc(sha_for(3), matches=[
             make_match("keystore", "inmain", "com.app.main")]),
     ]
-    stats = location_split(_corpus(tmp_path, docs))
+    stats = location_split(_corpus(tmp_path, docs), PREFIXES)
     assert stats["match_counts"] == {"inmain": 1, "inlib": 9, "obfuscated": 0}
     assert stats["inlib_match_share"] == pytest.approx(0.9)
     assert stats["apps_with_inlib_share"] == pytest.approx(3 / 4)
@@ -192,7 +196,7 @@ def test_unknown_location_disqualifies_exclusively_inmain(tmp_path):
         report_doc(sha_for(1), matches=[
             make_match("keystore", "inmain", "com.app.main")]),
     ]
-    stats = location_split(_corpus(tmp_path, docs))
+    stats = location_split(_corpus(tmp_path, docs), PREFIXES)
     assert stats["apps_exclusively_inmain_share"] == 0.5
     assert stats["total_matches"] == 2      # the unknown location counts nowhere
 
@@ -213,14 +217,15 @@ def test_records_hold_per_app_facts_not_matches(tmp_path):
 def test_location_obfuscated_only_app(tmp_path):
     docs = [report_doc(sha_for(0), matches=[
         make_match("keystore", "obfuscated", "")])]
-    stats = location_split(_corpus(tmp_path, docs))
+    stats = location_split(_corpus(tmp_path, docs), PREFIXES)
     assert stats["apps_with_obfuscated_share"] == 1.0
     assert stats["apps_with_inlib_share"] == 0.0
     assert stats["apps_with_inmain_share"] == 0.0
 
 
 def test_location_split_empty(tmp_path):
-    stats = location_split(_corpus(tmp_path, [report_doc(sha_for(0))]))
+    stats = location_split(_corpus(tmp_path, [report_doc(sha_for(0))]),
+                           PREFIXES)
     assert stats["total_matches"] == 0
     assert stats["inlib_match_share"] == 0.0
     assert stats["libraries_per_app_mean"] == 0.0
@@ -234,10 +239,10 @@ def test_top_libraries_ranked(tmp_path):
     docs.append(report_doc(sha_for(3), matches=[
         make_match("biometrics", "inlib", "androidx.biometric")]))
     corpus = _corpus(tmp_path, docs)
-    table = top_libraries(corpus, "keystore", 10)
+    table = top_libraries(corpus, "keystore", 10, PREFIXES)
     assert table["rows"][0] == ("com.appsflyer", 3)
     assert table["unique_libraries"] == 1
-    assert top_libraries(corpus, "drm", 10)["rows"] == []
+    assert top_libraries(corpus, "drm", 10, PREFIXES)["rows"] == []
 
 
 def test_top_libraries_tie_break(tmp_path):
@@ -247,7 +252,8 @@ def test_top_libraries_tie_break(tmp_path):
         report_doc(sha_for(1), matches=[
             make_match("keystore", "inlib", "org.aaa.liba.core")]),
     ]
-    table = top_libraries(_corpus(tmp_path, docs), "keystore", 10)
+    table = top_libraries(_corpus(tmp_path, docs), "keystore", 10,
+                          PREFIXES)
     assert table["rows"] == [("org.aaa.liba.core", 1), ("org.zzz.libb.core", 1)]
 
 
@@ -351,7 +357,7 @@ def test_conservation_invariant(tmp_path):
     report_dir = tmp_path / "reports"
     synth.random_corpus(rng, report_dir, tmp_path / "corpus.csv", apps=30)
     corpus = load_corpus(report_dir, tmp_path / "corpus.csv")
-    stats = location_split(corpus)
+    stats = location_split(corpus, PREFIXES)
     assert sum(stats["match_counts"].values()) == stats["total_matches"]
     prevalence = api_prevalence(corpus)
     for d in synth.APIS:

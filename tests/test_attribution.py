@@ -122,6 +122,46 @@ def test_longest_known_prefix_wins():
     assert got == "com.google.crypto.tink.integration.android"
 
 
+_NORMALIZE_DEPTH = 4
+
+
+def scanning_normalize_library(match_pkg, known_prefixes) -> str:
+    """Reference for `normalize_library`: scan every known prefix and keep
+    the longest one that equals the package or contains it at a segment
+    boundary; with none, truncate to the first four segments."""
+    best = None
+    for prefix in known_prefixes:
+        if prefix and (match_pkg == prefix or is_subpackage(match_pkg, prefix)):
+            if best is None or len(prefix) > len(best):
+                best = prefix
+    if best is not None:
+        return render_package(best)
+    return render_package(match_pkg[:_NORMALIZE_DEPTH])
+
+
+def test_normalize_lookup_matches_scanning_reference():
+    rng = random.Random(17)
+    segments = ["com", "google", "crypto", "tink", "integration", "android",
+                "a", "sdk"]
+    nested = [parse_package("com.google.crypto.tink"),
+              parse_package("com.google.crypto.tink.integration.android")]
+    shipped = list(load_known_prefixes(default_known_prefixes_path()))
+    for _ in range(400):
+        drawn = [tuple(rng.choice(segments) for _ in range(rng.randint(1, 5)))
+                 for _ in range(rng.randint(0, 6))]
+        known = (nested + drawn + rng.sample(shipped, 3)
+                 + [()] * rng.randint(0, 1))
+        base = rng.choice([(), rng.choice(known), rng.choice(shipped)])
+        for pkg in (base,
+                    base + tuple(rng.choice(segments)
+                                 for _ in range(rng.randint(1, 6))),
+                    tuple(rng.choice(segments)
+                          for _ in range(rng.randint(0, 7)))):
+            want = scanning_normalize_library(pkg, known)
+            assert normalize_library(pkg, known) == want, pkg
+            assert normalize_library(pkg, frozenset(known)) == want, pkg
+
+
 def test_render_and_parse_inverse():
     for name in ("com.a.b", "x", ""):
         assert render_package(parse_package(name)) == name

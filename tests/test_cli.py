@@ -232,6 +232,15 @@ def test_stats_explicit_filter_flags(tmp_path):
 
 
 _ENOENT = os.strerror(errno.ENOENT)
+_SHA0 = synth.sha_for(0)
+
+
+def _json_error(text: str) -> str:
+    try:
+        json.loads(text)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError(f"{text!r} parses")
 
 
 @pytest.mark.parametrize("extra, line", [
@@ -250,13 +259,27 @@ _ENOENT = os.strerror(errno.ENOENT)
      f"cannot read reports {{tmp}}/short.csv: {os.strerror(errno.ENOTDIR)}"),
     (["--min-downloads", "-1"],
      "invalid option: min_downloads must be non-negative"),
+    (["--corpus", "{tmp}/dup.csv"],
+     f"cannot read corpus {{tmp}}/dup.csv: sha256 {_SHA0} is listed twice"),
+    (["--reports", "{tmp}/not_json"],
+     "cannot read report {tmp}/not_json/broken.json: "
+     + _json_error("{not json")),
+    (["--reports", "{tmp}/json_list"],
+     "cannot read report {tmp}/json_list/list.json: not a JSON object"),
 ], ids=["missing-corpus", "short-row-corpus", "missing-exclude-categories",
         "missing-known-prefixes", "missing-reports", "reports-not-a-directory",
-        "negative-min-downloads"])
+        "negative-min-downloads", "duplicate-sha-corpus", "report-not-json",
+        "report-not-an-object"])
 def test_stats_rejects_unusable_argument(tmp_path, capsys, extra, line):
     report_dir = tmp_path / "reports"
-    synth.write_report(report_dir, synth.report_doc(synth.sha_for(0)))
+    synth.write_report(report_dir, synth.report_doc(_SHA0))
     (tmp_path / "short.csv").write_text("abc,def\n")
+    synth.write_corpus_csv(tmp_path / "dup.csv", [
+        (_SHA0, "com.a", "Tools", 20_000, "2021-01-01")] * 2)
+    for name, text in (("not_json/broken.json", "{not json"),
+                       ("json_list/list.json", "[]")):
+        (tmp_path / name).parent.mkdir()
+        (tmp_path / name).write_text(text)
     out_dir = tmp_path / "tables"
     argv = ["stats", "--out", str(out_dir)]
     if "--reports" not in extra:
