@@ -49,10 +49,8 @@ class EntryMeta:
     name: str
     compressed_size: int
     uncompressed_size: int
-    method: str                 # "stored" | "deflated" | "unsupported"
-    method_code: int
+    method_code: int            # ZIP compression method number
     data_offset: int
-    crc32: int
     flags: int
 
 
@@ -61,13 +59,8 @@ class ArchiveIndex:
     """Immutable view of an opened archive; safe to share across readers."""
 
     entries: tuple[EntryMeta, ...]
-    source_size: int
-    warnings: tuple[str, ...] = ()
-    _data: bytes = field(repr=False, default=b"")
-    _by_name: dict = field(repr=False, default_factory=dict)
-
-    def names(self) -> list[str]:
-        return [e.name for e in self.entries]
+    _data: bytes = field(repr=False)
+    _by_name: dict = field(repr=False)
 
     def get(self, name: str) -> EntryMeta | None:
         return self._by_name.get(name)
@@ -90,7 +83,7 @@ def open_archive(data: bytes) -> ArchiveIndex:
     """Build an ArchiveIndex from in-memory archive bytes.
 
     Entries appear in central-directory order. Duplicate names keep the last
-    occurrence (mirrors platform behavior) and leave a warning on the index.
+    occurrence (mirrors platform behavior).
     Raises MalformedArchiveError for anything structurally unsound.
     """
     if not data:
@@ -109,12 +102,11 @@ def open_archive(data: bytes) -> ArchiveIndex:
         raise MalformedArchiveError("central directory overlaps end record")
 
     entries: list[EntryMeta] = []
-    warnings: list[str] = []
     off = cd_offset
     for _ in range(total_entries):
         if off + 46 > eocd_pos:
             raise MalformedArchiveError("truncated central directory")
-        (sig, _ver_made, _ver_need, flags, method, _mtime, _mdate, crc,
+        (sig, _ver_made, _ver_need, flags, method, _mtime, _mdate, _crc,
          csize, usize, name_len, extra_len, comment_len, _disk,
          _iattr, _eattr, local_off) = struct.unpack_from(_CDIR_FMT, data, off)
         if sig != _CDIR_SIG:
@@ -142,32 +134,20 @@ def open_archive(data: bytes) -> ArchiveIndex:
         if data_offset + csize > len(data):
             raise MalformedArchiveError(f"entry data out of bounds: {name!r}")
 
-        if method == _METHOD_STORED:
-            method_name = "stored"
-            if csize != usize:
-                raise MalformedArchiveError(
-                    f"stored entry with mismatched sizes: {name!r}")
-        elif method == _METHOD_DEFLATED:
-            method_name = "deflated"
-        else:
-            method_name = "unsupported"
+        if method == _METHOD_STORED and csize != usize:
+            raise MalformedArchiveError(
+                f"stored entry with mismatched sizes: {name!r}")
 
         entries.append(EntryMeta(
             name=name, compressed_size=csize, uncompressed_size=usize,
-            method=method_name, method_code=method, data_offset=data_offset,
-            crc32=crc, flags=flags))
+            method_code=method, data_offset=data_offset, flags=flags))
         off = name_end + extra_len + comment_len
 
-    by_name: dict[str, EntryMeta] = {}
-    for entry in entries:
-        if entry.name in by_name:
-            warnings.append(f"duplicate entry name kept last occurrence: {entry.name!r}")
-        by_name[entry.name] = entry
+    by_name = {entry.name: entry for entry in entries}
     # Keep only the surviving occurrence per name, in directory order.
     deduped = tuple(e for e in entries if by_name[e.name] is e)
 
-    return ArchiveIndex(entries=deduped, source_size=len(data),
-                        warnings=tuple(warnings), _data=data, _by_name=by_name)
+    return ArchiveIndex(entries=deduped, _data=data, _by_name=by_name)
 
 
 def read_entry(index: ArchiveIndex, name: str,
@@ -190,9 +170,9 @@ def read_entry(index: ArchiveIndex, name: str,
             f"over the {MAX_ENTRY_SIZE}-byte limit")
     raw = index._data[meta.data_offset:meta.data_offset + meta.compressed_size]
 
-    if meta.method == "stored":
+    if meta.method_code == _METHOD_STORED:
         return bytes(raw)
-    if meta.method != "deflated":
+    if meta.method_code != _METHOD_DEFLATED:
         raise DecompressionError(
             f"unsupported compression method {meta.method_code} for {name!r}")
 

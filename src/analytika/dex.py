@@ -12,7 +12,9 @@ instruction straight onto the unit's columns. Invokes are kept as three
 parallel index columns (calling class_def, method-pool entry, byte offset),
 so detectors resolve each method-pool entry once and select invokes by
 index; the full method pool also serves package-reference matching, which
-needs methods that are referenced without being invoked.
+needs methods that are referenced without being invoked. The string, type
+and proto pools are decoded and checked, but the unit keeps only the method
+pool, the class names and the invoke columns.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ SUPPORTED_VERSIONS = (b"035", b"037", b"038", b"039")
 
 _ENDIAN_CONSTANT = 0x12345678
 
-# Instruction widths in 16-bit code units, one slot per opcode; 0 marks
-# opcodes with no defined format. Derived from the Dalvik format ids
-# (10x -> 1, 22c -> 2, 35c -> 3, 45cc -> 4, 51l -> 5, ...).
+# Instruction widths in 16-bit code units for consecutive opcode ranges
+# covering 0x00-0xFF; 0 marks opcodes with no defined format. Derived from
+# the Dalvik format ids (10x -> 1, 22c -> 2, 35c -> 3, 45cc -> 4, 51l -> 5, ...).
 _WIDTH_RANGES = (
     (0x00, 0x00, 1), (0x01, 0x01, 1), (0x02, 0x02, 2), (0x03, 0x03, 3),
     (0x04, 0x04, 1), (0x05, 0x05, 2), (0x06, 0x06, 3), (0x07, 0x07, 1),
@@ -46,17 +48,10 @@ _WIDTH_RANGES = (
     (0xFE, 0xFF, 2),
 )
 
-INSTRUCTION_WIDTHS = [0] * 256
-for _lo, _hi, _w in _WIDTH_RANGES:
-    for _op in range(_lo, _hi + 1):
-        INSTRUCTION_WIDTHS[_op] = _w
-
-INVOKE_OPCODES = frozenset(range(0x6E, 0x73)) | frozenset(range(0x74, 0x79))
-
-# The same two facts as byte tables, for the per-instruction lookup; the
-# widths are doubled into byte steps.
-_STEPS = bytes(2 * w for w in INSTRUCTION_WIDTHS)
-_IS_INVOKE = bytes(op in INVOKE_OPCODES for op in range(256))
+# One byte per opcode, for the per-instruction lookup: the step in bytes,
+# and whether the opcode is an invoke (invoke-kind and invoke-kind/range).
+_STEPS = bytes(2 * w for lo, hi, w in _WIDTH_RANGES for _ in range(lo, hi + 1))
+_IS_INVOKE = bytes(0x6E <= op <= 0x78 and op != 0x73 for op in range(256))
 
 _U32 = struct.Struct("<I")
 
@@ -64,28 +59,6 @@ _PRIMITIVES = {
     "V": "void", "Z": "boolean", "B": "byte", "S": "short", "C": "char",
     "I": "int", "J": "long", "F": "float", "D": "double",
 }
-
-
-@dataclass(frozen=True)
-class DexHeader:
-    version: str
-    file_size: int
-    header_size: int
-    map_off: int
-    string_ids_size: int
-    string_ids_off: int
-    type_ids_size: int
-    type_ids_off: int
-    proto_ids_size: int
-    proto_ids_off: int
-    field_ids_size: int
-    field_ids_off: int
-    method_ids_size: int
-    method_ids_off: int
-    class_defs_size: int
-    class_defs_off: int
-    data_size: int
-    data_off: int
 
 
 class MethodRef(NamedTuple):
@@ -102,12 +75,11 @@ class MethodRef(NamedTuple):
 
 @dataclass(frozen=True)
 class DexUnit:
-    """Parsed pools plus every invoke as parallel columns, in parse order."""
+    """The method pool, the class names and every invoke as parallel
+    columns, in parse order."""
 
-    header: DexHeader
-    strings: tuple[str, ...]
-    types: tuple[str, ...]
     methods: tuple[MethodRef, ...]
+    method_ids_off: int             # file offset of the method pool
     class_names: tuple[str, ...]    # one per class_def, data or not
     invoke_callers: array           # class_def index into class_names
     invoke_methods: array           # method-pool index into methods
@@ -202,7 +174,10 @@ def _read_type_list(data: bytes, off: int, limit: int,
     return tuple(types[i] for i in indices)
 
 
-def _parse_header(data: bytes) -> DexHeader:
+def _parse_header(data: bytes) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Check the header; return the declared file size and the (size,
+    offset) of the string, type, proto, field, method and class_def id
+    pools, each checked to lie inside the file."""
     if len(data) < 0x70:
         raise MalformedDexError("input shorter than a header")
     if data[0:4] != b"dex\n" or data[7] != 0:
@@ -210,40 +185,22 @@ def _parse_header(data: bytes) -> DexHeader:
     version = data[4:7]
     if version not in SUPPORTED_VERSIONS:
         raise MalformedDexError(f"unsupported version {version!r}")
-    fields = struct.unpack_from("<20I", data, 32)
-    (file_size, header_size, endian_tag, _link_size, _link_off, map_off,
-     string_ids_size, string_ids_off, type_ids_size, type_ids_off,
-     proto_ids_size, proto_ids_off, field_ids_size, field_ids_off,
-     method_ids_size, method_ids_off, class_defs_size, class_defs_off,
-     data_size, data_off) = fields
+    (file_size, header_size, endian_tag, _link_size, _link_off,
+     map_off) = struct.unpack_from("<6I", data, 32)
+    sizes_and_offsets = struct.unpack_from("<12I", data, 56)
+    pools = tuple(zip(sizes_and_offsets[::2], sizes_and_offsets[1::2]))
     if endian_tag != _ENDIAN_CONSTANT:
         raise MalformedDexError(f"unsupported endian tag {endian_tag:#x}")
     if file_size > len(data) or file_size < 0x70:
         raise MalformedDexError("declared file size out of bounds")
     if header_size < 0x70 or header_size > file_size:
         raise MalformedDexError("bad header size")
-    header = DexHeader(
-        version=version.decode("ascii"), file_size=file_size,
-        header_size=header_size, map_off=map_off,
-        string_ids_size=string_ids_size, string_ids_off=string_ids_off,
-        type_ids_size=type_ids_size, type_ids_off=type_ids_off,
-        proto_ids_size=proto_ids_size, proto_ids_off=proto_ids_off,
-        field_ids_size=field_ids_size, field_ids_off=field_ids_off,
-        method_ids_size=method_ids_size, method_ids_off=method_ids_off,
-        class_defs_size=class_defs_size, class_defs_off=class_defs_off,
-        data_size=data_size, data_off=data_off)
-    for size, off, width in (
-            (string_ids_size, string_ids_off, 4),
-            (type_ids_size, type_ids_off, 4),
-            (proto_ids_size, proto_ids_off, 12),
-            (field_ids_size, field_ids_off, 8),
-            (method_ids_size, method_ids_off, 8),
-            (class_defs_size, class_defs_off, 32)):
+    for (size, off), width in zip(pools, (4, 4, 12, 8, 8, 32)):
         if size and (off < header_size or off + size * width > file_size):
             raise MalformedDexError("pool region out of bounds")
     if map_off > file_size:
         raise MalformedDexError("map offset out of bounds")
-    return header
+    return file_size, pools
 
 
 def _walk_insns(data: bytes, insns_off: int, insns_units: int, limit: int,
@@ -293,26 +250,19 @@ def _walk_insns(data: bytes, insns_off: int, insns_units: int, limit: int,
         raise MalformedDexError("instruction walk escaped code region")
 
 
-def _fixed_pool(data: bytes, fmt: str, off: int, count: int,
-                width: int) -> Iterator[tuple[int, ...]]:
-    """Unpack `count` fixed-width pool items; the header bounds the region."""
-    return struct.iter_unpack(fmt, data[off:off + width * count])
+def _fixed_pool(data: bytes, fmt: str,
+                pool: tuple[int, int]) -> Iterator[tuple[int, ...]]:
+    """Unpack the items of a (size, offset) pool; the header check has
+    bounded the region."""
+    size, off = pool
+    return struct.iter_unpack(fmt, data[off:off + struct.calcsize(fmt) * size])
 
 
-def parse_dex(data: bytes, entry_name: str = "classes.dex",
-              cancel_check: Callable[[], None] | None = None) -> DexUnit:
-    """Parse one DEX file into pools plus the invoke columns.
-
-    `cancel_check` runs once per class definition so oversized inputs can be
-    abandoned cooperatively. Raises MalformedDexError on any structural
-    problem; never reads outside the input buffer.
-    """
-    header = _parse_header(data)
-    limit = header.file_size
-
+def _read_strings(data: bytes, string_ids: tuple[int, int],
+                  limit: int) -> list[str]:
+    """Decode every entry of the string pool, in pool order."""
     strings: list[str] = []
-    for (data_off,) in _fixed_pool(data, "<I", header.string_ids_off,
-                                   header.string_ids_size, 4):
+    for (data_off,) in _fixed_pool(data, "<I", string_ids):
         if data_off >= limit:
             raise MalformedDexError("string data offset out of bounds")
         _utf16_len, pos = _read_uleb128(data, data_off, limit)
@@ -326,17 +276,32 @@ def parse_dex(data: bytes, entry_name: str = "classes.dex",
                 continue
         text, _ = decode_mutf8(data, pos, limit)
         strings.append(text)
+    return strings
+
+
+def parse_dex(data: bytes, entry_name: str = "classes.dex",
+              cancel_check: Callable[[], None] | None = None) -> DexUnit:
+    """Parse one DEX file into its method pool plus the invoke columns.
+
+    Every pool is decoded and checked, but only what the unit holds
+    outlives the call. `cancel_check` runs once per class definition so
+    oversized inputs can be abandoned cooperatively. Raises
+    MalformedDexError on any structural problem; never reads outside the
+    input buffer.
+    """
+    limit, (string_ids, type_ids, proto_ids, _field_ids, method_ids,
+            class_defs) = _parse_header(data)
+    strings = _read_strings(data, string_ids, limit)
 
     types: list[str] = []
-    for (desc_idx,) in _fixed_pool(data, "<I", header.type_ids_off,
-                                   header.type_ids_size, 4):
+    for (desc_idx,) in _fixed_pool(data, "<I", type_ids):
         if desc_idx >= len(strings):
             raise MalformedDexError("type descriptor index out of bounds")
         types.append(descriptor_to_dotted(strings[desc_idx]))
 
     protos: list[tuple[str, tuple[str, ...]]] = []
     for shorty_idx, return_idx, parameters_off in _fixed_pool(
-            data, "<3I", header.proto_ids_off, header.proto_ids_size, 12):
+            data, "<3I", proto_ids):
         if shorty_idx >= len(strings) or return_idx >= len(types):
             raise MalformedDexError("proto indices out of bounds")
         protos.append((types[return_idx],
@@ -345,8 +310,8 @@ def parse_dex(data: bytes, entry_name: str = "classes.dex",
     # tuple.__new__ skips the named tuple's Python-level constructor.
     new_ref = tuple.__new__
     methods: list[MethodRef] = []
-    for class_idx, proto_idx, name_idx in _fixed_pool(
-            data, "<2HI", header.method_ids_off, header.method_ids_size, 8):
+    for class_idx, proto_idx, name_idx in _fixed_pool(data, "<2HI",
+                                                      method_ids):
         if class_idx >= len(types) or proto_idx >= len(protos) \
                 or name_idx >= len(strings):
             raise MalformedDexError("method indices out of bounds")
@@ -357,9 +322,8 @@ def parse_dex(data: bytes, entry_name: str = "classes.dex",
         array("I"), array("I"), array("I"))
     class_names: list[str] = []
     # class_idx and class_data_off of each 32-byte class_def_item
-    class_defs = _fixed_pool(data, "<I20xI4x", header.class_defs_off,
-                             header.class_defs_size, 32)
-    for i, (class_idx, class_data_off) in enumerate(class_defs):
+    for i, (class_idx, class_data_off) in enumerate(
+            _fixed_pool(data, "<I20xI4x", class_defs)):
         if cancel_check is not None:
             cancel_check()
         if class_idx >= len(types):
@@ -374,8 +338,8 @@ def parse_dex(data: bytes, entry_name: str = "classes.dex",
                          invoke_offsets, invoke_methods)
         invoke_callers.extend([i] * (len(invoke_methods) - before))
 
-    return DexUnit(header=header, strings=tuple(strings), types=tuple(types),
-                   methods=tuple(methods), class_names=tuple(class_names),
+    return DexUnit(methods=tuple(methods), method_ids_off=method_ids[1],
+                   class_names=tuple(class_names),
                    invoke_callers=invoke_callers,
                    invoke_methods=invoke_methods,
                    invoke_offsets=invoke_offsets, entry_name=entry_name)

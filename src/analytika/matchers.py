@@ -228,7 +228,7 @@ def _emit_records(unit: DexUnit, hits: list[list[str]],
              if hits[method_idx]]
     if uninvoked:
         invoked = {method_idx for _, method_idx, _ in sites}
-        sites += [("", i, unit.header.method_ids_off + 8 * i)
+        sites += [("", i, unit.method_ids_off + 8 * i)
                   for i, detectors in enumerate(hits)
                   if detectors and i not in invoked]
     records = [MatchRecord(detector_id=detector,

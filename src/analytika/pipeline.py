@@ -137,7 +137,7 @@ def analyze_apk(data: bytes, entry: CorpusEntry, config: AnalysisConfig,
         digest = sha256_digest(data)
     try:
         if entry.sha256 and digest != entry.sha256.lower():
-            raise AnalytikaError(
+            raise HashMismatchError(
                 f"hash mismatch: expected {entry.sha256}, computed {digest}")
         deadline.check()
 
@@ -268,8 +268,8 @@ def run_corpus(entries, config: AnalysisConfig) -> RunSummary:
         existing = report_path(out_dir, entry.sha256)
         if not config.force and existing.exists():
             try:
-                doc = read_report_document(existing)
-                done = doc.get("meta", {}).get("status") == STATUS_OK
+                meta = read_report_document(existing).get("meta")
+                done = isinstance(meta, dict) and meta.get("status") == STATUS_OK
             except (OSError, ValueError):
                 done = False
             if done:

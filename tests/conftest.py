@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import random
 import zipfile
+from collections import Counter
 from typing import NamedTuple
 
 import pytest
@@ -74,6 +75,19 @@ def invokes(unit) -> list[Invoke]:
     return [Invoke(unit.class_names[caller], unit.methods[method_idx], offset)
             for caller, method_idx, offset in zip(
                 unit.invoke_callers, unit.invoke_methods, unit.invoke_offsets)]
+
+
+def invocation_multiset(unit) -> Counter:
+    """(caller, target class, target method) of each invoke, counted."""
+    return Counter((inv.caller_class, inv.target.defining_class,
+                    inv.target.method_name) for inv in invokes(unit))
+
+
+def plan_multiset(plan) -> Counter:
+    """(caller, target class, target method) of each planned call, counted."""
+    return Counter((caller, cls, method)
+                   for caller, targets in plan
+                   for cls, method in targets)
 
 
 def make_apk(entries: dict[str, bytes], stored: tuple[str, ...] = ()) -> bytes:

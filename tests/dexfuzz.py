@@ -70,7 +70,7 @@ def class_data_flip_cases() -> list[bytes]:
     """One to three bytes changed inside the code and class_data items of a
     multi-class fixture (everything from the first code item to the map)."""
     base = _multi_class_fixture()
-    map_off = parse_dex(base).header.map_off
+    map_off = struct.unpack_from("<I", base, 52)[0]
     items = struct.unpack_from("<I", base, map_off)[0]
     first_code = next(off for kind, _, _, off in struct.iter_unpack(
         "<2H2I", base[map_off + 4:map_off + 4 + 12 * items])
@@ -87,18 +87,15 @@ def class_data_flip_cases() -> list[bytes]:
 
 
 def outcome(data: bytes) -> str:
-    """`unit <digest>` of everything the parse produced, or `error <message>`."""
+    """`unit <digest>` of every field of the parsed unit, in field order,
+    or `error <message>`."""
     try:
         unit = parse_dex(data)
     except MalformedDexError as exc:
         return f"error {exc}"
-    facts = [dataclasses.astuple(unit.header), unit.strings, unit.types,
-             [[m.defining_class, m.method_name, m.return_type,
-               list(m.parameters)] for m in unit.methods],
-             unit.class_names, list(unit.invoke_callers),
-             list(unit.invoke_methods), list(unit.invoke_offsets),
-             unit.entry_name]
-    blob = json.dumps(facts, separators=(",", ":")).encode("utf-8")
+    values = [getattr(unit, f.name) for f in dataclasses.fields(unit)]
+    blob = json.dumps(values, separators=(",", ":"),
+                      default=list).encode("utf-8")     # arrays as lists
     return "unit " + hashlib.sha256(blob).hexdigest()[:16]
 
 

@@ -82,21 +82,27 @@ def _uleb(buf, pos):
         shift += 7
 
 
-def list_invokes(data: bytes) -> list[tuple[str, str, str]]:
-    """Return (caller descriptor, target class descriptor, method name)
-    triples for every invoke instruction in the file."""
+def list_strings(data: bytes) -> list[str]:
+    """Every string of the file's string pool, in pool order."""
     if data[:4] != b"dex\n":
         raise ValueError("not a dex file")
-    hdr = struct.unpack_from("<20I", data, 32)
-    (_, _, _, _, _, _,
-     str_n, str_off, type_n, type_off, proto_n, proto_off,
-     _f_n, _f_off, meth_n, meth_off, cls_n, cls_off, _, _) = hdr
-
+    str_n, str_off = struct.unpack_from("<2I", data, 56)
     strings = []
     for i in range(str_n):
         off = struct.unpack_from("<I", data, str_off + 4 * i)[0]
         _, pos = _uleb(data, off)
         strings.append(_mutf8(data, pos))
+    return strings
+
+
+def list_invokes(data: bytes) -> list[tuple[str, str, str]]:
+    """Return (caller descriptor, target class descriptor, method name)
+    triples for every invoke instruction in the file."""
+    strings = list_strings(data)
+    hdr = struct.unpack_from("<20I", data, 32)
+    (_, _, _, _, _, _,
+     _str_n, _str_off, type_n, type_off, _proto_n, _proto_off,
+     _f_n, _f_off, meth_n, meth_off, cls_n, cls_off, _, _) = hdr
 
     type_descs = [strings[struct.unpack_from("<I", data, type_off + 4 * i)[0]]
                   for i in range(type_n)]

@@ -58,8 +58,10 @@ from conftest import (
     PLANTED_EXPECTED,
     PLANTED_PLAN,
     UNREFERENCED_PATTERN_STRING,
+    invocation_multiset,
     invokes,
     make_fixture_apk,
+    plan_multiset,
     random_plan,
 )
 from dexbuild import build_fixture_dex
@@ -76,17 +78,6 @@ def criterion(number: int, title: str):
     print(f"\n[ACCEPTANCE {number:02d}] {title}: PASS")
 
 
-def _invocation_multiset(unit):
-    return Counter((inv.caller_class, inv.target.defining_class,
-                    inv.target.method_name) for inv in invokes(unit))
-
-
-def _plan_multiset(plan):
-    return Counter((caller, cls, method)
-                   for caller, targets in plan
-                   for cls, method in targets)
-
-
 def test_ac01_dex_round_trip_property():
     with criterion(1, "DEX round-trip over 500 random fixture plans"):
         rng = random.Random(0xDEC0DE)
@@ -94,7 +85,7 @@ def test_ac01_dex_round_trip_property():
         for _ in range(500):
             plan = random_plan(rng, max_classes=50, max_targets=10)
             unit = parse_dex(build_fixture_dex(plan))
-            assert _invocation_multiset(unit) == _plan_multiset(plan)
+            assert invocation_multiset(unit) == plan_multiset(plan)
         elapsed = time.perf_counter() - started
         assert elapsed < 60.0, f"property suite took {elapsed:.1f}s"
 
@@ -133,9 +124,10 @@ def test_ac02_disassembler_oracle_parity(smoke_corpus):
 def test_ac03_planted_detection_and_false_positive_rule():
     with criterion(3, "planted fixture yields exactly the expected detections"):
         patterns = load_patterns()
-        unit = parse_dex(build_fixture_dex(
-            PLANTED_PLAN, extra_strings=(UNREFERENCED_PATTERN_STRING,)))
-        assert UNREFERENCED_PATTERN_STRING in unit.strings
+        data = build_fixture_dex(
+            PLANTED_PLAN, extra_strings=(UNREFERENCED_PATTERN_STRING,))
+        assert UNREFERENCED_PATTERN_STRING.encode() in data
+        unit = parse_dex(data)
         records = match_tee_apis(unit, patterns.tee_sets)
         assert len(records) == 6
         assert {(r.detector_id, r.target_class, r.target_method)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from datetime import date
 
@@ -19,7 +20,7 @@ from analytika.aggregate import (
 )
 from analytika.attribution import load_known_prefixes
 from analytika.defaults import default_known_prefixes_path
-from analytika.errors import DuplicateSha256Error
+from analytika.errors import DuplicateSha256Error, MalformedReportError
 
 import synth
 from synth import make_match, report_doc, sha_for, write_corpus_csv, write_report
@@ -70,6 +71,45 @@ def test_duplicate_sha_in_csv(tmp_path):
             (sha_for(1), "com.a", "Tools", 20_000, "2021-01-01")]
     with pytest.raises(DuplicateSha256Error):
         _corpus(tmp_path, docs, rows)
+
+
+def _broken(doc, *path_and_value):
+    """`doc` with the value at the key path replaced; None deletes it."""
+    *keys, last, value = path_and_value
+    target = doc
+    for key in keys:
+        target = target[key]
+    if value is None:
+        del target[last]
+    else:
+        target[last] = value
+    return doc
+
+
+@pytest.mark.parametrize("change, field", [
+    (("meta", []), "meta"),
+    (("meta", "sha256", 7), "meta.sha256"),
+    (("meta", "status", "done"), "meta.status"),
+    (("matches", {}), "matches"),
+    (("matches", 0, "x"), "matches[0].detector"),
+    (("matches", 0, "detector", None), "matches[0].detector"),
+    (("matches", 0, "location", ["inlib"]), "matches[0].location"),
+    (("matches", 0, "package", 5), "matches[0].package"),
+    (("crypto_libs", "bouncycastle"), "crypto_libs"),
+    (("crypto_libs", [["bouncycastle"]]), "crypto_libs"),
+    (("native_libs", 0, "library", 3), "native_libs[0].library"),
+], ids=["meta-list", "sha-int", "status-unknown", "matches-object",
+        "match-not-object", "detector-missing", "location-list", "package-int",
+        "crypto-string", "crypto-nested", "native-library-int"])
+def test_malformed_report_field_names_file_and_field(tmp_path, change, field):
+    doc = report_doc(sha_for(1), matches=[make_match("drm")],
+                     crypto=("bouncycastle",), native=("openssl",))
+    path = tmp_path / "reports" / f"{sha_for(1)}.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps(_broken(doc, *change)), encoding="utf-8")
+    with pytest.raises(MalformedReportError) as info:
+        load_corpus(tmp_path / "reports")
+    assert str(info.value).startswith(f"{path}: field {field} is not ")
 
 
 def _meta_corpus(tmp_path, triples):

@@ -243,6 +243,19 @@ def _json_error(text: str) -> str:
     raise AssertionError(f"{text!r} parses")
 
 
+def _report_with_match(**fields) -> str:
+    """An ok report holding one library-located drm match with `fields`
+    replaced; a field given as None is left out."""
+    doc = synth.report_doc(_SHA0, matches=[synth.make_match("drm")])
+    match = doc["matches"][0]
+    for key, value in fields.items():
+        if value is None:
+            del match[key]
+        else:
+            match[key] = value
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("extra, line", [
     (["--corpus", "{tmp}/nope.csv"],
      f"cannot read corpus {{tmp}}/nope.csv: {_ENOENT}"),
@@ -266,10 +279,20 @@ def _json_error(text: str) -> str:
      + _json_error("{not json")),
     (["--reports", "{tmp}/json_list"],
      "cannot read report {tmp}/json_list/list.json: not a JSON object"),
+    (["--reports", "{tmp}/meta_list"],
+     "cannot read report {tmp}/meta_list/list.json: "
+     "field meta is not an object"),
+    (["--reports", "{tmp}/no_detector"],
+     f"cannot read report {{tmp}}/no_detector/{_SHA0}.json: "
+     "field matches[0].detector is not a string"),
+    (["--reports", "{tmp}/int_package"],
+     f"cannot read report {{tmp}}/int_package/{_SHA0}.json: "
+     "field matches[0].package is not a string"),
 ], ids=["missing-corpus", "short-row-corpus", "missing-exclude-categories",
         "missing-known-prefixes", "missing-reports", "reports-not-a-directory",
         "negative-min-downloads", "duplicate-sha-corpus", "report-not-json",
-        "report-not-an-object"])
+        "report-not-an-object", "report-meta-not-an-object",
+        "report-match-without-detector", "report-package-not-a-string"])
 def test_stats_rejects_unusable_argument(tmp_path, capsys, extra, line):
     report_dir = tmp_path / "reports"
     synth.write_report(report_dir, synth.report_doc(_SHA0))
@@ -277,7 +300,12 @@ def test_stats_rejects_unusable_argument(tmp_path, capsys, extra, line):
     synth.write_corpus_csv(tmp_path / "dup.csv", [
         (_SHA0, "com.a", "Tools", 20_000, "2021-01-01")] * 2)
     for name, text in (("not_json/broken.json", "{not json"),
-                       ("json_list/list.json", "[]")):
+                       ("json_list/list.json", "[]"),
+                       ("meta_list/list.json", '{"meta": []}'),
+                       (f"no_detector/{_SHA0}.json",
+                        _report_with_match(detector=None)),
+                       (f"int_package/{_SHA0}.json",
+                        _report_with_match(package=5))):
         (tmp_path / name).parent.mkdir()
         (tmp_path / name).write_text(text)
     out_dir = tmp_path / "tables"

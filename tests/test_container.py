@@ -30,9 +30,9 @@ from conftest import make_apk, make_fixture_apk
 def test_single_stored_entry_round_trip():
     data = make_apk({"a.txt": b"hello world"}, stored=("a.txt",))
     index = open_archive(data)
-    assert index.names() == ["a.txt"]
+    assert [e.name for e in index.entries] == ["a.txt"]
     meta = index.entries[0]
-    assert meta.method == "stored"
+    assert meta.method_code == zipfile.ZIP_STORED
     assert meta.compressed_size == meta.uncompressed_size
     assert read_entry(index, "a.txt") == b"hello world"
 
@@ -48,8 +48,9 @@ def test_fixture_apk_entry_list_matches_independent_lister():
         native_libs=("lib/arm64-v8a/libcrypto.so",))
     index = open_archive(apk)
     expected = zipfile.ZipFile(io.BytesIO(apk)).namelist()
-    assert sorted(index.names()) == sorted(expected)
-    assert set(index.names()) == {
+    names = [e.name for e in index.entries]
+    assert sorted(names) == sorted(expected)
+    assert set(names) == {
         "AndroidManifest.xml", "classes.dex", "classes2.dex",
         "lib/arm64-v8a/libcrypto.so"}
 
@@ -113,7 +114,7 @@ def test_truncation_fuzz_never_crashes():
             pass
 
 
-def test_duplicate_entry_keeps_last_and_warns():
+def test_duplicate_entry_keeps_last():
     buf = io.BytesIO()
     with zipfile.ZipFile(buf, "w") as zf:
         with warnings.catch_warnings():
@@ -121,8 +122,7 @@ def test_duplicate_entry_keeps_last_and_warns():
             zf.writestr("dup.txt", b"first")
             zf.writestr("dup.txt", b"second")
     index = open_archive(buf.getvalue())
-    assert index.names() == ["dup.txt"]
-    assert index.warnings
+    assert [e.name for e in index.entries] == ["dup.txt"]
     assert read_entry(index, "dup.txt") == b"second"
 
 
@@ -131,7 +131,7 @@ def test_unsupported_method_rejected_on_read():
     with zipfile.ZipFile(buf, "w", compression=zipfile.ZIP_BZIP2) as zf:
         zf.writestr("packed.bin", b"q" * 100)
     index = open_archive(buf.getvalue())
-    assert index.entries[0].method == "unsupported"
+    assert index.entries[0].method_code == zipfile.ZIP_BZIP2
     with pytest.raises(DecompressionError):
         read_entry(index, "packed.bin")
 

@@ -4,15 +4,15 @@ import json
 import random
 import struct
 from array import array
-from collections import Counter
 
 import pytest
 
 from analytika.dex import (
-    INSTRUCTION_WIDTHS,
-    INVOKE_OPCODES,
+    _IS_INVOKE,
+    _STEPS,
     MethodRef,
     _parse_header,
+    _read_strings,
     _read_uleb128,
     _u32,
     _walk_insns,
@@ -23,30 +23,26 @@ from analytika.dex import (
 from analytika.errors import MalformedDexError
 
 import dexfuzz
-from conftest import CIPHER_INIT_OVERLOADS, invokes, random_plan
+from conftest import (
+    CIPHER_INIT_OVERLOADS,
+    invocation_multiset,
+    invokes,
+    plan_multiset,
+    random_plan,
+)
 from dexbuild import InvalidPlanError, build_fixture_dex, encode_uleb128
-from dexlister import list_invokes
-
-
-def _invocation_multiset(unit):
-    return Counter((inv.caller_class, inv.target.defining_class,
-                    inv.target.method_name) for inv in invokes(unit))
-
-
-def _plan_multiset(plan):
-    return Counter((caller, cls, method)
-                   for caller, targets in plan
-                   for cls, method in targets)
+from dexlister import _FMT, list_invokes
 
 
 def test_single_invocation_round_trip():
     plan = [("com.test.Main", [("android.media.MediaDrm", "<init>")])]
-    unit = parse_dex(build_fixture_dex(plan))
-    assert _invocation_multiset(unit) == _plan_multiset(plan)
+    data = build_fixture_dex(plan)
+    unit = parse_dex(data)
+    assert invocation_multiset(unit) == plan_multiset(plan)
     inv = invokes(unit)[0]
     assert inv.caller_class == "com.test.Main"
     assert unit.entry_name == "classes.dex"
-    assert 0 < inv.code_offset < unit.header.file_size
+    assert 0 < inv.code_offset < len(data)
 
 
 def test_empty_plan_parses_to_nothing():
@@ -77,7 +73,7 @@ def test_unsupported_version_rejected():
 def test_duplicate_targets_yield_duplicate_invocations():
     plan = [("com.a.B", [("x.y.Z", "go"), ("x.y.Z", "go")])]
     unit = parse_dex(build_fixture_dex(plan))
-    assert _invocation_multiset(unit) == _plan_multiset(plan)
+    assert invocation_multiset(unit) == plan_multiset(plan)
 
 
 def test_round_trip_property_seeded():
@@ -85,16 +81,19 @@ def test_round_trip_property_seeded():
     for _ in range(120):
         plan = random_plan(rng, max_classes=12, max_targets=6)
         unit = parse_dex(build_fixture_dex(plan))
-        assert _invocation_multiset(unit) == _plan_multiset(plan)
+        assert invocation_multiset(unit) == plan_multiset(plan)
 
 
 def test_pool_sizes_agree_with_header():
     plan = random_plan(random.Random(5), max_classes=20, max_targets=8)
-    unit = parse_dex(build_fixture_dex(plan))
-    assert len(unit.strings) == unit.header.string_ids_size
-    assert len(unit.types) == unit.header.type_ids_size
-    assert len(unit.methods) == unit.header.method_ids_size
-    assert len(unit.class_names) == unit.header.class_defs_size
+    data = build_fixture_dex(plan)
+    unit = parse_dex(data)
+    limit, (string_ids, _types, _protos, _fields, method_ids,
+            class_defs) = _parse_header(data)
+    assert len(_read_strings(data, string_ids, limit)) == string_ids[0]
+    assert len(unit.methods) == method_ids[0]
+    assert unit.method_ids_off == method_ids[1]
+    assert len(unit.class_names) == class_defs[0]
 
 
 def test_method_pool_exposes_uninvoked_references():
@@ -139,10 +138,11 @@ def test_method_ref_is_a_plain_tuple():
 
 def _patch_type_lists(data: bytearray, patch) -> int:
     """Apply patch(data, parameters_off) to every proto with parameters."""
-    header = parse_dex(bytes(data)).header
+    _limit, (_strings, _types, (proto_count, protos_off), *_) = (
+        _parse_header(bytes(data)))
     patched = 0
-    for i in range(header.proto_ids_size):
-        slot = header.proto_ids_off + 12 * i + 8
+    for i in range(proto_count):
+        slot = protos_off + 12 * i + 8
         parameters_off = struct.unpack_from("<I", data, slot)[0]
         if parameters_off:
             patch(data, slot, parameters_off)
@@ -167,10 +167,11 @@ def test_bad_type_list_is_malformed(patch):
 
 def test_extra_strings_planted_but_inert():
     planted = "Landroid/security/keystore/KeyProperties;"
-    unit = parse_dex(build_fixture_dex(
-        [("com.a.B", [("x.y.Z", "go")])], extra_strings=[planted]))
-    assert planted in unit.strings
-    assert "android.security.keystore.KeyProperties" not in unit.types
+    data = build_fixture_dex([("com.a.B", [("x.y.Z", "go")])],
+                             extra_strings=[planted])
+    assert planted.encode() in data
+    unit = parse_dex(data)
+    assert "android.security.keystore.KeyProperties" not in unit.class_names
     assert all(m.defining_class != "android.security.keystore.KeyProperties"
                for m in unit.methods)
 
@@ -183,10 +184,10 @@ MIXED_STRINGS = ("plain ascii", "nul\x00inside", "caf\u00e9", "\u20ac sign",
 
 def _string_data(data: bytes) -> list[tuple[int, int]]:
     """(string_ids slot, string body offset) for each string pool entry."""
-    header = parse_dex(data).header
+    _limit, ((string_count, strings_off), *_) = _parse_header(data)
     out = []
-    for i in range(header.string_ids_size):
-        slot = header.string_ids_off + 4 * i
+    for i in range(string_count):
+        slot = strings_off + 4 * i
         data_off = struct.unpack_from("<I", data, slot)[0]
         out.append((slot, _read_uleb128(data, data_off, len(data))[1]))
     return out
@@ -195,10 +196,11 @@ def _string_data(data: bytes) -> list[tuple[int, int]]:
 def test_string_pool_matches_mutf8_decoder():
     data = build_fixture_dex([("com.a.B", [("x.y.Z", "go")])],
                              extra_strings=MIXED_STRINGS)
-    unit = parse_dex(data)
-    assert list(unit.strings) == [decode_mutf8(data, pos, len(data))[0]
-                                  for _, pos in _string_data(data)]
-    assert set(MIXED_STRINGS) <= set(unit.strings)
+    limit, (string_ids, *_) = _parse_header(data)
+    strings = _read_strings(data, string_ids, limit)
+    assert strings == [decode_mutf8(data, pos, len(data))[0]
+                       for _, pos in _string_data(data)]
+    assert set(MIXED_STRINGS) <= set(strings)
 
 
 def _with_string_body(data: bytes, slot: int, body: bytes) -> bytes:
@@ -333,10 +335,13 @@ def test_walker_rejects_invoke_index_past_region(tail):
 
 
 def test_width_table_shape():
-    assert len(INSTRUCTION_WIDTHS) == 256
-    assert all(op in INVOKE_OPCODES or INSTRUCTION_WIDTHS[op] >= 0
-               for op in range(256))
-    assert all(INSTRUCTION_WIDTHS[op] == 3 for op in INVOKE_OPCODES)
+    # Every step agrees with the independent lister's format table, which
+    # leaves out the opcodes with no defined format.
+    assert list(_STEPS) == [2 * int(_FMT[op][0]) if op in _FMT else 0
+                            for op in range(256)]
+    invoke_opcodes = {op for op in range(256) if _IS_INVOKE[op]}
+    assert invoke_opcodes == set(range(0x6E, 0x73)) | set(range(0x74, 0x79))
+    assert all(_STEPS[op] == 6 for op in invoke_opcodes)
 
 
 def _iter_code_offsets(data: bytes, class_data_off: int, limit: int,
@@ -370,21 +375,20 @@ def _iter_code_offsets(data: bytes, class_data_off: int, limit: int,
 def _oracle_columns(data: bytes):
     """The invoke columns (callers, methods, offsets) from walking each code
     item `_iter_code_offsets` yields, as it is yielded; or the error."""
-    header = _parse_header(data)
-    limit = header.file_size
+    limit, (*_, (method_count, _methods_off),
+            (class_count, class_defs_off)) = _parse_header(data)
     callers, offsets, methods = array("I"), array("I"), array("I")
     try:
-        for i in range(header.class_defs_size):
-            class_data_off = _u32(data, header.class_defs_off + 32 * i + 24,
-                                  limit)
+        for i in range(class_count):
+            class_data_off = _u32(data, class_defs_off + 32 * i + 24, limit)
             if class_data_off == 0:
                 continue
             before = len(methods)
             for code_off in _iter_code_offsets(data, class_data_off, limit,
-                                               header.method_ids_size):
+                                               method_count):
                 _walk_insns(data, code_off + 16, _u32(data, code_off + 12,
                                                       limit),
-                            limit, header.method_ids_size, offsets, methods)
+                            limit, method_count, offsets, methods)
             callers.extend([i] * (len(methods) - before))
     except MalformedDexError as exc:
         return str(exc)
@@ -424,8 +428,8 @@ def _with_class_data(class_data_for, code=()):
         data += bytes(-len(data) % 4)
     class_data_off = len(data)
     data += class_data_for(code_offsets)
-    header = _parse_header(base)
-    struct.pack_into("<I", data, header.class_defs_off + 24, class_data_off)
+    _limit, (*_, (_class_count, class_defs_off)) = _parse_header(base)
+    struct.pack_into("<I", data, class_defs_off + 24, class_data_off)
     struct.pack_into("<I", data, 32, len(data))
     return bytes(data)
 

@@ -5,7 +5,7 @@ import struct
 
 import pytest
 
-from analytika.dex import parse_dex
+from analytika.dex import _parse_header, parse_dex
 from analytika.errors import PatternParseError
 from analytika.matchers import (
     NativeLibPattern,
@@ -25,6 +25,7 @@ from conftest import (
     invokes,
 )
 from dexbuild import build_fixture_dex
+from dexlister import list_strings
 
 
 @pytest.fixture(scope="module")
@@ -117,10 +118,11 @@ def test_planted_fixture_yields_exactly_expected_records(patterns):
 def test_unreferenced_pattern_class_never_matches(patterns):
     # The class name sits in the string pool but is never invoked; a naive
     # string scan would flag it, the invocation matcher must not.
-    unit = parse_dex(build_fixture_dex(
+    data = build_fixture_dex(
         [("com.app.Main", [("java.lang.String", "valueOf")])],
-        extra_strings=("Landroid/media/MediaDrm;",)))
-    assert "Landroid/media/MediaDrm;" in unit.strings
+        extra_strings=("Landroid/media/MediaDrm;",))
+    assert b"Landroid/media/MediaDrm;" in data
+    unit = parse_dex(data)
     records = match_tee_apis(unit, patterns.tee_sets)
     assert records == []
 
@@ -128,16 +130,17 @@ def test_unreferenced_pattern_class_never_matches(patterns):
 def test_string_scan_oracle_agreement(patterns):
     # Detector sets agree with a naive string-pool scan except for classes
     # that are present but never invoked.
-    unit = parse_dex(build_fixture_dex(
-        PLANTED_PLAN, extra_strings=("Landroid/drm/DrmStore;",)))
-    records = match_tee_apis(unit, patterns.tee_sets)
+    data = build_fixture_dex(
+        PLANTED_PLAN, extra_strings=("Landroid/drm/DrmStore;",))
+    records = match_tee_apis(parse_dex(data), patterns.tee_sets)
     matched = {r.detector_id for r in records}
 
+    strings = list_strings(data)
     scanned = set()
     for pattern_set in patterns.tee_sets:
         for cls in pattern_set.class_prefixes:
             descriptor_stem = "L" + cls.replace(".", "/")
-            if any(s.startswith(descriptor_stem) for s in unit.strings):
+            if any(s.startswith(descriptor_stem) for s in strings):
                 scanned.add(pattern_set.detector_id)
     assert matched <= scanned
     # DrmStore is a drm pattern class, but drm is matched via MediaDrm
@@ -188,7 +191,7 @@ def test_uninvoked_crypto_reference_counts_at_app_scope(patterns):
     record = records[0]
     assert record.detector_id == "jasypt"
     assert record.caller_class == ""
-    assert record.code_offset >= unit.header.method_ids_off
+    assert record.code_offset >= unit.method_ids_off
 
 
 def test_native_lib_variants():
@@ -266,8 +269,8 @@ def test_class_def_without_data_keeps_caller_attribution(patterns):
         ("com.app.Empty", [("java.lang.String", "valueOf")]),
         ("com.app.Caller", [("android.media.MediaDrm", "openSession")]),
     ]))
-    header = parse_dex(bytes(data)).header
-    struct.pack_into("<I", data, header.class_defs_off + 24, 0)
+    _limit, (*_, (_class_count, class_defs_off)) = _parse_header(bytes(data))
+    struct.pack_into("<I", data, class_defs_off + 24, 0)
     unit = parse_dex(bytes(data))
     assert unit.class_names == ("com.app.Empty", "com.app.Caller")
     records = match_tee_apis(unit, patterns.tee_sets)
@@ -313,7 +316,7 @@ def _crypto_oracle(unit, sets):
     for i, ref in enumerate(unit.methods):
         if ref not in invoked:
             rows += [(det, ref.defining_class, ref.method_name, "",
-                      unit.header.method_ids_off + 8 * i)
+                      unit.method_ids_off + 8 * i)
                      for det in detectors(ref)]
     return sorted(rows, key=lambda r: (r[4], r[0]))
 

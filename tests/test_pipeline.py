@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import struct
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -11,9 +12,11 @@ import pytest
 
 from analytika.container import MAX_ENTRY_SIZE, sha256_digest
 from analytika.corpus import CorpusEntry, load_corpus_csv
+from analytika import pipeline
 from analytika.errors import HashMismatchError, HttpStatusError
 from analytika.pipeline import (
     AnalysisConfig,
+    _failure_report,
     analyze_apk,
     compare_package_names,
     fetch_by_hash,
@@ -69,9 +72,18 @@ def test_analyze_single_drm_plant(tmp_path):
     assert [m.detector_id for m in report.matches] == ["drm"]
 
 
-def test_hash_mismatch_is_error(tmp_path, fixture_apk_bytes):
+def test_hash_mismatch_is_error(tmp_path, fixture_apk_bytes, monkeypatch):
+    # The failure report is built while the stage's exception is handled.
+    raised = []
+
+    def failure_report(*args):
+        raised.append(sys.exc_info()[0])
+        return _failure_report(*args)
+
+    monkeypatch.setattr(pipeline, "_failure_report", failure_report)
     entry = CorpusEntry(sha256="0" * 64)
     report = analyze_apk(fixture_apk_bytes, entry, _config(tmp_path))
+    assert raised == [HashMismatchError]
     assert report.status == "error"
     assert "hash mismatch" in report.message
     assert report.matches == []
@@ -240,6 +252,16 @@ def test_corpus_run_counts_and_resume(tmp_path, slow_apk):
     summary3 = run_corpus(entries, config_force)
     assert summary3.analyzed == 7
     assert summary3.skipped == 0
+
+
+def test_resume_reanalyzes_malformed_report(tmp_path):
+    entries = _write_corpus(tmp_path, {"app": make_fixture_apk()})
+    out_dir = tmp_path / "reports"
+    out_dir.mkdir()
+    (out_dir / f"{entries[0].sha256}.json").write_text('{"meta": []}')
+    summary = run_corpus(entries, _config(tmp_path))
+    assert summary.as_dict() == {"analyzed": 1, "ok": 1, "timeout": 0,
+                                 "error": 0, "skipped": 0}
 
 
 def test_empty_corpus(tmp_path):
