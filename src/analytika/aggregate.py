@@ -23,31 +23,9 @@ from .attribution import (LOCATION_INLIB, LOCATION_INMAIN, LOCATION_OBFUSCATED,
 from .corpus import load_corpus_csv
 from .errors import DuplicateSha256Error, MalformedReportError
 from .matchers import TEE_DETECTORS, load_patterns
-from .report import (STATUS_ERROR, STATUS_OK, STATUS_TIMEOUT,
-                     read_report_document)
+from .report import STATUS_OK, CorpusRecord, read_record
 
 LOCATIONS = (LOCATION_INMAIN, LOCATION_INLIB, LOCATION_OBFUSCATED)
-_STATUSES = (STATUS_OK, STATUS_TIMEOUT, STATUS_ERROR)
-
-
-@dataclass(slots=True)
-class CorpusRecord:
-    """One report reduced to the per-app facts the tables read.
-
-    Match facts are filled for ok reports only. Packages stay raw because
-    known prefixes are a table argument.
-    """
-
-    sha256: str
-    status: str
-    detectors: frozenset[str] = frozenset()     # TEE detectors hit
-    location_counts: dict[str, int] = field(default_factory=dict)
-    inlib_packages: dict[str, frozenset[str]] = field(default_factory=dict)
-    crypto_libs: frozenset[str] = frozenset()
-    native_libs: frozenset[str] = frozenset()
-    category: str | None = None
-    downloads: int | None = None
-    last_update: date | None = None
 
 
 @dataclass
@@ -76,73 +54,6 @@ class SelectionFilter:
                 and record.category not in self.excluded_categories)
 
 
-def _malformed(path, field: str, expected: str) -> MalformedReportError:
-    return MalformedReportError(f"{path}: field {field} is not {expected}")
-
-
-def _list(path, doc: dict, key: str) -> list:
-    value = doc.get(key, [])
-    if not isinstance(value, list):
-        raise _malformed(path, key, "a list")
-    return value
-
-
-def _reduce(path, doc: dict, meta_by_sha: dict) -> CorpusRecord:
-    """The record of one report; a field the record keeps that has the
-    wrong type raises MalformedReportError naming `path` and the field."""
-    meta = doc.get("meta", {})
-    if not isinstance(meta, dict):
-        raise _malformed(path, "meta", "an object")
-    sha = meta.get("sha256", path.stem)
-    if not isinstance(sha, str):
-        raise _malformed(path, "meta.sha256", "a string")
-    status = meta.get("status", STATUS_ERROR)
-    if status not in _STATUSES:
-        raise _malformed(path, "meta.status", "one of " + ", ".join(_STATUSES))
-    entry = meta_by_sha.get(sha)
-    record = CorpusRecord(
-        sha256=sha, status=status,
-        category=entry.category if entry else None,
-        downloads=entry.downloads if entry else None,
-        last_update=entry.last_update if entry else None)
-    if status != STATUS_OK:
-        return record
-    detectors = set()
-    location_counts: dict[str, int] = {}
-    inlib: dict[str, set[str]] = {}
-    for i, m in enumerate(_list(path, doc, "matches")):
-        detector = m.get("detector") if isinstance(m, dict) else None
-        if not isinstance(detector, str):
-            raise _malformed(path, f"matches[{i}].detector", "a string")
-        if detector not in TEE_DETECTORS:
-            continue
-        detectors.add(detector)
-        location = m.get("location")
-        if not isinstance(location, str):
-            raise _malformed(path, f"matches[{i}].location", "a string")
-        location_counts[location] = location_counts.get(location, 0) + 1
-        if location == LOCATION_INLIB:
-            package = m.get("package")
-            if not isinstance(package, str):
-                raise _malformed(path, f"matches[{i}].package", "a string")
-            inlib.setdefault(detector, set()).add(package)
-    record.detectors = frozenset(detectors)
-    record.location_counts = location_counts
-    record.inlib_packages = {d: frozenset(p) for d, p in inlib.items()}
-    crypto_libs = _list(path, doc, "crypto_libs")
-    if not all(isinstance(lib, str) for lib in crypto_libs):
-        raise _malformed(path, "crypto_libs", "a list of strings")
-    record.crypto_libs = frozenset(crypto_libs)
-    native_libs = []
-    for i, hit in enumerate(_list(path, doc, "native_libs")):
-        library = hit.get("library") if isinstance(hit, dict) else None
-        if not isinstance(library, str):
-            raise _malformed(path, f"native_libs[{i}].library", "a string")
-        native_libs.append(library)
-    record.native_libs = frozenset(native_libs)
-    return record
-
-
 def load_corpus(report_dir, corpus_csv=None) -> Corpus:
     """Join report files with the rows of a corpus CSV (see join_reports)."""
     entries = load_corpus_csv(corpus_csv) if corpus_csv is not None else ()
@@ -168,16 +79,15 @@ def join_reports(report_dir, entries) -> Corpus:
     records = []
     seen = set()
     for path in sorted(report_dir.glob("*.json")):
-        try:
-            doc = read_report_document(path)
-        except (OSError, ValueError) as exc:
-            reason = getattr(exc, "strerror", None) or exc
-            raise MalformedReportError(f"{path}: {reason}") from None
-        record = _reduce(path, doc, meta_by_sha)
+        record = read_record(path)
         if record.sha256 in seen:
             raise MalformedReportError(
                 f"{path}: sha256 {record.sha256} repeats an earlier report")
         seen.add(record.sha256)
+        entry = meta_by_sha.get(record.sha256)
+        if entry is not None:
+            record.category, record.downloads, record.last_update = (
+                entry.category, entry.downloads, entry.last_update)
         records.append(record)
 
     unmatched = sum(1 for sha in meta_by_sha if sha not in seen)

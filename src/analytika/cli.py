@@ -140,6 +140,8 @@ def _cmd_stats(args) -> int:
     # unusable one fails fast and no table is written.
     with _reading(f"reports {args.reports}"):
         os.scandir(args.reports).close()
+    if args.top_n < 1:
+        raise _Unusable("invalid option: top_n must be at least 1")
     selection = None
     if args.filter_defaults:
         selection = aggregate.SelectionFilter()

@@ -74,4 +74,4 @@ class DuplicateSha256Error(AnalytikaError):
 
 
 class MalformedReportError(AnalytikaError):
-    """A report file is not one JSON object or repeats a report's sha256."""
+    """A report `report.read_record` refuses, or one that repeats a sha256."""

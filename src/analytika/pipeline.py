@@ -41,6 +41,7 @@ from .errors import (
     EntryNotFoundError,
     HashMismatchError,
     HttpStatusError,
+    MalformedReportError,
     NetworkError,
 )
 from .manifest import extract_manifest_info, parse_binary_xml
@@ -58,7 +59,7 @@ from .report import (
     STATUS_ERROR,
     STATUS_OK,
     STATUS_TIMEOUT,
-    read_report_document,
+    read_record,
     report_path,
     write_report,
 )
@@ -92,7 +93,7 @@ class AnalysisConfig:
     api_key: str | None = None
 
     def __post_init__(self):
-        if self.timeout_seconds < 1:
+        if not self.timeout_seconds >= 1:      # NaN is refused too
             raise ValueError("timeout_seconds must be at least 1")
         if self.worker_count < 1:
             raise ValueError("worker_count must be at least 1")
@@ -253,7 +254,7 @@ def _load_entry_bytes(entry: CorpusEntry, config: AnalysisConfig) -> bytes:
 def run_corpus(entries, config: AnalysisConfig) -> RunSummary:
     """Analyze a corpus with a worker pool; one report file per app.
 
-    Apps whose report already exists with status ok are skipped unless
+    Apps whose report `read_record` reads as ok are skipped unless
     config.force is set, which makes interrupted runs cheap to resume.
     Every worker holds only immutable shared state (patterns, config); the
     run log is the single append-only shared output besides the reports.
@@ -265,16 +266,13 @@ def run_corpus(entries, config: AnalysisConfig) -> RunSummary:
     summary = RunSummary()
     todo = []
     for entry in entries:
-        existing = report_path(out_dir, entry.sha256)
-        if not config.force and existing.exists():
-            try:
-                meta = read_report_document(existing).get("meta")
-                done = isinstance(meta, dict) and meta.get("status") == STATUS_OK
-            except (OSError, ValueError):
-                done = False
-            if done:
+        try:
+            if not config.force and read_record(
+                    report_path(out_dir, entry.sha256)).status == STATUS_OK:
                 summary.skipped += 1
                 continue
+        except MalformedReportError:
+            pass                # missing, or a report stats would refuse
         todo.append(entry)
 
     log_lock = threading.Lock()

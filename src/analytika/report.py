@@ -3,7 +3,7 @@
 One report file per app, named <sha256>.json. Everything except the
 "timing" section is deterministic for a given input, so two runs can be
 compared byte-for-byte after dropping that one key. The field names below
-are a stable contract for downstream tooling.
+are a stable contract for downstream tooling; `read_record` reads them back.
 """
 
 from __future__ import annotations
@@ -12,13 +12,17 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field
+from datetime import date
 from pathlib import Path
 
+from .attribution import LOCATION_INLIB
+from .errors import MalformedReportError
 from .matchers import MatchRecord, TEE_DETECTORS
 
 STATUS_OK = "ok"
 STATUS_TIMEOUT = "timeout"
 STATUS_ERROR = "error"
+_STATUSES = (STATUS_OK, STATUS_TIMEOUT, STATUS_ERROR)
 
 
 @dataclass
@@ -110,3 +114,88 @@ def read_report_document(path) -> dict:
     if not isinstance(doc, dict):
         raise ValueError("not a JSON object")
     return doc
+
+
+@dataclass(slots=True)
+class CorpusRecord:
+    """One report reduced to the per-app facts the tables read: match facts
+    for ok reports only, packages raw (known prefixes are a table argument),
+    and the corpus metadata as the stats join fills it in."""
+
+    sha256: str
+    status: str
+    detectors: frozenset[str] = frozenset()     # TEE detectors hit
+    location_counts: dict[str, int] = field(default_factory=dict)
+    inlib_packages: dict[str, frozenset[str]] = field(default_factory=dict)
+    crypto_libs: frozenset[str] = frozenset()
+    native_libs: frozenset[str] = frozenset()
+    category: str | None = None
+    downloads: int | None = None
+    last_update: date | None = None
+
+
+def _malformed(path, field: str, expected: str) -> MalformedReportError:
+    return MalformedReportError(f"{path}: field {field} is not {expected}")
+
+
+def _list(path, doc: dict, key: str) -> list:
+    value = doc.get(key, [])
+    if not isinstance(value, list):
+        raise _malformed(path, key, "a list")
+    return value
+
+
+def read_record(path: Path) -> CorpusRecord:
+    """The checked record of one report file. A missing meta or status reads
+    as an error record and a missing list as empty; an unreadable file or a
+    kept field of the wrong type raises MalformedReportError "<path>: ...".
+    """
+    try:
+        doc = read_report_document(path)
+    except (OSError, ValueError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise MalformedReportError(f"{path}: {reason}") from None
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict):
+        raise _malformed(path, "meta", "an object")
+    sha = meta.get("sha256", path.stem)
+    if not isinstance(sha, str):
+        raise _malformed(path, "meta.sha256", "a string")
+    status = meta.get("status", STATUS_ERROR)
+    if status not in _STATUSES:
+        raise _malformed(path, "meta.status", "one of " + ", ".join(_STATUSES))
+    if status != STATUS_OK:
+        return CorpusRecord(sha256=sha, status=status)
+    detectors = set()
+    location_counts: dict[str, int] = {}
+    inlib: dict[str, set[str]] = {}
+    for i, m in enumerate(_list(path, doc, "matches")):
+        detector = m.get("detector") if isinstance(m, dict) else None
+        if not isinstance(detector, str):
+            raise _malformed(path, f"matches[{i}].detector", "a string")
+        if detector not in TEE_DETECTORS:
+            continue
+        detectors.add(detector)
+        location = m.get("location")
+        if not isinstance(location, str):
+            raise _malformed(path, f"matches[{i}].location", "a string")
+        location_counts[location] = location_counts.get(location, 0) + 1
+        if location == LOCATION_INLIB:
+            package = m.get("package")
+            if not isinstance(package, str):
+                raise _malformed(path, f"matches[{i}].package", "a string")
+            inlib.setdefault(detector, set()).add(package)
+    crypto_libs = _list(path, doc, "crypto_libs")
+    if not all(isinstance(lib, str) for lib in crypto_libs):
+        raise _malformed(path, "crypto_libs", "a list of strings")
+    native_libs = []
+    for i, hit in enumerate(_list(path, doc, "native_libs")):
+        library = hit.get("library") if isinstance(hit, dict) else None
+        if not isinstance(library, str):
+            raise _malformed(path, f"native_libs[{i}].library", "a string")
+        native_libs.append(library)
+    return CorpusRecord(
+        sha256=sha, status=status, detectors=frozenset(detectors),
+        location_counts=location_counts,
+        inlib_packages={d: frozenset(p) for d, p in inlib.items()},
+        crypto_libs=frozenset(crypto_libs), native_libs=frozenset(native_libs))

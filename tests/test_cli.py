@@ -12,6 +12,7 @@ import pytest
 import analytika
 from analytika.cli import main
 from analytika.container import sha256_digest
+from analytika.report import deterministic_document
 
 import synth
 from conftest import planted_apk
@@ -77,7 +78,8 @@ def test_analyze_error_exit_code(tmp_path):
 @pytest.mark.parametrize("flag, value, field", [
     ("--workers", "0", "worker_count"),
     ("--timeout", "0.5", "timeout_seconds"),
-], ids=["workers", "timeout"])
+    ("--timeout", "nan", "timeout_seconds"),
+], ids=["workers", "timeout", "timeout-nan"])
 def test_analyze_rejects_out_of_range_option(tmp_path, capsys, flag, value,
                                              field):
     apk_path = tmp_path / "app.apk"
@@ -272,6 +274,8 @@ def _report_with_match(**fields) -> str:
      f"cannot read reports {{tmp}}/short.csv: {os.strerror(errno.ENOTDIR)}"),
     (["--min-downloads", "-1"],
      "invalid option: min_downloads must be non-negative"),
+    (["--top-n", "0"], "invalid option: top_n must be at least 1"),
+    (["--top-n", "-1"], "invalid option: top_n must be at least 1"),
     (["--corpus", "{tmp}/dup.csv"],
      f"cannot read corpus {{tmp}}/dup.csv: sha256 {_SHA0} is listed twice"),
     (["--reports", "{tmp}/not_json"],
@@ -290,7 +294,8 @@ def _report_with_match(**fields) -> str:
      "field matches[0].package is not a string"),
 ], ids=["missing-corpus", "short-row-corpus", "missing-exclude-categories",
         "missing-known-prefixes", "missing-reports", "reports-not-a-directory",
-        "negative-min-downloads", "duplicate-sha-corpus", "report-not-json",
+        "negative-min-downloads", "top-n-zero", "top-n-negative",
+        "duplicate-sha-corpus", "report-not-json",
         "report-not-an-object", "report-meta-not-an-object",
         "report-match-without-detector", "report-package-not-a-string"])
 def test_stats_rejects_unusable_argument(tmp_path, capsys, extra, line):
@@ -342,6 +347,31 @@ def test_stats_leaves_analysis_modules_unloaded(tmp_path):
                    "--out", str(tmp_path / "tables"), "--filter-defaults")
     assert done.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "tables" / "prevalence.csv").exists()
+
+
+def test_analyze_reanalyzes_report_stats_would_refuse(tmp_path):
+    apk_path = tmp_path / "app.apk"
+    apk_path.write_bytes(planted_apk())
+    out_dir = tmp_path / "reports"
+    assert main(["analyze", str(apk_path), "--out", str(out_dir)]) == 0
+    report = out_dir / f"{sha256_digest(apk_path.read_bytes())}.json"
+    clean = json.loads(report.read_text())
+    broken = json.loads(report.read_text())
+    broken["matches"][0]["detector"] = 5
+    report.write_text(json.dumps(broken))
+
+    probe = ("import sys; from analytika.cli import main; "
+             "code = main(sys.argv[1:]); "
+             "print('analytika.aggregate' in sys.modules); sys.exit(code)")
+    done = _python("-c", probe, "analyze", str(apk_path), "--out", str(out_dir))
+    summary, aggregate_loaded = done.stdout.splitlines()[-2:]
+    assert summary.startswith("analyzed=1 ")
+    assert summary.endswith(" skipped=0")
+    assert aggregate_loaded == "False"
+    assert (deterministic_document(json.loads(report.read_text()))
+            == deterministic_document(clean))
+    assert main(["stats", "--reports", str(out_dir),
+                 "--out", str(tmp_path / "tables")]) == 0
 
 
 def test_package_root_imports_no_submodule():
