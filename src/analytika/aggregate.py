@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import statistics
 from collections import Counter
 from dataclasses import dataclass, field
@@ -61,15 +62,13 @@ def load_corpus(report_dir, corpus_csv=None) -> Corpus:
 
 
 def join_reports(report_dir, entries) -> Corpus:
-    """Join report files with corpus metadata entries on sha256.
+    """Join report_dir's *.json files with corpus metadata on sha256.
 
-    Each report is reduced to a CorpusRecord as it is read, so memory grows
-    with the number of apps, not matches. Reports without a metadata row
-    stay in the corpus with null category; metadata rows without a report
-    are counted and otherwise ignored. A repeated entry sha256 raises
-    DuplicateSha256Error before any report is read.
+    Reports are read in name order, each reduced to a CorpusRecord as it is
+    read, so memory grows with apps, not matches. Reports without metadata
+    keep a null category; metadata rows without a report are only counted.
+    A repeated entry sha256 raises DuplicateSha256Error before any read.
     """
-    report_dir = Path(report_dir)
     meta_by_sha: dict[str, object] = {}
     for entry in entries:
         if entry.sha256 in meta_by_sha:
@@ -78,7 +77,9 @@ def join_reports(report_dir, entries) -> Corpus:
 
     records = []
     seen = set()
-    for path in sorted(report_dir.glob("*.json")):
+    prefix = str(Path(report_dir) / "_")[:-1]  # as str(Path(report_dir) / name)
+    for path in sorted(prefix + name for name in os.listdir(report_dir)
+                       if name.endswith(".json")):
         record = read_record(path)
         if record.sha256 in seen:
             raise MalformedReportError(
@@ -90,8 +91,7 @@ def join_reports(report_dir, entries) -> Corpus:
                 entry.category, entry.downloads, entry.last_update)
         records.append(record)
 
-    unmatched = sum(1 for sha in meta_by_sha if sha not in seen)
-    return Corpus(records=records, unmatched_metadata=unmatched)
+    return Corpus(records, unmatched_metadata=len(meta_by_sha.keys() - seen))
 
 
 def apply_filter(corpus: Corpus, selection: SelectionFilter) -> Corpus:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import logging
 import os
 import sys
@@ -20,19 +21,31 @@ class _Unusable(Exception):
 
 
 @contextmanager
-def _reading(subject: str):
-    """Turn a failure to read `subject` into one `_Unusable` line."""
+def _cannot(action: str):
+    """Turn a failure to `action` into one `_Unusable` line."""
     try:
         yield
     except (OSError, ValueError, csv.Error) as exc:
         reason = getattr(exc, "strerror", None) or exc
-        raise _Unusable(f"cannot read {subject}: {reason}") from None
+        raise _Unusable(f"cannot {action}: {reason}") from None
+
+
+def _check_out(path: str) -> None:
+    """Raise the OSError that making `path` a writable directory would meet,
+    creating nothing, so a command refuses it before doing any work."""
+    probe = os.path.abspath(path)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+    if not os.access(probe, os.W_OK | os.X_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
 
 
 def _read_corpus(path) -> list:
     from .corpus import load_corpus_csv
 
-    with _reading(f"corpus {path}"):
+    with _cannot(f"read corpus {path}"):
         return load_corpus_csv(path)
 
 
@@ -114,9 +127,11 @@ def _cmd_analyze(args) -> int:
     except ValueError as exc:
         raise _Unusable(f"invalid option: {exc}") from None
 
+    with _cannot(f"write reports {args.out}"):
+        _check_out(args.out)
     entries = _read_corpus(args.corpus) if args.corpus else []
     for apk_path in args.apk:
-        with _reading(apk_path):
+        with _cannot(f"read {apk_path}"):
             data = Path(apk_path).read_bytes()
         entries.append(CorpusEntry(sha256=sha256_digest(data), source=apk_path))
 
@@ -138,8 +153,10 @@ def _cmd_stats(args) -> int:
 
     # Every argument file is read and checked before the reports, so an
     # unusable one fails fast and no table is written.
-    with _reading(f"reports {args.reports}"):
+    with _cannot(f"read reports {args.reports}"):
         os.scandir(args.reports).close()
+    with _cannot(f"write tables {args.out}"):
+        _check_out(args.out)
     if args.top_n < 1:
         raise _Unusable("invalid option: top_n must be at least 1")
     selection = None
@@ -149,7 +166,7 @@ def _cmd_stats(args) -> int:
           or args.exclude_categories):
         excluded = frozenset()
         if args.exclude_categories:
-            with _reading(f"excluded categories {args.exclude_categories}"):
+            with _cannot(f"read excluded categories {args.exclude_categories}"):
                 excluded = defaults.load_game_categories(
                     args.exclude_categories)
         try:
@@ -161,7 +178,7 @@ def _cmd_stats(args) -> int:
             raise _Unusable(f"invalid option: {exc}") from None
     prefixes_path = (args.known_prefixes
                      or defaults.default_known_prefixes_path())
-    with _reading(f"known prefixes {prefixes_path}"):
+    with _cannot(f"read known prefixes {prefixes_path}"):
         prefixes = load_known_prefixes(prefixes_path)
     entries = _read_corpus(args.corpus) if args.corpus else []
 
@@ -175,7 +192,8 @@ def _cmd_stats(args) -> int:
         corpus = aggregate.apply_filter(corpus, selection)
     stats = aggregate.compute_stats(corpus, top_n=args.top_n,
                                     known_prefixes=prefixes)
-    written = aggregate.write_stats(stats, args.out)
+    with _cannot(f"write tables {args.out}"):
+        written = aggregate.write_stats(stats, args.out)
 
     totals = stats.totals
     print(f"apps: analyzed={totals['analyzed']} ok={totals['ok']} "

@@ -30,7 +30,7 @@ class CorpusEntry:
 
 
 def _is_sha256(text: str) -> bool:
-    return len(text) == 64 and all(c in "0123456789abcdef" for c in text.lower())
+    return len(text) == 64 and not text.lower().strip("0123456789abcdef")
 
 
 def load_corpus_csv(path) -> list[CorpusEntry]:
@@ -45,22 +45,20 @@ def load_corpus_csv(path) -> list[CorpusEntry]:
     entries = []
     with open(path, newline="", encoding="utf-8") as handle:
         for row in csv.reader(handle):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            if row[0].strip().lower() == "sha256":
+            first = row[0].strip().lower() if row else ""
+            if not row or first.startswith("#") or first == "sha256":
                 continue
             if len(row) != 6:
                 raise ValueError(f"{path}: expected 6 columns, got {len(row)}")
             sha, package, category, downloads, last_update, source = \
                 (cell.strip() for cell in row)
-            source_value = source
             if source and source != REMOTE_SOURCE and not os.path.isabs(source):
-                source_value = str(path.parent / source)
+                source = str(path.parent / source)
             entries.append(CorpusEntry(
                 sha256=sha.lower(),
                 expected_package_name=package or None,
                 category=category or None,
                 downloads=int(downloads) if downloads else None,
                 last_update=date.fromisoformat(last_update) if last_update else None,
-                source=source_value))
+                source=source))
     return entries

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from contextlib import suppress
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
@@ -100,17 +101,18 @@ def write_report(report: AppReport, out_dir) -> Path:
             handle.write(payload)
         os.replace(tmp_name, target)
     except BaseException:
-        try:
+        with suppress(OSError):
             os.unlink(tmp_name)
-        except OSError:
-            pass
         raise
     return target
 
 
 def read_report_document(path) -> dict:
-    with open(path, encoding="utf-8") as handle:
-        doc = json.load(handle)
+    with open(path, "rb", buffering=0) as handle:
+        text = handle.read().decode("utf-8")
+    if "\r" in text:            # line ends as text mode reads them
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("not a JSON object")
     return doc
@@ -145,10 +147,10 @@ def _list(path, doc: dict, key: str) -> list:
     return value
 
 
-def read_record(path: Path) -> CorpusRecord:
-    """The checked record of one report file. A missing meta or status reads
-    as an error record and a missing list as empty; an unreadable file or a
-    kept field of the wrong type raises MalformedReportError "<path>: ...".
+def read_record(path: str | Path) -> CorpusRecord:
+    """The checked record of the report file at `path`, a str or Path. A
+    missing meta or status reads as an error record and a missing list as
+    empty; an unreadable file or a bad kept field raises MalformedReportError.
     """
     try:
         doc = read_report_document(path)
@@ -158,7 +160,7 @@ def read_record(path: Path) -> CorpusRecord:
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise _malformed(path, "meta", "an object")
-    sha = meta.get("sha256", path.stem)
+    sha = meta["sha256"] if "sha256" in meta else Path(path).stem
     if not isinstance(sha, str):
         raise _malformed(path, "meta.sha256", "a string")
     status = meta.get("status", STATUS_ERROR)

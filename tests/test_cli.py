@@ -79,18 +79,20 @@ def test_analyze_error_exit_code(tmp_path):
     ("--workers", "0", "worker_count"),
     ("--timeout", "0.5", "timeout_seconds"),
     ("--timeout", "nan", "timeout_seconds"),
-], ids=["workers", "timeout", "timeout-nan"])
+    ("--out", "{tmp}/app.apk",
+     f"cannot write reports {{tmp}}/app.apk: {os.strerror(errno.ENOTDIR)}"),
+], ids=["workers", "timeout", "timeout-nan", "out-is-a-file"])
 def test_analyze_rejects_out_of_range_option(tmp_path, capsys, flag, value,
                                              field):
     apk_path = tmp_path / "app.apk"
     apk_path.write_bytes(planted_apk())
     out_dir = tmp_path / "reports"
     code = main(["analyze", str(apk_path), "--out", str(out_dir),
-                 flag, value])
+                 flag, value.format(tmp=tmp_path)])
     assert code == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
-    assert field in err
+    assert field.format(tmp=tmp_path) in err
     assert not out_dir.exists()
 
 
@@ -272,6 +274,11 @@ def _report_with_match(**fields) -> str:
      f"cannot read reports {{tmp}}/nope: {_ENOENT}"),
     (["--reports", "{tmp}/short.csv"],
      f"cannot read reports {{tmp}}/short.csv: {os.strerror(errno.ENOTDIR)}"),
+    (["--out", "{tmp}/short.csv"],
+     f"cannot write tables {{tmp}}/short.csv: {os.strerror(errno.ENOTDIR)}"),
+    (["--out", "{tmp}/short.csv/tables"],
+     "cannot write tables {tmp}/short.csv/tables: "
+     + os.strerror(errno.ENOTDIR)),
     (["--min-downloads", "-1"],
      "invalid option: min_downloads must be non-negative"),
     (["--top-n", "0"], "invalid option: top_n must be at least 1"),
@@ -294,6 +301,7 @@ def _report_with_match(**fields) -> str:
      "field matches[0].package is not a string"),
 ], ids=["missing-corpus", "short-row-corpus", "missing-exclude-categories",
         "missing-known-prefixes", "missing-reports", "reports-not-a-directory",
+        "out-is-a-file", "out-under-a-file",
         "negative-min-downloads", "top-n-zero", "top-n-negative",
         "duplicate-sha-corpus", "report-not-json",
         "report-not-an-object", "report-meta-not-an-object",
@@ -321,6 +329,65 @@ def test_stats_rejects_unusable_argument(tmp_path, capsys, extra, line):
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [line.format(tmp=tmp_path)]
     assert not out_dir.exists()
+
+
+def test_stats_reads_json_names_in_code_point_order(tmp_path, capsys,
+                                                    monkeypatch):
+    from analytika import aggregate
+
+    report_dir = tmp_path / "reports"
+    report_dir.mkdir()
+    for i, name in enumerate(("a.json", ".hidden.json", "b.JSON", "x.tmp",
+                              "Z.json")):
+        (report_dir / name).write_text(json.dumps(synth.report_doc(
+            synth.sha_for(i + 1))))
+    (report_dir / "sub.json").mkdir()
+    read = []
+    real = aggregate.read_record
+
+    def spy(path):
+        read.append(str(path))
+        return real(path)
+
+    monkeypatch.setattr(aggregate, "read_record", spy)
+    out_dir = tmp_path / "tables"
+    code = main(["stats", "--reports", str(report_dir),
+                 "--out", str(out_dir)])
+    assert code == 2
+    assert read == [str(report_dir / name) for name in
+                    (".hidden.json", "Z.json", "a.json", "sub.json")]
+    assert capsys.readouterr().err.splitlines() == [
+        f"cannot read report {report_dir / 'sub.json'}: "
+        + os.strerror(errno.EISDIR)]
+    assert not out_dir.exists()
+
+
+def test_stats_names_the_later_report_repeating_a_sha256(tmp_path, capsys):
+    report_dir = tmp_path / "reports"
+    report_dir.mkdir()
+    for name in ("m.json", "k.json"):
+        (report_dir / name).write_text(json.dumps(synth.report_doc(_SHA0)))
+    code = main(["stats", "--reports", str(report_dir),
+                 "--out", str(tmp_path / "tables")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"cannot read report {report_dir / 'm.json'}: "
+        f"sha256 {_SHA0} repeats an earlier report"]
+
+
+@pytest.mark.parametrize("cwd, arg", [
+    ("", "reports"), ("", "./reports"), ("", "reports/"), ("reports", "."),
+], ids=["bare", "dot-slash", "trailing-slash", "dot"])
+def test_stats_names_a_bad_report_as_reports_arg_slash_name(
+        tmp_path, capsys, monkeypatch, cwd, arg):
+    (tmp_path / "reports").mkdir()
+    (tmp_path / "reports" / "broken.json").write_text("{not json")
+    monkeypatch.chdir(tmp_path / cwd)
+    code = main(["stats", "--reports", arg, "--out", str(tmp_path / "tables")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"cannot read report {Path(arg) / 'broken.json'}: "
+        + _json_error("{not json")]
 
 
 def _python(*args) -> subprocess.CompletedProcess:

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from analytika.corpus import CorpusEntry
 from analytika.errors import MalformedReportError
 from analytika.matchers import MatchRecord
@@ -113,3 +115,55 @@ def test_resume_skips_exactly_the_reports_read_as_ok(tmp_path):
             if reportfuzz.case_path(tmp_path, i).read_bytes() == data}
     assert kept == read_ok
     assert summary.skipped == len(read_ok)
+
+
+_DOC = {"meta": {"sha256": "cd" * 32, "status": "ok"},
+        "matches": [{"detector": "drm", "location": "inmain"}],
+        "crypto_libs": ["bouncycastle"]}
+
+
+@pytest.mark.parametrize("data, reason", [
+    (b"\xef\xbb\xbf" + json.dumps(_DOC).encode(),
+     "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    (b'{"meta": {"package": "\xff"}}',
+     "'utf-8' codec can't decode byte 0xff in position 22: invalid start byte"),
+    (json.dumps(_DOC).encode("utf-16"),
+     "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    (b'{\r\n  "meta": {\r\n    "status": "ok",\r\n  }\r\n}\r\n',
+     "Expecting property name enclosed in double quotes: "
+     "line 4 column 3 (char 36)"),
+    (b'{\r"meta":\r\r\n{"status": "ok",}}',
+     "Expecting property name enclosed in double quotes: "
+     "line 4 column 17 (char 27)"),
+], ids=["utf8-bom", "invalid-utf8", "utf16", "crlf-malformed",
+        "cr-malformed"])
+def test_refused_encodings_and_line_ends_keep_their_reason(tmp_path, data,
+                                                           reason):
+    # Reports are UTF-8 only, and a parse error counts its offset in text
+    # whose \r\n and \r line ends read as \n.
+    path = tmp_path / "report.json"
+    path.write_bytes(data)
+    with pytest.raises(MalformedReportError) as info:
+        read_record(path)
+    assert str(info.value) == f"{path}: {reason}"
+
+
+def test_crlf_report_reads_as_its_lf_twin(tmp_path):
+    text = json.dumps(_DOC, indent=2) + "\n"
+    lf, crlf = tmp_path / "lf.json", tmp_path / "crlf.json"
+    lf.write_bytes(text.encode())
+    crlf.write_bytes(text.replace("\n", "\r\n").encode())
+    assert read_record(crlf) == read_record(lf)
+    assert read_report_document(crlf) == _DOC
+
+
+def test_str_path_reads_as_path_and_stem_fills_only_absent_sha256(tmp_path):
+    path = tmp_path / "stem.json"
+    path.write_text(json.dumps(_DOC))
+    assert read_record(str(path)) == read_record(path)
+    path.write_text('{"meta": {"status": "error"}}')
+    assert read_record(str(path)).sha256 == "stem"
+    path.write_text('{"meta": {"sha256": null}}')
+    with pytest.raises(MalformedReportError) as info:
+        read_record(str(path))
+    assert str(info.value) == f"{path}: field meta.sha256 is not a string"
