@@ -24,7 +24,7 @@ from .attribution import (LOCATION_INLIB, LOCATION_INMAIN, LOCATION_OBFUSCATED,
 from .corpus import load_corpus_csv
 from .errors import DuplicateSha256Error, MalformedReportError
 from .matchers import TEE_DETECTORS, load_patterns
-from .report import STATUS_OK, CorpusRecord, read_record
+from .report import STATUS_OK, CorpusRecord, SharedValues, read_record
 
 LOCATIONS = (LOCATION_INMAIN, LOCATION_INLIB, LOCATION_OBFUSCATED)
 
@@ -65,7 +65,9 @@ def join_reports(report_dir, entries) -> Corpus:
     """Join report_dir's *.json files with corpus metadata on sha256.
 
     Reports are read in name order, each reduced to a CorpusRecord as it is
-    read, so memory grows with apps, not matches. Reports without metadata
+    read, so memory grows with apps, not matches. Equal record values are
+    one shared object (see SharedValues), and a joined record takes its
+    sha256 and metadata objects from the entry. Reports without metadata
     keep a null category; metadata rows without a report are only counted.
     A repeated entry sha256 raises DuplicateSha256Error before any read.
     """
@@ -75,20 +77,23 @@ def join_reports(report_dir, entries) -> Corpus:
             raise DuplicateSha256Error(f"sha256 {entry.sha256} is listed twice")
         meta_by_sha[entry.sha256] = entry
 
+    table = SharedValues()
     records = []
     seen = set()
     prefix = str(Path(report_dir) / "_")[:-1]  # as str(Path(report_dir) / name)
-    for path in sorted(prefix + name for name in os.listdir(report_dir)
+    for name in sorted(name for name in os.listdir(report_dir)
                        if name.endswith(".json")):
-        record = read_record(path)
+        path = prefix + name
+        record = table.share(read_record(path))
         if record.sha256 in seen:
             raise MalformedReportError(
                 f"{path}: sha256 {record.sha256} repeats an earlier report")
-        seen.add(record.sha256)
         entry = meta_by_sha.get(record.sha256)
         if entry is not None:
-            record.category, record.downloads, record.last_update = (
-                entry.category, entry.downloads, entry.last_update)
+            (record.sha256, record.category, record.downloads,
+             record.last_update) = (entry.sha256, entry.category,
+                                    entry.downloads, entry.last_update)
+        seen.add(record.sha256)
         records.append(record)
 
     return Corpus(records, unmatched_metadata=len(meta_by_sha.keys() - seen))

@@ -102,6 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_analyze(args) -> int:
     from .container import sha256_digest
     from .corpus import CorpusEntry
+    from .matchers import load_patterns
     from .pipeline import AnalysisConfig, run_corpus
 
     if not args.apk and not args.corpus:
@@ -129,13 +130,15 @@ def _cmd_analyze(args) -> int:
 
     with _cannot(f"write reports {args.out}"):
         _check_out(args.out)
+    with _cannot(f"read patterns {args.patterns}"):
+        patterns = load_patterns(config.pattern_dir)
     entries = _read_corpus(args.corpus) if args.corpus else []
     for apk_path in args.apk:
         with _cannot(f"read {apk_path}"):
             data = Path(apk_path).read_bytes()
         entries.append(CorpusEntry(sha256=sha256_digest(data), source=apk_path))
 
-    summary = run_corpus(entries, config)
+    summary = run_corpus(entries, config, patterns=patterns)
     print(f"analyzed={summary.analyzed} ok={summary.ok} "
           f"timeout={summary.timeout} error={summary.error} "
           f"skipped={summary.skipped}")
@@ -157,6 +160,9 @@ def _cmd_stats(args) -> int:
         os.scandir(args.reports).close()
     with _cannot(f"write tables {args.out}"):
         _check_out(args.out)
+    if os.path.exists(args.out) and os.path.samefile(args.out, args.reports):
+        raise _Unusable(f"cannot write tables {args.out}: "
+                        "it is the --reports directory")
     if args.top_n < 1:
         raise _Unusable("invalid option: top_n must be at least 1")
     selection = None

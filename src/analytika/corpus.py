@@ -15,7 +15,7 @@ from pathlib import Path
 REMOTE_SOURCE = "remote"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CorpusEntry:
     sha256: str
     expected_package_name: str | None = None
@@ -39,10 +39,16 @@ def load_corpus_csv(path) -> list[CorpusEntry]:
     Columns: sha256,package_name,category,downloads,last_update,path_or_remote.
     A header row is recognized by its literal first cell. Relative paths are
     resolved against the CSV's own directory. Download counts must already be
-    plain integers (bucketed strings resolved upstream).
+    plain integers (bucketed strings resolved upstream). Equal categories,
+    download counts and dates are one object each across the file's rows.
     """
     path = Path(path)
     entries = []
+    shared: dict = {}
+
+    def one(value):
+        return shared.setdefault(value, value)
+
     with open(path, newline="", encoding="utf-8") as handle:
         for row in csv.reader(handle):
             first = row[0].strip().lower() if row else ""
@@ -57,8 +63,9 @@ def load_corpus_csv(path) -> list[CorpusEntry]:
             entries.append(CorpusEntry(
                 sha256=sha.lower(),
                 expected_package_name=package or None,
-                category=category or None,
-                downloads=int(downloads) if downloads else None,
-                last_update=date.fromisoformat(last_update) if last_update else None,
+                category=one(category) if category else None,
+                downloads=one(int(downloads)) if downloads else None,
+                last_update=(one(date.fromisoformat(last_update))
+                             if last_update else None),
                 source=source))
     return entries

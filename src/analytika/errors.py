@@ -41,7 +41,7 @@ class MalformedDexError(AnalytikaError):
 
 # -- matching ----------------------------------------------------------------
 
-class PatternParseError(AnalytikaError):
+class PatternParseError(AnalytikaError, ValueError):
     """Pattern file row is malformed."""
 
 

@@ -251,17 +251,21 @@ def _load_entry_bytes(entry: CorpusEntry, config: AnalysisConfig) -> bytes:
     return Path(entry.source).read_bytes()
 
 
-def run_corpus(entries, config: AnalysisConfig) -> RunSummary:
+def run_corpus(entries, config: AnalysisConfig,
+               patterns: LoadedPatterns | None = None) -> RunSummary:
     """Analyze a corpus with a worker pool; one report file per app.
 
     Apps whose report `read_record` reads as ok are skipped unless
     config.force is set, which makes interrupted runs cheap to resume.
-    Every worker holds only immutable shared state (patterns, config); the
-    run log is the single append-only shared output besides the reports.
+    Patterns not given are loaded from config.pattern_dir before the output
+    directory is made. Every worker holds only immutable shared state
+    (patterns, config); the run log is the single append-only shared output
+    besides the reports.
     """
+    if patterns is None:
+        patterns = load_patterns(config.pattern_dir)
     out_dir = Path(config.output_dir)
     _probe_writable(out_dir)
-    patterns = load_patterns(config.pattern_dir)
 
     summary = RunSummary()
     todo = []

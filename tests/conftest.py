@@ -16,7 +16,9 @@ from typing import NamedTuple
 
 import pytest
 
+from analytika import pipeline
 from analytika.dex import MethodRef
+from analytika.errors import AnalysisTimeout
 
 from axml_encoder import manifest_bytes
 from dexbuild import build_fixture_dex
@@ -178,26 +180,34 @@ def build_smoke_corpus(seed: int = 7, count: int = 6):
     return corpus
 
 
-def build_slow_apk(package: str = "com.slow.app", dex_copies: int = 150,
-                   classes: int = 1500) -> bytes:
-    """An app whose many identical bytecode entries take seconds to parse.
+# In the timeout tests a deadline lasts this many checks, not seconds.
+# Analysis checks its deadline once per class definition (and at each stage
+# and inflate chunk), so the slow app below times out however fast the
+# parser is, and the small apps beside it never come near the limit.
+DEADLINE_CHECKS = 500
 
-    The full analysis takes well over four times the 1 s deadline of the
-    timeout tests (about 6 s on a 2-vCPU host), so a faster parser still
-    leaves the app timing out; the deadline stops the work at 1 s.
-    """
-    plan = []
-    for c in range(classes):
-        caller = f"com.slow.p{c % 37}.Cls{c}"
-        targets = [(f"com.t{(c + j) % 151}.x.Target{j}", f"m{j}")
-                   for j in range(8)]
-        plan.append((caller, targets))
-    dex = build_fixture_dex(plan)
-    entries = {"AndroidManifest.xml": manifest_bytes(package),
-               "classes.dex": dex}
-    for i in range(2, dex_copies + 1):
-        entries[f"classes{i}.dex"] = dex
-    return make_apk(entries)
+
+class CheckCountDeadline(pipeline.Deadline):
+    """A deadline that expires on check number DEADLINE_CHECKS + 1."""
+
+    def __init__(self, seconds: float):
+        super().__init__(seconds)
+        self.checks = 0
+
+    def check(self) -> None:
+        self.checks += 1
+        if self.checks > DEADLINE_CHECKS:
+            raise AnalysisTimeout(f"analysis exceeded {self.seconds}s deadline")
+
+
+def build_slow_apk(package: str = "com.slow.app",
+                   classes: int = 2 * DEADLINE_CHECKS) -> bytes:
+    """An app with twice as many class definitions as a deadline of the
+    timeout tests lasts checks."""
+    plan = [(f"com.slow.p{c % 37}.Cls{c}",
+             [(f"com.t{c % 151}.x.Target", "m")]) for c in range(classes)]
+    return make_apk({"AndroidManifest.xml": manifest_bytes(package),
+                     "classes.dex": build_fixture_dex(plan)})
 
 
 @pytest.fixture(scope="session")
@@ -206,8 +216,16 @@ def smoke_corpus():
 
 
 @pytest.fixture(scope="session")
-def slow_apk():
+def _slow_apk_bytes():
     return build_slow_apk()
+
+
+@pytest.fixture
+def slow_apk(_slow_apk_bytes, monkeypatch):
+    """The slow app; for the test, every analysis deadline is a
+    CheckCountDeadline, so the app is slow by construction."""
+    monkeypatch.setattr(pipeline, "Deadline", CheckCountDeadline)
+    return _slow_apk_bytes
 
 
 @pytest.fixture

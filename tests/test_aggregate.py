@@ -13,12 +13,14 @@ from analytika.aggregate import (
     category_breakdown,
     compute_stats,
     crypto_table,
+    join_reports,
     load_corpus,
     location_split,
     top_libraries,
     write_stats,
 )
 from analytika.attribution import load_known_prefixes
+from analytika.corpus import load_corpus_csv
 from analytika.defaults import default_known_prefixes_path
 from analytika.errors import DuplicateSha256Error, MalformedReportError
 
@@ -252,6 +254,66 @@ def test_records_hold_per_app_facts_not_matches(tmp_path):
     assert record.location_counts == {"inlib": 50}
     assert record.inlib_packages == {"drm": {"com.appsflyer.core"}}
     assert record.crypto_libs == {"bouncycastle"}
+
+
+_SHARED_FIELDS = ("status", "detectors", "location_counts", "inlib_packages",
+                  "crypto_libs", "native_libs")
+
+
+def test_equal_report_facts_are_one_object(tmp_path):
+    facts = {"matches": [make_match("drm", "inlib", "com.appsflyer.core"),
+                         make_match("keystore", "inmain", "com.app.main")],
+             "crypto": ("bouncycastle",), "native": ("openssl",)}
+    docs = [report_doc(sha_for(0), **facts), report_doc(sha_for(1), **facts),
+            report_doc(sha_for(2), matches=[
+                make_match("biometrics", "inlib", "com.appsflyer.core"),
+                make_match("biometrics", "inlib", "androidx.biometric")]),
+            report_doc(sha_for(3), status="error"),
+            report_doc(sha_for(4), status="timeout"),
+            report_doc(sha_for(5))]
+    for doc in docs:
+        write_report(tmp_path / "reports", doc)
+    entries = load_corpus_csv(write_corpus_csv(tmp_path / "corpus.csv", [
+        (sha_for(i), "com.a", "Tools", 20_000, "2021-01-01")
+        for i in range(2)]))
+    corpus = join_reports(tmp_path / "reports", entries)
+    first, second, other, error, timeout, empty = corpus.records
+
+    for name in _SHARED_FIELDS + ("category", "downloads", "last_update"):
+        assert getattr(first, name) is getattr(second, name), name
+    assert [r.sha256 for r in (first, second)] == [e.sha256 for e in entries]
+    assert all(r.sha256 is e.sha256 for r, e in zip((first, second), entries))
+    # one package string across different package sets
+    (package,) = first.inlib_packages["drm"]
+    assert any(p is package for p in other.inlib_packages["biometrics"])
+    # failed and match-free records share their empty sets and maps
+    for name in _SHARED_FIELDS[1:]:
+        assert getattr(error, name) is getattr(timeout, name), name
+        assert getattr(error, name) is getattr(empty, name), name
+    assert error.location_counts == {} and error.inlib_packages == {}
+
+
+def test_shared_maps_refuse_mutation(tmp_path):
+    doc = report_doc(sha_for(0), matches=[make_match("drm")])
+    record = _corpus(tmp_path, [doc]).records[0]
+    with pytest.raises(TypeError):
+        record.location_counts["inlib"] = 2
+    with pytest.raises(TypeError):
+        record.inlib_packages["drm"] = frozenset()
+    assert isinstance(record.inlib_packages["drm"], frozenset)
+    assert record.location_counts == {"inlib": 1}
+
+
+def test_each_join_has_its_own_table(tmp_path):
+    doc = report_doc(sha_for(0), matches=[make_match("drm")],
+                     crypto=("bouncycastle",), native=("openssl",))
+    write_report(tmp_path / "one", doc)
+    write_report(tmp_path / "two", doc)
+    first = load_corpus(tmp_path / "one").records[0]
+    second = load_corpus(tmp_path / "two").records[0]
+    assert first == second
+    for name in _SHARED_FIELDS[1:]:
+        assert getattr(first, name) is not getattr(second, name), name
 
 
 def test_location_obfuscated_only_app(tmp_path):

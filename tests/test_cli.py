@@ -17,6 +17,8 @@ from analytika.report import deterministic_document
 import synth
 from conftest import planted_apk
 
+_ENOENT = os.strerror(errno.ENOENT)
+
 
 def test_analyze_single_apk(tmp_path, capsys):
     apk_path = tmp_path / "app.apk"
@@ -93,6 +95,35 @@ def test_analyze_rejects_out_of_range_option(tmp_path, capsys, flag, value,
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert field.format(tmp=tmp_path) in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("files, reason", [
+    (None, _ENOENT),
+    ({"bytecode_patterns.csv": "drm,tee_api,android.media.MediaDrm,open\n"},
+     _ENOENT),
+    ({"bytecode_patterns.csv": "drm,tee_api\n",
+      "native_patterns.csv": "openssl,libcrypto\n"},
+     "{patterns}/bytecode_patterns.csv:1: expected 4 columns, got 2"),
+    ({"bytecode_patterns.csv": "drm,tee_api,android.media.MediaDrm,open\n",
+      "native_patterns.csv": "openssl,lib/crypto\n"},
+     "bad native stem: 'lib/crypto'"),
+], ids=["missing-directory", "missing-native-file", "short-row", "bad-stem"])
+def test_analyze_rejects_unreadable_patterns(tmp_path, capsys, files, reason):
+    patterns = tmp_path / "patterns"
+    if files is not None:
+        patterns.mkdir()
+        for name, text in files.items():
+            (patterns / name).write_text(text)
+    apk_path = tmp_path / "app.apk"
+    apk_path.write_bytes(planted_apk())
+    out_dir = tmp_path / "reports"
+    code = main(["analyze", str(apk_path), "--out", str(out_dir),
+                 "--patterns", str(patterns)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"cannot read patterns {patterns}: "
+        + reason.format(patterns=patterns)]
     assert not out_dir.exists()
 
 
@@ -235,7 +266,6 @@ def test_stats_explicit_filter_flags(tmp_path):
     assert summary["totals"]["analyzed"] == 1
 
 
-_ENOENT = os.strerror(errno.ENOENT)
 _SHA0 = synth.sha_for(0)
 
 
@@ -329,6 +359,25 @@ def test_stats_rejects_unusable_argument(tmp_path, capsys, extra, line):
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [line.format(tmp=tmp_path)]
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("out", ["reports", "reports/.", "./reports",
+                                 "{tmp}/reports"])
+def test_stats_refuses_out_naming_the_reports_directory(tmp_path, capsys,
+                                                        monkeypatch, out):
+    monkeypatch.chdir(tmp_path)
+    report_dir = tmp_path / "reports"
+    synth.write_report(report_dir, synth.report_doc(_SHA0))
+    before = sorted(os.listdir(report_dir))
+    out = out.format(tmp=tmp_path)
+    for _ in range(2):
+        code = main(["stats", "--reports", "reports", "--out", out])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"cannot write tables {out}: it is the --reports directory"]
+        assert sorted(os.listdir(report_dir)) == before
 
 
 def test_stats_reads_json_names_in_code_point_order(tmp_path, capsys,

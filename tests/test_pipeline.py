@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from types import SimpleNamespace
 from urllib.parse import parse_qs, urlparse
 
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from analytika.container import MAX_ENTRY_SIZE, sha256_digest
 from analytika.corpus import CorpusEntry, load_corpus_csv
 from analytika import pipeline
-from analytika.errors import HashMismatchError, HttpStatusError
+from analytika.errors import AnalysisTimeout, HashMismatchError, HttpStatusError
 from analytika.pipeline import (
     AnalysisConfig,
     _failure_report,
@@ -166,6 +167,18 @@ def test_zero_timeout_rejected(tmp_path):
         _config(tmp_path, timeout_seconds=0)
     with pytest.raises(ValueError):
         _config(tmp_path, worker_count=0)
+
+
+def test_deadline_expires_once_its_seconds_pass(monkeypatch):
+    clock = SimpleNamespace(now=100.0)
+    monkeypatch.setattr(pipeline, "time",
+                        SimpleNamespace(monotonic=lambda: clock.now))
+    deadline = pipeline.Deadline(2)
+    clock.now = 102.0
+    deadline.check()                    # at the deadline, not past it
+    clock.now = 102.001
+    with pytest.raises(AnalysisTimeout, match="exceeded 2s deadline"):
+        deadline.check()
 
 
 def test_slow_app_times_out(tmp_path, slow_apk):
@@ -331,6 +344,22 @@ def test_load_corpus_csv(tmp_path):
     assert entries[0].source == str(tmp_path / "app.apk")
     assert entries[1].source == "remote"
     assert entries[1].downloads is None
+
+
+def test_corpus_rows_share_equal_metadata_values(tmp_path):
+    csv_path = tmp_path / "corpus.csv"
+    csv_path.write_text(
+        "sha256,package_name,category,downloads,last_update,path_or_remote\n"
+        f"{'a' * 64},com.a,Tools,12000,2021-05-01,remote\n"
+        f"{'b' * 64},com.b,Tools,12000,2021-05-01,remote\n")
+    first, second = load_corpus_csv(csv_path)
+    assert first.category is second.category
+    assert first.downloads is second.downloads
+    assert first.last_update is second.last_update
+    assert not hasattr(first, "__dict__")       # a slotted entry
+    (again, _) = load_corpus_csv(csv_path)
+    assert again.last_update == first.last_update
+    assert again.last_update is not first.last_update   # one file each
 
 
 class _StubHandler(BaseHTTPRequestHandler):

@@ -19,6 +19,7 @@ from analytika.report import (
 )
 
 import reportfuzz
+import synth
 
 
 def _report():
@@ -167,3 +168,14 @@ def test_str_path_reads_as_path_and_stem_fills_only_absent_sha256(tmp_path):
     with pytest.raises(MalformedReportError) as info:
         read_record(str(path))
     assert str(info.value) == f"{path}: field meta.sha256 is not a string"
+
+
+def test_read_record_keeps_no_table(tmp_path):
+    path = synth.write_report(tmp_path, synth.report_doc(
+        synth.sha_for(0), matches=[synth.make_match("drm")],
+        crypto=("bouncycastle",)))
+    first, second = read_record(path), read_record(path)
+    assert first == second
+    for name in ("detectors", "location_counts", "inlib_packages",
+                 "crypto_libs"):
+        assert getattr(first, name) is not getattr(second, name), name
