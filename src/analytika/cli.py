@@ -100,7 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_analyze(args) -> int:
-    from .container import sha256_digest
     from .corpus import CorpusEntry
     from .matchers import load_patterns
     from .pipeline import AnalysisConfig, run_corpus
@@ -133,10 +132,11 @@ def _cmd_analyze(args) -> int:
     with _cannot(f"read patterns {args.patterns}"):
         patterns = load_patterns(config.pattern_dir)
     entries = _read_corpus(args.corpus) if args.corpus else []
+    # Each worker reads and hashes its APK once; here each path only opens.
     for apk_path in args.apk:
         with _cannot(f"read {apk_path}"):
-            data = Path(apk_path).read_bytes()
-        entries.append(CorpusEntry(sha256=sha256_digest(data), source=apk_path))
+            open(apk_path, "rb").close()
+        entries.append(CorpusEntry(sha256="", source=apk_path))
 
     summary = run_corpus(entries, config, patterns=patterns)
     print(f"analyzed={summary.analyzed} ok={summary.ok} "
@@ -163,6 +163,12 @@ def _cmd_stats(args) -> int:
     if os.path.exists(args.out) and os.path.samefile(args.out, args.reports):
         raise _Unusable(f"cannot write tables {args.out}: "
                         "it is the --reports directory")
+    # stats reads every *.json name in --reports as a report.
+    parent, name = os.path.split(os.path.abspath(args.out))
+    if name.endswith(".json") and os.path.isdir(parent) \
+            and os.path.samefile(parent, args.reports):
+        raise _Unusable(f"cannot write tables {args.out}: a later stats run "
+                        "would read it as a report in --reports")
     if args.top_n < 1:
         raise _Unusable("invalid option: top_n must be at least 1")
     selection = None

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import compress, count, repeat
 from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import defaults
 from .errors import PatternParseError
@@ -74,6 +75,8 @@ class MatchRecord:
 # The order of matches in a report: by DEX file, code offset, then detector.
 MATCH_ORDER = attrgetter("dex_file", "code_offset", "detector_id")
 
+_DEFINING_CLASS = attrgetter("defining_class")
+
 
 def _pattern_rows(path: Path) -> list[list[str]]:
     rows = []
@@ -124,15 +127,42 @@ def load_native_pattern_file(path) -> list[NativeLibPattern]:
     return patterns
 
 
+class PatternIndex(NamedTuple):
+    """The bytecode detectors keyed for lookup by class or package name."""
+
+    tee: dict[str, list[tuple[str, str]]]    # class -> (detector, method)
+    crypto: dict[str, list[str]]             # class or package -> detectors
+
+
+def index_patterns(tee_sets=(), crypto_sets=()) -> PatternIndex:
+    """Key the rows of API detectors by class and the prefixes of crypto
+    detectors by class or package; a set of the wrong kind is refused."""
+    tee: dict[str, list[tuple[str, str]]] = {}
+    for pattern_set in tee_sets:
+        if pattern_set.kind != KIND_TEE_API:
+            raise ValueError(f"not an API pattern set: {pattern_set.detector_id}")
+        for cls, method in pattern_set.method_patterns:
+            tee.setdefault(cls, []).append((pattern_set.detector_id, method))
+    crypto: dict[str, list[str]] = {}
+    for pattern_set in crypto_sets:
+        if pattern_set.kind != KIND_CRYPTO_SOFTWARE:
+            raise ValueError(f"not a crypto pattern set: {pattern_set.detector_id}")
+        for prefix in pattern_set.class_prefixes:
+            crypto.setdefault(prefix, []).append(pattern_set.detector_id)
+    return PatternIndex(tee, crypto)
+
+
 @dataclass(frozen=True)
 class LoadedPatterns:
     tee_sets: tuple
     crypto_sets: tuple
     native_patterns: tuple
+    index: PatternIndex         # of tee_sets and crypto_sets
 
 
 def load_patterns(pattern_dir=None) -> LoadedPatterns:
-    """Both pattern files of `pattern_dir`, or the shipped ones."""
+    """Both pattern files of `pattern_dir`, or the shipped ones, with the
+    bytecode detectors indexed once for every unit the run matches."""
     if pattern_dir is None:
         bytecode = defaults.default_bytecode_patterns_path()
         native = defaults.default_native_patterns_path()
@@ -141,54 +171,22 @@ def load_patterns(pattern_dir=None) -> LoadedPatterns:
         bytecode = pattern_dir / "bytecode_patterns.csv"
         native = pattern_dir / "native_patterns.csv"
     sets = load_pattern_file(bytecode)
+    tee_sets = tuple(s for s in sets if s.kind == KIND_TEE_API)
+    crypto_sets = tuple(s for s in sets if s.kind == KIND_CRYPTO_SOFTWARE)
     return LoadedPatterns(
-        tee_sets=tuple(s for s in sets if s.kind == KIND_TEE_API),
-        crypto_sets=tuple(s for s in sets if s.kind == KIND_CRYPTO_SOFTWARE),
-        native_patterns=tuple(load_native_pattern_file(native)))
-
-
-def _enclosing(name: str, sep: str):
-    """`name` and every name enclosing it along `sep`, innermost first."""
-    while True:
-        yield name
-        cut = name.rfind(sep)
-        if cut < 0:
-            return
-        name = name[:cut]
-
-
-def _rows_by_class(unit: DexUnit, index: dict, sep: str) -> dict[str, list]:
-    """For each defining class in the method pool, the index rows of the
-    class and of every name enclosing it along `sep`."""
-    return {cls: [row for name in _enclosing(cls, sep)
-                  for row in index.get(name, ())]
-            for cls in {ref.defining_class for ref in unit.methods}}
+        tee_sets=tee_sets, crypto_sets=crypto_sets,
+        native_patterns=tuple(load_native_pattern_file(native)),
+        index=index_patterns(tee_sets, crypto_sets))
 
 
 def match_tee_apis(unit: DexUnit, sets) -> list[MatchRecord]:
     """Match a unit's invokes against invocation-level API detectors.
 
     A record is produced only when the invoked method hits a (class, method)
-    row; a pattern class matches itself and its inner classes, found by
-    looking up each enclosing class along `$`. Class references that are
-    never invoked do not match. Each defining class is resolved once and
-    each method-pool entry once, whatever its number of invokes.
+    row; a pattern class matches itself and its inner classes. Class
+    references that are never invoked do not match.
     """
-    index: dict[str, list[tuple[str, str]]] = {}
-    for pattern_set in sets:
-        if pattern_set.kind != KIND_TEE_API:
-            raise ValueError(f"not an API pattern set: {pattern_set.detector_id}")
-        for cls, method in pattern_set.method_patterns:
-            index.setdefault(cls, []).append((pattern_set.detector_id, method))
-
-    by_class = _rows_by_class(unit, index, "$")
-    hits = []
-    for ref in unit.methods:
-        rows = by_class[ref.defining_class]
-        hits.append(sorted({detector for detector, method in rows
-                            if method in (WILDCARD, ref.method_name)})
-                    if rows else [])
-    return _emit_records(unit, hits, uninvoked=False)
+    return match_unit(unit, index_patterns(tee_sets=sets))[0]
 
 
 def match_crypto_packages(unit: DexUnit, sets) -> list[MatchRecord]:
@@ -199,46 +197,95 @@ def match_crypto_packages(unit: DexUnit, sets) -> list[MatchRecord]:
     record per invocation. Uninvoked references carry an empty caller (and
     point at the method pool slot) so they only count at app scope. A class
     sits under a prefix when the prefix is the class itself or one of its
-    enclosing packages along `.`; each defining class is resolved once.
+    enclosing packages.
     """
-    index: dict[str, list[str]] = {}
-    for pattern_set in sets:
-        if pattern_set.kind != KIND_CRYPTO_SOFTWARE:
-            raise ValueError(f"not a crypto pattern set: {pattern_set.detector_id}")
-        for prefix in pattern_set.class_prefixes:
-            index.setdefault(prefix, []).append(pattern_set.detector_id)
-
-    by_class = {cls: sorted(set(detectors)) for cls, detectors
-                in _rows_by_class(unit, index, ".").items()}
-    return _emit_records(unit, [by_class[ref.defining_class]
-                                for ref in unit.methods], uninvoked=True)
+    return match_unit(unit, index_patterns(crypto_sets=sets))[1]
 
 
-def _emit_records(unit: DexUnit, hits: list[list[str]],
-                  uninvoked: bool) -> list[MatchRecord]:
-    """Records for the detectors hit by each method-pool entry.
+def _resolve(name: str, index: dict, sep: str) -> list:
+    """The index rows of `name` and of every name enclosing it along `sep`."""
+    rows = []
+    while True:
+        rows += index.get(name, ())
+        cut = name.rfind(sep)
+        if cut < 0:
+            return rows
+        name = name[:cut]
 
-    `hits[i]` lists the sorted detectors of pool entry i. Each invoke of a
-    hit entry gives one record per detector; with `uninvoked`, a hit entry
-    that is never invoked gives one record per detector at its pool slot.
+
+def match_unit(unit: DexUnit, index: PatternIndex) -> tuple[
+        list[MatchRecord], list[MatchRecord]]:
+    """The API and the crypto records of one unit, each in MATCH_ORDER.
+
+    Each distinct defining class is resolved once for both kinds: against
+    the API rows of the class and of each enclosing class along `$`
+    (`KeyGenParameterSpec$Builder`, then `KeyGenParameterSpec`), and against
+    the crypto prefixes of the class and of each enclosing package along
+    `.`. A pool entry of a hit class hits the API detectors whose row names
+    its method or `*`, and every crypto detector of its class. The invokes
+    of hit entries are picked in one pass over the invoke columns; each
+    gives one record per detector, and a crypto-hit entry that is never
+    invoked gives one record per detector at its method-pool slot.
     """
+    # Every name `_resolve` looks up is a prefix of the class, so a class
+    # that starts with no index key hits nothing: most are dropped here.
+    keys = tuple(index.tee.keys() | index.crypto.keys())
+    classes = set(map(_DEFINING_CLASS, unit.methods))
+    tee_by_class: dict[str, list[tuple[str, str]]] = {}
+    crypto_by_class: dict[str, list[str]] = {}
+    for cls in compress(classes, map(str.startswith, classes, repeat(keys))):
+        rows = _resolve(cls, index.tee, "$")
+        if rows:
+            tee_by_class[cls] = rows
+        detectors = _resolve(cls, index.crypto, ".")
+        if detectors:
+            crypto_by_class[cls] = sorted(set(detectors))
+
+    # Pool index -> sorted detectors, for the entries of hit classes only.
+    tee_hits: dict[int, list[str]] = {}
+    crypto_hits: dict[int, list[str]] = {}
+    hit_classes = tee_by_class.keys() | crypto_by_class.keys()
+    methods = unit.methods
+    for i in compress(count(), map(hit_classes.__contains__,
+                                   map(_DEFINING_CLASS, methods))):
+        cls, name = methods[i][:2]
+        detectors = sorted({detector for detector, method
+                            in tee_by_class.get(cls, ())
+                            if method in (WILDCARD, name)})
+        if detectors:
+            tee_hits[i] = detectors
+        if cls in crypto_by_class:
+            crypto_hits[i] = crypto_by_class[cls]
+
+    hit = tee_hits.keys() | crypto_hits.keys()
+    targets = unit.invoke_methods
     callers, offsets = unit.invoke_callers, unit.invoke_offsets
-    sites = [(unit.class_names[callers[k]], method_idx, offsets[k])
-             for k, method_idx in enumerate(unit.invoke_methods)
-             if hits[method_idx]]
-    if uninvoked:
-        invoked = {method_idx for _, method_idx, _ in sites}
-        sites += [("", i, unit.method_ids_off + 8 * i)
-                  for i, detectors in enumerate(hits)
-                  if detectors and i not in invoked]
+    tee_sites, crypto_sites = [], []
+    for k in compress(count(), map(hit.__contains__, targets)):
+        i = targets[k]
+        site = (unit.class_names[callers[k]], i, offsets[k])
+        if i in tee_hits:
+            tee_sites.append(site)
+        if i in crypto_hits:
+            crypto_sites.append(site)
+    invoked = {i for _, i, _ in crypto_sites}
+    crypto_sites += [("", i, unit.method_ids_off + 8 * i)
+                     for i in crypto_hits if i not in invoked]
+    return (_records(unit, tee_sites, tee_hits),
+            _records(unit, crypto_sites, crypto_hits))
+
+
+def _records(unit: DexUnit, sites: list, hits: dict) -> list[MatchRecord]:
+    """One record per detector `hits` holds for each (caller, pool index,
+    offset) site, in MATCH_ORDER."""
     records = [MatchRecord(detector_id=detector,
-                           target_class=unit.methods[method_idx].defining_class,
-                           target_method=unit.methods[method_idx].method_name,
+                           target_class=unit.methods[i].defining_class,
+                           target_method=unit.methods[i].method_name,
                            caller_class=caller,
                            dex_file=unit.entry_name,
                            code_offset=offset)
-               for caller, method_idx, offset in sites
-               for detector in hits[method_idx]]
+               for caller, i, offset in sites
+               for detector in hits[i]]
     records.sort(key=MATCH_ORDER)
     return records
 

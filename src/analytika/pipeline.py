@@ -50,9 +50,8 @@ from .matchers import (
     TEE_DETECTORS,
     LoadedPatterns,
     load_patterns,
-    match_crypto_packages,
     match_native_libs,
-    match_tee_apis,
+    match_unit,
 )
 from .report import (
     AppReport,
@@ -130,12 +129,23 @@ def analyze_apk(data: bytes, entry: CorpusEntry, config: AnalysisConfig,
     """
     if patterns is None:
         patterns = load_patterns(config.pattern_dir)
-    deadline = Deadline(config.timeout_seconds)
+    return _analyze_hashed(data, *_timed_digest(data), entry, config,
+                           patterns)
 
-    timings: dict[str, float] = {}
+
+def _timed_digest(data: bytes) -> tuple[str, float]:
+    """The sha256 of `data` and the seconds it took."""
     started = time.perf_counter()
-    with _stage(timings, "digest"):
-        digest = sha256_digest(data)
+    return sha256_digest(data), time.perf_counter() - started
+
+
+def _analyze_hashed(data: bytes, digest: str, digest_s: float,
+                    entry: CorpusEntry, config: AnalysisConfig,
+                    patterns: LoadedPatterns) -> AppReport:
+    """`analyze_apk` past the digest of `data`, which took `digest_s`."""
+    deadline = Deadline(config.timeout_seconds)
+    timings = {"digest": digest_s}
+    started = time.perf_counter() - digest_s
     try:
         if entry.sha256 and digest != entry.sha256.lower():
             raise HashMismatchError(
@@ -165,9 +175,9 @@ def analyze_apk(data: bytes, entry: CorpusEntry, config: AnalysisConfig,
                 unit = parse_dex(raw, dex_name, cancel_check=deadline.check)
             deadline.check()
             with _stage(timings, "match"):
-                tee_records.extend(match_tee_apis(unit, patterns.tee_sets))
-                crypto_records.extend(
-                    match_crypto_packages(unit, patterns.crypto_sets))
+                tee, crypto = match_unit(unit, patterns.index)
+            tee_records += tee
+            crypto_records += crypto
 
         with _stage(timings, "attribution"):
             app_pkg = parse_package(info.package_name)
@@ -241,6 +251,14 @@ def _probe_writable(out_dir: Path) -> None:
         raise OSError(f"output directory not writable: {out_dir}") from exc
 
 
+def _has_ok_report(out_dir: Path, sha256: str) -> bool:
+    """Whether `read_record` reads the app's report as ok."""
+    try:
+        return read_record(report_path(out_dir, sha256)).status == STATUS_OK
+    except MalformedReportError:
+        return False            # missing, or a report stats would refuse
+
+
 def _load_entry_bytes(entry: CorpusEntry, config: AnalysisConfig) -> bytes:
     if entry.source == REMOTE_SOURCE:
         if not config.fetch_endpoint or not config.api_key:
@@ -256,7 +274,9 @@ def run_corpus(entries, config: AnalysisConfig,
     """Analyze a corpus with a worker pool; one report file per app.
 
     Apps whose report `read_record` reads as ok are skipped unless
-    config.force is set, which makes interrupted runs cheap to resume.
+    config.force is set, which makes interrupted runs cheap to resume. An
+    entry without a sha256 is checked once its worker has read and hashed
+    its bytes; that one digest also names its report.
     Patterns not given are loaded from config.pattern_dir before the output
     directory is made. Every worker holds only immutable shared state
     (patterns, config); the run log is the single append-only shared output
@@ -270,19 +290,17 @@ def run_corpus(entries, config: AnalysisConfig,
     summary = RunSummary()
     todo = []
     for entry in entries:
-        try:
-            if not config.force and read_record(
-                    report_path(out_dir, entry.sha256)).status == STATUS_OK:
-                summary.skipped += 1
-                continue
-        except MalformedReportError:
-            pass                # missing, or a report stats would refuse
-        todo.append(entry)
+        if entry.sha256 and not config.force and _has_ok_report(
+                out_dir, entry.sha256):
+            summary.skipped += 1
+        else:
+            todo.append(entry)
 
     log_lock = threading.Lock()
     log_path = out_dir / "run.log"
 
-    def _work(entry: CorpusEntry) -> str:
+    def _work(entry: CorpusEntry) -> str | None:
+        """Analyze one app and return its status, or None when skipped."""
         started = time.perf_counter()
         try:
             data = _load_entry_bytes(entry, config)
@@ -291,7 +309,12 @@ def run_corpus(entries, config: AnalysisConfig,
                                      f"could not load app bytes: {exc}", "")
             report.timings = {"total": time.perf_counter() - started}
         else:
-            report = analyze_apk(data, entry, config, patterns=patterns)
+            digest, digest_s = _timed_digest(data)
+            if not entry.sha256 and not config.force and _has_ok_report(
+                    out_dir, digest):
+                return None
+            report = _analyze_hashed(data, digest, digest_s, entry, config,
+                                     patterns)
         write_report(report, out_dir)
         line = (f"{report.sha256} {report.status} "
                 f"{report.timings.get('total', 0.0):.3f}s {report.message}\n")
@@ -303,6 +326,9 @@ def run_corpus(entries, config: AnalysisConfig,
     if todo:
         with ThreadPoolExecutor(max_workers=config.worker_count) as pool:
             for status in pool.map(_work, todo):
+                if status is None:
+                    summary.skipped += 1
+                    continue
                 summary.analyzed += 1
                 if status == STATUS_OK:
                     summary.ok += 1

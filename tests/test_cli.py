@@ -33,6 +33,39 @@ def test_analyze_single_apk(tmp_path, capsys):
     assert "analyzed=1 ok=1" in capsys.readouterr().out
 
 
+def test_analyze_hashes_each_positional_apk_once(tmp_path, capsys,
+                                                monkeypatch):
+    from analytika import container, pipeline
+
+    calls = []
+
+    def counting_digest(data):
+        calls.append(len(data))
+        return sha256_digest(data)
+
+    for module in (container, pipeline):
+        monkeypatch.setattr(module, "sha256_digest", counting_digest)
+    paths = []
+    for i, package in enumerate(("com.fixture.app", "com.fixture.other")):
+        paths.append(tmp_path / f"app{i}.apk")
+        paths[-1].write_bytes(planted_apk(package=package))
+    out_dir = tmp_path / "reports"
+    argv = ["analyze", *map(str, paths), "--out", str(out_dir), "--workers", "1"]
+    assert main(argv) == 0
+    assert len(calls) == 2
+    assert "analyzed=2 ok=2" in capsys.readouterr().out
+    assert sorted(os.listdir(out_dir)) == sorted(
+        [f"{sha256_digest(p.read_bytes())}.json" for p in paths] + ["run.log"])
+
+    # A rerun reads and hashes each APK once more and skips the one whose
+    # report is ok; the other now holds a different app.
+    paths[0].write_bytes(planted_apk(package="com.fixture.third"))
+    assert main(argv) == 0
+    assert len(calls) == 4
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "analyzed=1 ok=1 timeout=0 error=0 skipped=1")
+
+
 def test_analyze_requires_input(capsys):
     assert main(["analyze"]) == 2
     assert "nothing to analyze" in capsys.readouterr().err
@@ -377,6 +410,33 @@ def test_stats_refuses_out_naming_the_reports_directory(tmp_path, capsys,
     assert captured.err.splitlines() == [
         f"cannot write tables {out}: it is the --reports directory"]
     assert sorted(os.listdir(report_dir)) == before
+
+
+@pytest.mark.parametrize("out", ["reports/tables.json", "reports/./t.json",
+                                 "{tmp}/reports/t.json/"])
+def test_stats_refuses_out_a_later_run_reads_as_a_report(tmp_path, capsys,
+                                                         monkeypatch, out):
+    monkeypatch.chdir(tmp_path)
+    report_dir = tmp_path / "reports"
+    synth.write_report(report_dir, synth.report_doc(_SHA0))
+    before = sorted(os.listdir(report_dir))
+    out = out.format(tmp=tmp_path)
+    code = main(["stats", "--reports", "reports", "--out", out])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"cannot write tables {out}: a later stats run would read it as a "
+        "report in --reports"]
+    assert sorted(os.listdir(report_dir)) == before
+
+
+def test_stats_out_inside_reports_without_json_name_is_kept(tmp_path):
+    report_dir = tmp_path / "reports"
+    synth.write_report(report_dir, synth.report_doc(_SHA0))
+    for out in ("tables", "tables.json.d"):
+        assert main(["stats", "--reports", str(report_dir),
+                     "--out", str(report_dir / out)]) == 0
 
 
 def test_stats_reads_json_names_in_code_point_order(tmp_path, capsys,

@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import random
 import struct
+from operator import attrgetter
 
 import pytest
 
 from analytika.dex import _parse_header, parse_dex
 from analytika.errors import PatternParseError
 from analytika.matchers import (
+    MATCH_ORDER,
     NativeLibPattern,
     load_native_pattern_file,
     load_pattern_file,
@@ -291,49 +293,155 @@ _CRYPTO_PARITY_CLASSES = (
 )
 
 
-def _prefix_match(class_name: str, prefix: str) -> bool:
-    """The package-prefix rule stated directly: the class is the prefix or
-    continues it after a `.`."""
-    if not class_name.startswith(prefix):
+def _is_or_continues(name: str, head: str, sep: str) -> bool:
+    """The matching rule stated directly: `name` is `head` or continues it
+    after `sep`."""
+    if not name.startswith(head):
         return False
-    rest = class_name[len(prefix):]
-    return rest == "" or rest.startswith(".")
+    rest = name[len(head):]
+    return rest == "" or rest.startswith(sep)
+
+
+def _random_units(seed: int, callers, draw_target):
+    """40 parsed units of 1 to 8 callers, each invoking 0 to 8 targets that
+    `draw_target(rng)` draws."""
+    rng = random.Random(seed)
+    for _ in range(40):
+        plan = []
+        for c in range(rng.randint(1, 8)):
+            plan.append((f"{rng.choice(callers)}{c}", [
+                draw_target(rng) for _ in range(rng.randint(0, 8))]))
+        yield parse_dex(build_fixture_dex(plan))
+
+
+_RECORD_ROW = attrgetter("detector_id", "target_class", "target_method",
+                         "caller_class", "code_offset", "dex_file")
 
 
 def _crypto_oracle(unit, sets):
-    """Record tuples from _prefix_match run on every pool entry."""
+    """Record tuples from the prefix rule run on every pool entry."""
     def detectors(ref):
         return sorted({s.detector_id for s in sets for prefix in s.class_prefixes
-                       if _prefix_match(ref.defining_class, prefix)})
+                       if _is_or_continues(ref.defining_class, prefix, ".")})
 
     rows = []
     invoked = set()
     for row in invokes(unit):
         invoked.add(row.target)
         rows += [(det, row.target.defining_class, row.target.method_name,
-                  row.caller_class, row.code_offset)
+                  row.caller_class, row.code_offset, unit.entry_name)
                  for det in detectors(row.target)]
     for i, ref in enumerate(unit.methods):
         if ref not in invoked:
             rows += [(det, ref.defining_class, ref.method_name, "",
-                      unit.method_ids_off + 8 * i)
+                      unit.method_ids_off + 8 * i, unit.entry_name)
                      for det in detectors(ref)]
     return sorted(rows, key=lambda r: (r[4], r[0]))
 
 
 def test_crypto_matching_agrees_with_per_entry_oracle(patterns):
-    rng = random.Random(2024)
-    for _ in range(40):
-        plan = []
-        for c in range(rng.randint(1, 8)):
-            caller = rng.choice(_CRYPTO_PARITY_CLASSES[:3] + ("com.app.Main",))
-            plan.append((f"{caller}{c}", [
-                (rng.choice(_CRYPTO_PARITY_CLASSES), f"m{rng.randint(0, 4)}")
-                for _ in range(rng.randint(0, 8))]))
-        unit = parse_dex(build_fixture_dex(plan))
+    def draw_target(rng):
+        return (rng.choice(_CRYPTO_PARITY_CLASSES), f"m{rng.randint(0, 4)}")
+
+    for unit in _random_units(2024, _CRYPTO_PARITY_CLASSES[:3]
+                              + ("com.app.Main",), draw_target):
         records = match_crypto_packages(unit, patterns.crypto_sets)
-        assert {r.dex_file for r in records} <= {unit.entry_name}
-        assert [(r.detector_id, r.target_class, r.target_method,
-                 r.caller_class, r.code_offset)
-                for r in records] == _crypto_oracle(unit,
-                                                     patterns.crypto_sets)
+        assert list(map(_RECORD_ROW, records)) == _crypto_oracle(
+            unit, patterns.crypto_sets)
+
+
+# API classes with inner classes two levels deep, the lookalikes of
+# MediaDrm, and classes of wildcard rows.
+_TEE_PARITY_CLASSES = (
+    "android.media.MediaDrm", "android.media.MediaDrm$KeyRequest",
+    "android.media.MediaDrm$CryptoSession",
+    "android.media.MediaDrm$CryptoSession$Inner",
+    "android.media.MediaDrmX", "android.media.MediaDrm.Sub",
+    "android.security.keystore.KeyGenParameterSpec",
+    "android.security.keystore.KeyGenParameterSpec$Builder",
+    "android.security.keystore.KeyGenParameterSpec$Builder$Deep",
+    "android.security.keystore.KeyProperties",
+    "android.security.keystore.KeyProperties$Inner",
+    "android.hardware.biometrics.BiometricManager",
+    "android.hardware.biometrics.BiometricManager$Authenticators",
+    "android.security.KeyChain", "java.lang.String",
+)
+_TEE_PARITY_METHODS = ("<init>", "openSession", "getKeyRequest", "encrypt",
+                       "build", "setKeySize", "getPrivateKey",
+                       "canAuthenticate", "toString")
+
+# Pattern rows where detectors share classes, with wildcards and rows on
+# inner classes, so one invoke can hit several detectors.
+_OVERLAPPING_TEE_ROWS = """\
+drm,tee_api,android.media.MediaDrm,openSession
+drm,tee_api,android.media.MediaDrm$KeyRequest,*
+keystore,tee_api,android.media.MediaDrm,*
+keystore,tee_api,android.media.MediaDrm$CryptoSession,encrypt
+biometrics,tee_api,android.media.MediaDrm$CryptoSession$Inner,openSession
+biometrics,tee_api,android.security.keystore.KeyGenParameterSpec,build
+"""
+
+
+def _tee_oracle(unit, sets):
+    """Record tuples from the row rule run on every invoke."""
+    rows = []
+    for row in invokes(unit):
+        target = row.target
+        rows += [(det, target.defining_class, target.method_name,
+                  row.caller_class, row.code_offset, unit.entry_name)
+                 for det in sorted({
+                     s.detector_id for s in sets
+                     for cls, method in s.method_patterns
+                     if _is_or_continues(target.defining_class, cls, "$")
+                     and method in ("*", target.method_name)})]
+    return sorted(rows, key=lambda r: (r[4], r[0]))
+
+
+@pytest.mark.parametrize("rows", ["shipped", "overlapping"])
+def test_tee_matching_agrees_with_per_invoke_oracle(patterns, tmp_path,
+                                                    rows):
+    sets = patterns.tee_sets
+    if rows == "overlapping":
+        path = tmp_path / "p.csv"
+        path.write_text(_OVERLAPPING_TEE_ROWS)
+        sets = load_pattern_file(path)
+
+    def draw_target(rng):
+        cls, method = (rng.choice(_TEE_PARITY_CLASSES),
+                       rng.choice(_TEE_PARITY_METHODS))
+        if rng.random() < 0.25:     # same-shorty overloads of one name
+            return (cls, method, "void",
+                    (rng.choice(("java.lang.String", "java.security.Key")),))
+        return cls, method
+
+    hits = 0
+    for unit in _random_units(2025, _TEE_PARITY_CLASSES[:3]
+                              + ("com.app.Main",), draw_target):
+        records = match_tee_apis(unit, sets)
+        assert list(map(_RECORD_ROW, records)) == _tee_oracle(unit, sets)
+        hits += len(records)
+    assert hits > 40
+
+
+def test_pipeline_records_equal_the_two_matchers(patterns, smoke_corpus,
+                                                 tmp_path):
+    import io
+    import zipfile
+
+    from analytika.corpus import CorpusEntry
+    from analytika.pipeline import AnalysisConfig, analyze_apk
+
+    config = AnalysisConfig(output_dir=tmp_path)
+    for _package, apk in smoke_corpus:
+        expected = []
+        with zipfile.ZipFile(io.BytesIO(apk)) as zf:
+            for name in zf.namelist():
+                if name.endswith(".dex"):
+                    unit = parse_dex(zf.read(name), name)
+                    expected += match_tee_apis(unit, patterns.tee_sets)
+                    expected += match_crypto_packages(unit,
+                                                      patterns.crypto_sets)
+        report = analyze_apk(apk, CorpusEntry(sha256=""), config, patterns)
+        assert report.status == "ok"
+        assert list(map(_RECORD_ROW, report.matches)) == list(
+            map(_RECORD_ROW, sorted(expected, key=MATCH_ORDER)))

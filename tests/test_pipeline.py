@@ -413,3 +413,20 @@ def test_fetch_by_hash_http_status(stub_server):
     with pytest.raises(HttpStatusError) as exc_info:
         fetch_by_hash("0" * 64, stub_server, "test-key")
     assert exc_info.value.code == 403
+
+
+def test_every_name_the_benchmark_trace_calls_exists():
+    # bench/traced.py calls the program's functions by name and records a
+    # name that no longer resolves as a missing call instead of failing.
+    import importlib
+    import re
+    from pathlib import Path
+
+    traced = Path(__file__).resolve().parents[1] / "bench" / "traced.py"
+    names = set(re.findall(r'layers\.call\(\s*"(\w+)\.(\w+)"',
+                           traced.read_text(encoding="utf-8")))
+    assert ("matchers", "match_tee_apis") in names
+    for module, name in sorted(names):
+        target = getattr(importlib.import_module(f"analytika.{module}"),
+                         name, None)
+        assert callable(target), f"analytika.{module}.{name}"
