@@ -14,7 +14,8 @@ import json
 import os
 import statistics
 from collections import Counter
-from dataclasses import dataclass, field
+from collections.abc import Iterator, Mapping
+from dataclasses import dataclass, field, replace
 from datetime import date
 from pathlib import Path
 
@@ -24,18 +25,9 @@ from .attribution import (LOCATION_INLIB, LOCATION_INMAIN, LOCATION_OBFUSCATED,
 from .corpus import load_corpus_csv
 from .errors import DuplicateSha256Error, MalformedReportError
 from .matchers import TEE_DETECTORS, load_patterns
-from .report import STATUS_OK, CorpusRecord, SharedValues, read_record
+from .report import STATUS_OK, CorpusRecord, read_record
 
 LOCATIONS = (LOCATION_INMAIN, LOCATION_INLIB, LOCATION_OBFUSCATED)
-
-
-@dataclass
-class Corpus:
-    records: list[CorpusRecord]
-    unmatched_metadata: int = 0
-
-    def ok_records(self) -> list[CorpusRecord]:
-        return [r for r in self.records if r.status == STATUS_OK]
 
 
 @dataclass(frozen=True)
@@ -55,6 +47,43 @@ class SelectionFilter:
                 and record.category not in self.excluded_categories)
 
 
+@dataclass(frozen=True)
+class Corpus:
+    """A lazy view of a report directory, joined on sha256 with corpus
+    metadata rows (category, downloads, last_update) and narrowed by every
+    selection. Each iteration reads the reports afresh and holds one record
+    at a time, so a view keeps no record."""
+
+    report_dir: str | Path
+    metadata: Mapping[str, tuple] = field(default_factory=dict)
+    selections: tuple[SelectionFilter, ...] = ()
+
+    def __iter__(self) -> Iterator[CorpusRecord]:
+        return self.scan(dict(self.metadata))
+
+    def scan(self, unjoined: dict) -> Iterator[CorpusRecord]:
+        """The kept records, read in code-point name order. Each report's
+        metadata row is popped from `unjoined`, a copy of the metadata, so
+        the rows left at the end have no report. A repeated sha256 raises
+        MalformedReportError, as does a report `read_record` refuses."""
+        unlisted = set()            # the sha256s of reports without a row
+        prefix = str(Path(self.report_dir) / "_")[:-1]  # as str(dir / name)
+        for name in sorted(name for name in os.listdir(self.report_dir)
+                           if name.endswith(".json")):
+            path = prefix + name
+            record = read_record(path)
+            row = unjoined.pop(record.sha256, None)
+            if row is not None:
+                record.category, record.downloads, record.last_update = row
+            elif record.sha256 in unlisted or record.sha256 in self.metadata:
+                raise MalformedReportError(
+                    f"{path}: sha256 {record.sha256} repeats an earlier report")
+            else:
+                unlisted.add(record.sha256)
+            if all(selection.keeps(record) for selection in self.selections):
+                yield record
+
+
 def load_corpus(report_dir, corpus_csv=None) -> Corpus:
     """Join report files with the rows of a corpus CSV (see join_reports)."""
     entries = load_corpus_csv(corpus_csv) if corpus_csv is not None else ()
@@ -62,55 +91,111 @@ def load_corpus(report_dir, corpus_csv=None) -> Corpus:
 
 
 def join_reports(report_dir, entries) -> Corpus:
-    """Join report_dir's *.json files with corpus metadata on sha256.
-
-    Reports are read in name order, each reduced to a CorpusRecord as it is
-    read, so memory grows with apps, not matches. Equal record values are
-    one shared object (see SharedValues), and a joined record takes its
-    sha256 and metadata objects from the entry. Reports without metadata
-    keep a null category; metadata rows without a report are only counted.
-    A repeated entry sha256 raises DuplicateSha256Error before any read.
-    """
-    meta_by_sha: dict[str, object] = {}
+    """The view of report_dir's *.json files joined on sha256 with the
+    category, downloads and last update of `entries`, equal rows one tuple.
+    Reports without metadata keep a null category; metadata rows without a
+    report are only counted. A repeated entry sha256 raises
+    DuplicateSha256Error; no report is read here."""
+    metadata: dict[str, tuple] = {}
+    rows: dict[tuple, tuple] = {}
     for entry in entries:
-        if entry.sha256 in meta_by_sha:
+        if entry.sha256 in metadata:
             raise DuplicateSha256Error(f"sha256 {entry.sha256} is listed twice")
-        meta_by_sha[entry.sha256] = entry
-
-    table = SharedValues()
-    records = []
-    seen = set()
-    prefix = str(Path(report_dir) / "_")[:-1]  # as str(Path(report_dir) / name)
-    for name in sorted(name for name in os.listdir(report_dir)
-                       if name.endswith(".json")):
-        path = prefix + name
-        record = table.share(read_record(path))
-        if record.sha256 in seen:
-            raise MalformedReportError(
-                f"{path}: sha256 {record.sha256} repeats an earlier report")
-        entry = meta_by_sha.get(record.sha256)
-        if entry is not None:
-            (record.sha256, record.category, record.downloads,
-             record.last_update) = (entry.sha256, entry.category,
-                                    entry.downloads, entry.last_update)
-        seen.add(record.sha256)
-        records.append(record)
-
-    return Corpus(records, unmatched_metadata=len(meta_by_sha.keys() - seen))
+        row = (entry.category, entry.downloads, entry.last_update)
+        metadata[entry.sha256] = rows.setdefault(row, row)
+    return Corpus(report_dir, metadata)
 
 
 def apply_filter(corpus: Corpus, selection: SelectionFilter) -> Corpus:
-    return Corpus(records=[r for r in corpus.records if selection.keeps(r)],
-                  unmatched_metadata=corpus.unmatched_metadata)
+    """The view keeping what `corpus` and `selection` both keep."""
+    return replace(corpus, selections=corpus.selections + (selection,))
 
+
+class _Tally:
+    """Every table's counts, folded from one pass over a corpus's records.
+    Library-located packages are grouped only when known prefixes are
+    given, each distinct package once."""
+
+    def __init__(self, known_prefixes=None):
+        self.known_prefixes = known_prefixes
+        self.library_of: dict[str, str] = {}
+        self.analyzed = self.ok = self.unmatched_metadata = 0
+        self.apps = Counter()      # ok apps per detector and per table row
+        self.match_counts = {loc: 0 for loc in LOCATIONS}
+        self.apps_with = {loc: 0 for loc in LOCATIONS}
+        self.libs_per_app: list[int] = []
+        self.top_libs = {d: Counter() for d in TEE_DETECTORS}
+        self.categories: dict[str, Counter] = {}   # "ok_apps" and detectors
+        self.software, self.native = Counter(), Counter()
+
+    def add(self, record: CorpusRecord) -> None:
+        self.analyzed += 1
+        if record.status != STATUS_OK:
+            return
+        self.ok += 1
+        detectors = record.detectors
+        if record.category is not None:
+            cell = self.categories.setdefault(record.category, Counter())
+            cell["ok_apps"] += 1
+            cell.update(detectors)
+        self.software.update(record.crypto_libs)
+        self.native.update(record.native_libs)
+        self.apps["software"] += bool(record.crypto_libs)
+        self.apps["native"] += bool(record.native_libs)
+        if not detectors:
+            return
+        self.apps.update(detectors)
+        self.apps["any_api"] += 1
+        self.apps["all_four"] += len(detectors) == len(TEE_DETECTORS)
+        self.apps["all_excl_protected_confirmation"] += _NON_PC <= detectors
+        counts = record.location_counts
+        for loc in LOCATIONS:
+            if loc in counts:
+                self.match_counts[loc] += counts[loc]
+                self.apps_with[loc] += 1
+        self.apps["exclusively_inmain"] += counts.keys() == {LOCATION_INMAIN}
+        if self.known_prefixes is None:
+            return
+        libraries = set()
+        for detector, packages in record.inlib_packages.items():
+            found = set(map(self._library, packages))
+            self.top_libs[detector].update(found)
+            libraries |= found
+        if libraries:
+            self.libs_per_app.append(len(libraries))
+
+    def _library(self, package: str) -> str:
+        library = self.library_of.get(package)
+        if library is None:
+            library = self.library_of[package] = normalize_library(
+                parse_package(package), self.known_prefixes)
+        return library
+
+
+_NON_PC = frozenset(d for d in TEE_DETECTORS if d != "protected_confirmation")
+
+
+def _tally(source: Corpus | _Tally, known_prefixes=None) -> _Tally:
+    """`source` if it is a tally already, else one pass over the corpus."""
+    if isinstance(source, _Tally):
+        return source
+    tally = _Tally(known_prefixes)
+    unjoined = dict(source.metadata)
+    for record in source.scan(unjoined):
+        tally.add(record)
+    tally.unmatched_metadata = len(unjoined)
+    return tally
+
+
+# Each table function below makes one pass over the corpus it is given;
+# compute_stats makes one pass for all of them and hands each its tally.
 
 def _share(count: int, total: int) -> float:
     return count / total if total else 0.0
 
 
-def _libraries(packages, known_prefixes) -> set[str]:
-    return {normalize_library(parse_package(p), known_prefixes)
-            for p in packages}
+def _cell(count: int, total: int) -> dict:
+    return {"apps": count, "share": _share(count, total)}
 
 
 def api_prevalence(corpus: Corpus) -> dict:
@@ -120,23 +205,15 @@ def api_prevalence(corpus: Corpus) -> dict:
     Intersections mirror the result table: all four detectors, and all
     detectors except the rarely present confirmation dialog one.
     """
-    ok = corpus.ok_records()
-    counts = {d: sum(1 for r in ok if d in r.detectors) for d in TEE_DETECTORS}
-    any_count = sum(1 for r in ok if r.detectors)
-    all_four = sum(1 for r in ok if len(r.detectors) == len(TEE_DETECTORS))
-    non_pc = {d for d in TEE_DETECTORS if d != "protected_confirmation"}
-    all_excl_pc = sum(1 for r in ok if non_pc <= r.detectors)
-
+    t = _tally(corpus)
     return {
-        "ok_apps": len(ok),
-        "per_api": {d: {"apps": counts[d], "share": _share(counts[d], len(ok))}
-                    for d in TEE_DETECTORS},
-        "any_api": {"apps": any_count, "share": _share(any_count, len(ok))},
-        "no_api": {"apps": len(ok) - any_count,
-                   "share": _share(len(ok) - any_count, len(ok))},
-        "all_four": {"apps": all_four, "share": _share(all_four, len(ok))},
-        "all_excl_protected_confirmation": {
-            "apps": all_excl_pc, "share": _share(all_excl_pc, len(ok))},
+        "ok_apps": t.ok,
+        "per_api": {d: _cell(t.apps[d], t.ok) for d in TEE_DETECTORS},
+        "any_api": _cell(t.apps["any_api"], t.ok),
+        "no_api": _cell(t.ok - t.apps["any_api"], t.ok),
+        "all_four": _cell(t.apps["all_four"], t.ok),
+        "all_excl_protected_confirmation": _cell(
+            t.apps["all_excl_protected_confirmation"], t.ok),
     }
 
 
@@ -147,46 +224,25 @@ def location_split(corpus: Corpus, known_prefixes) -> dict:
     match. The libraries-per-app distribution counts distinct normalized
     libraries among apps that have at least one library-located match.
     """
-    ok = corpus.ok_records()
-
-    match_counts = {loc: 0 for loc in LOCATIONS}
-    matched_apps = 0
-    apps_with = {loc: 0 for loc in LOCATIONS}
-    exclusively_inmain = 0
-    libs_per_app = []
-    for record in ok:
-        if not record.detectors:
-            continue
-        matched_apps += 1
-        counts = record.location_counts
-        for loc in LOCATIONS:
-            if loc in counts:
-                match_counts[loc] += counts[loc]
-                apps_with[loc] += 1
-        if counts.keys() == {LOCATION_INMAIN}:
-            exclusively_inmain += 1
-        inlib_libs = _libraries(set().union(*record.inlib_packages.values()),
-                                known_prefixes)
-        if inlib_libs:
-            libs_per_app.append(len(inlib_libs))
-
-    total_matches = sum(match_counts.values())
+    t = _tally(corpus, known_prefixes)
+    matched = t.apps["any_api"]
+    total_matches = sum(t.match_counts.values())
+    libs = t.libs_per_app
     return {
-        "ok_apps": len(ok),
-        "matched_apps": matched_apps,
-        "match_counts": match_counts,
+        "ok_apps": t.ok,
+        "matched_apps": matched,
+        "match_counts": t.match_counts,
         "total_matches": total_matches,
-        "inlib_match_share": _share(match_counts["inlib"], total_matches),
-        "apps_with_inlib_share": _share(apps_with["inlib"], matched_apps),
-        "apps_with_inmain_share": _share(apps_with["inmain"], matched_apps),
-        "apps_with_obfuscated_share": _share(apps_with["obfuscated"],
-                                             matched_apps),
-        "apps_exclusively_inmain_share": _share(exclusively_inmain,
-                                                matched_apps),
-        "libraries_per_app_mean": (statistics.fmean(libs_per_app)
-                                   if libs_per_app else 0.0),
-        "libraries_per_app_median": (float(statistics.median(libs_per_app))
-                                     if libs_per_app else 0.0),
+        "inlib_match_share": _share(t.match_counts["inlib"], total_matches),
+        "apps_with_inlib_share": _share(t.apps_with["inlib"], matched),
+        "apps_with_inmain_share": _share(t.apps_with["inmain"], matched),
+        "apps_with_obfuscated_share": _share(t.apps_with["obfuscated"],
+                                             matched),
+        "apps_exclusively_inmain_share": _share(t.apps["exclusively_inmain"],
+                                                matched),
+        "libraries_per_app_mean": statistics.fmean(libs) if libs else 0.0,
+        "libraries_per_app_median": (float(statistics.median(libs))
+                                     if libs else 0.0),
     }
 
 
@@ -198,10 +254,8 @@ def top_libraries(corpus: Corpus, detector: str, n: int,
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    apps_per_library = Counter(
-        library for record in corpus.ok_records()
-        for library in _libraries(record.inlib_packages.get(detector, ()),
-                                  known_prefixes))
+    apps_per_library = _tally(corpus, known_prefixes).top_libs.get(
+        detector, Counter())
     ranked = sorted(apps_per_library.items(),
                     key=lambda pair: (-pair[1], pair[0]))
     return {"detector": detector,
@@ -216,18 +270,11 @@ def category_breakdown(corpus: Corpus) -> list[dict]:
     several detectors contributes to each of their shares, so a category's
     shares may sum past 1.
     """
-    by_category: dict[str, list[CorpusRecord]] = {}
-    for record in corpus.ok_records():
-        if record.category is not None:
-            by_category.setdefault(record.category, []).append(record)
-
     rows = []
-    for category in sorted(by_category):
-        records = by_category[category]
-        row = {"category": category, "ok_apps": len(records)}
+    for category, cell in sorted(_tally(corpus).categories.items()):
+        row = {"category": category, "ok_apps": cell["ok_apps"]}
         for d in TEE_DETECTORS:
-            apps = sum(1 for r in records if d in r.detectors)
-            row[d] = {"apps": apps, "share": _share(apps, len(records))}
+            row[d] = _cell(cell[d], cell["ok_apps"])
         rows.append(row)
     return rows
 
@@ -245,16 +292,13 @@ def crypto_table(corpus: Corpus, software_libs=None, native_libs=None) -> dict:
             software_libs = [s.detector_id for s in patterns.crypto_sets]
         if native_libs is None:
             native_libs = [p.library for p in patterns.native_patterns]
-    ok = corpus.ok_records()
-
-    software = Counter(lib for r in ok for lib in r.crypto_libs)
-    native = Counter(lib for r in ok for lib in r.native_libs)
+    t = _tally(corpus)
     return {
-        "software": _universe_first(software, software_libs),
-        "native": _universe_first(native, native_libs),
-        "apps_with_software": sum(1 for r in ok if r.crypto_libs),
-        "apps_with_native": sum(1 for r in ok if r.native_libs),
-        "ok_apps": len(ok),
+        "software": _universe_first(t.software, software_libs),
+        "native": _universe_first(t.native, native_libs),
+        "apps_with_software": t.apps["software"],
+        "apps_with_native": t.apps["native"],
+        "ok_apps": t.ok,
     }
 
 
@@ -276,25 +320,22 @@ class CorpusStats:
 
 def compute_stats(corpus: Corpus, top_n: int = 10,
                   known_prefixes=None) -> CorpusStats:
-    """All result tables; known prefixes default to the shipped file."""
+    """All result tables from one pass over `corpus`; known prefixes
+    default to the shipped file."""
     if known_prefixes is None:
         known_prefixes = load_known_prefixes(
             defaults.default_known_prefixes_path())
-    records = corpus.records
-    totals = {
-        "analyzed": len(records),
-        "ok": sum(1 for r in records if r.status == STATUS_OK),
-        "failed": sum(1 for r in records if r.status != STATUS_OK),
-        "unmatched_metadata": corpus.unmatched_metadata,
-    }
+    t = _tally(corpus, known_prefixes)
     return CorpusStats(
-        totals=totals,
-        prevalence=api_prevalence(corpus),
-        locations=location_split(corpus, known_prefixes),
-        top_libs={d: top_libraries(corpus, d, top_n, known_prefixes)
+        totals={"analyzed": t.analyzed, "ok": t.ok,
+                "failed": t.analyzed - t.ok,
+                "unmatched_metadata": t.unmatched_metadata},
+        prevalence=api_prevalence(t),
+        locations=location_split(t, known_prefixes),
+        top_libs={d: top_libraries(t, d, top_n, known_prefixes)
                   for d in TEE_DETECTORS},
-        categories=category_breakdown(corpus),
-        crypto=crypto_table(corpus))
+        categories=category_breakdown(t),
+        crypto=crypto_table(t))
 
 
 def _write_csv(path: Path, header: list[str], rows) -> Path:

@@ -192,18 +192,18 @@ def _cmd_stats(args) -> int:
                      or defaults.default_known_prefixes_path())
     with _cannot(f"read known prefixes {prefixes_path}"):
         prefixes = load_known_prefixes(prefixes_path)
-    entries = _read_corpus(args.corpus) if args.corpus else []
-
     try:
-        corpus = aggregate.join_reports(args.reports, entries)
+        corpus = aggregate.join_reports(
+            args.reports, _read_corpus(args.corpus) if args.corpus else ())
     except DuplicateSha256Error as exc:
         raise _Unusable(f"cannot read corpus {args.corpus}: {exc}") from None
-    except MalformedReportError as exc:
-        raise _Unusable(f"cannot read report {exc}") from None
     if selection is not None:
         corpus = aggregate.apply_filter(corpus, selection)
-    stats = aggregate.compute_stats(corpus, top_n=args.top_n,
-                                    known_prefixes=prefixes)
+    try:
+        stats = aggregate.compute_stats(corpus, top_n=args.top_n,
+                                        known_prefixes=prefixes)
+    except MalformedReportError as exc:
+        raise _Unusable(f"cannot read report {exc}") from None
     with _cannot(f"write tables {args.out}"):
         written = aggregate.write_stats(stats, args.out)
 

@@ -269,6 +269,14 @@ def _load_entry_bytes(entry: CorpusEntry, config: AnalysisConfig) -> bytes:
     return Path(entry.source).read_bytes()
 
 
+def _unread_name(entry: CorpusEntry) -> str:
+    """The stand-in digest naming the report of an entry without a sha256
+    whose bytes could not be read: stable across runs, and distinct for
+    entries with distinct sources or package names."""
+    key = os.fsencode(f"{entry.source}\0{entry.expected_package_name or ''}")
+    return f"unread-{sha256_digest(key)}"
+
+
 def run_corpus(entries, config: AnalysisConfig,
                patterns: LoadedPatterns | None = None) -> RunSummary:
     """Analyze a corpus with a worker pool; one report file per app.
@@ -276,7 +284,8 @@ def run_corpus(entries, config: AnalysisConfig,
     Apps whose report `read_record` reads as ok are skipped unless
     config.force is set, which makes interrupted runs cheap to resume. An
     entry without a sha256 is checked once its worker has read and hashed
-    its bytes; that one digest also names its report.
+    its bytes; that one digest also names its report. If its bytes cannot
+    be read, its error report is named by `_unread_name` instead.
     Patterns not given are loaded from config.pattern_dir before the output
     directory is made. Every worker holds only immutable shared state
     (patterns, config); the run log is the single append-only shared output
@@ -306,7 +315,8 @@ def run_corpus(entries, config: AnalysisConfig,
             data = _load_entry_bytes(entry, config)
         except Exception as exc:
             report = _failure_report(entry, STATUS_ERROR,
-                                     f"could not load app bytes: {exc}", "")
+                                     f"could not load app bytes: {exc}",
+                                     _unread_name(entry))
             report.timings = {"total": time.perf_counter() - started}
         else:
             digest, digest_s = _timed_digest(data)

@@ -11,12 +11,10 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from collections.abc import Mapping
 from contextlib import suppress
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
-from types import MappingProxyType
 
 from .attribution import LOCATION_INLIB
 from .errors import MalformedReportError
@@ -124,14 +122,13 @@ def read_report_document(path) -> dict:
 class CorpusRecord:
     """One report reduced to the per-app facts the tables read: match facts
     for ok reports only, packages raw (known prefixes are a table argument),
-    and the corpus metadata as the stats join fills it in. Readers never
-    mutate the values: `SharedValues` hands one object to many records."""
+    and the corpus metadata as the stats join fills it in."""
 
     sha256: str
     status: str
     detectors: frozenset[str] = frozenset()     # TEE detectors hit
-    location_counts: Mapping[str, int] = field(default_factory=dict)
-    inlib_packages: Mapping[str, frozenset[str]] = field(default_factory=dict)
+    location_counts: dict[str, int] = field(default_factory=dict)
+    inlib_packages: dict[str, frozenset[str]] = field(default_factory=dict)
     crypto_libs: frozenset[str] = frozenset()
     native_libs: frozenset[str] = frozenset()
     category: str | None = None
@@ -204,45 +201,3 @@ def read_record(path: str | Path) -> CorpusRecord:
         location_counts=location_counts,
         inlib_packages={d: frozenset(p) for d, p in inlib.items()},
         crypto_libs=frozenset(crypto_libs), native_libs=frozenset(native_libs))
-
-
-class SharedValues:
-    """One object for each distinct record value among the records it shares.
-
-    `share(record)` swaps each set, map and library package string of the
-    record for an equal one this table has seen before, if any, so memory
-    grows with the distinct facts of a corpus and not with its apps. A
-    shared map is a read-only view, because one map serves many records.
-    Make one table per run; it holds every distinct value it has seen.
-    """
-
-    def __init__(self):
-        self._values: dict = {}     # strings, counts and frozensets, by value
-        self._maps: dict = {}       # map items -> read-only map
-
-    def _one(self, value):
-        return self._values.setdefault(value, value)
-
-    def _set(self, strings: frozenset) -> frozenset:
-        shared = self._values.get(strings)
-        if shared is None:
-            shared = self._one(frozenset(map(self._one, strings)))
-        return shared
-
-    def _map(self, items: Mapping, share_value) -> Mapping:
-        shared = self._maps.get(frozenset(items.items()))
-        if shared is None:
-            own = {self._one(name): share_value(value)
-                   for name, value in items.items()}
-            shared = self._maps[frozenset(own.items())] = MappingProxyType(own)
-        return shared
-
-    def share(self, record: CorpusRecord) -> CorpusRecord:
-        """`record`, its values swapped in place for the shared ones."""
-        record.status = self._one(record.status)
-        record.detectors = self._set(record.detectors)
-        record.crypto_libs = self._set(record.crypto_libs)
-        record.native_libs = self._set(record.native_libs)
-        record.location_counts = self._map(record.location_counts, self._one)
-        record.inlib_packages = self._map(record.inlib_packages, self._set)
-        return record

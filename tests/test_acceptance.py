@@ -317,8 +317,7 @@ def test_ac08_filter_boundary_semantics(tmp_path):
             synth.write_report(report_dir, doc)
         synth.write_corpus_csv(tmp_path / "corpus.csv", rows)
         corpus = load_corpus(report_dir, tmp_path / "corpus.csv")
-        kept = {r.sha256
-                for r in apply_filter(corpus, SelectionFilter()).records}
+        kept = {r.sha256 for r in apply_filter(corpus, SelectionFilter())}
         expected = {synth.sha_for(i)
                     for i, (*_rest, keep) in enumerate(triples) if keep}
         assert kept == expected

@@ -13,14 +13,12 @@ from analytika.aggregate import (
     category_breakdown,
     compute_stats,
     crypto_table,
-    join_reports,
     load_corpus,
     location_split,
     top_libraries,
     write_stats,
 )
 from analytika.attribution import load_known_prefixes
-from analytika.corpus import load_corpus_csv
 from analytika.defaults import default_known_prefixes_path
 from analytika.errors import DuplicateSha256Error, MalformedReportError
 
@@ -45,18 +43,19 @@ def test_load_corpus_full_join(tmp_path):
     rows = [(sha_for(i), f"com.app{i}", "Tools", 20_000, "2021-01-01")
             for i in range(3)]
     corpus = _corpus(tmp_path, docs, rows)
-    assert len(corpus.records) == 3
-    assert all(r.category == "Tools" for r in corpus.records)
-    assert corpus.unmatched_metadata == 0
+    records = list(corpus)
+    assert len(records) == 3
+    assert all(r.category == "Tools" for r in records)
+    assert compute_stats(corpus).totals["unmatched_metadata"] == 0
 
 
 def test_load_corpus_partial_metadata(tmp_path):
     docs = [report_doc(sha_for(i)) for i in range(3)]
     rows = [(sha_for(i), f"com.app{i}", "Tools", 20_000, "2021-01-01")
             for i in range(2)]
-    corpus = _corpus(tmp_path, docs, rows)
-    assert len(corpus.records) == 3
-    assert sum(1 for r in corpus.records if r.category is None) == 1
+    records = list(_corpus(tmp_path, docs, rows))
+    assert len(records) == 3
+    assert sum(1 for r in records if r.category is None) == 1
 
 
 def test_load_corpus_counts_unmatched_rows(tmp_path):
@@ -64,10 +63,12 @@ def test_load_corpus_counts_unmatched_rows(tmp_path):
     rows = [(sha_for(1), "com.a", "Tools", 20_000, "2021-01-01"),
             (sha_for(2), "com.b", "Tools", 20_000, "2021-01-01")]
     corpus = _corpus(tmp_path, docs, rows)
-    assert corpus.unmatched_metadata == 1
+    assert compute_stats(corpus).totals["unmatched_metadata"] == 1
 
 
 def test_duplicate_sha_in_csv(tmp_path):
+    (tmp_path / "reports").mkdir()      # refused before any report is read
+    (tmp_path / "reports" / "broken.json").write_text("{not json")
     docs = [report_doc(sha_for(1))]
     rows = [(sha_for(1), "com.a", "Tools", 20_000, "2021-01-01"),
             (sha_for(1), "com.a", "Tools", 20_000, "2021-01-01")]
@@ -109,8 +110,9 @@ def test_malformed_report_field_names_file_and_field(tmp_path, change, field):
     path = tmp_path / "reports" / f"{sha_for(1)}.json"
     path.parent.mkdir()
     path.write_text(json.dumps(_broken(doc, *change)), encoding="utf-8")
+    corpus = load_corpus(tmp_path / "reports")
     with pytest.raises(MalformedReportError) as info:
-        load_corpus(tmp_path / "reports")
+        compute_stats(corpus)
     assert str(info.value).startswith(f"{path}: field {field} is not ")
 
 
@@ -134,8 +136,7 @@ def test_filter_boundaries(tmp_path):
         ("Education", 20_000, "2021-01-01"),     # non-game counterpart
     ])
     kept = apply_filter(corpus, SelectionFilter())
-    assert {r.sha256 for r in kept.records} == {sha_for(1), sha_for(3),
-                                                sha_for(5)}
+    assert {r.sha256 for r in kept} == {sha_for(1), sha_for(3), sha_for(5)}
 
 
 def test_filter_monotonicity(tmp_path):
@@ -145,7 +146,7 @@ def test_filter_monotonicity(tmp_path):
     corpus = load_corpus(report_dir, tmp_path / "corpus.csv")
     base = SelectionFilter(min_downloads=0, min_last_update=date.min,
                            excluded_categories=frozenset())
-    counts = [len(apply_filter(corpus, base).records)]
+    counts = [len(list(apply_filter(corpus, base)))]
     for tighter in (
             SelectionFilter(min_downloads=10_000,
                             min_last_update=date.min,
@@ -157,8 +158,91 @@ def test_filter_monotonicity(tmp_path):
                             min_last_update=date(2020, 1, 1)),
             SelectionFilter(min_downloads=1_000_000,
                             min_last_update=date(2022, 1, 1))):
-        counts.append(len(apply_filter(corpus, tighter).records))
+        counts.append(len(list(apply_filter(corpus, tighter))))
     assert counts == sorted(counts, reverse=True)
+
+
+def test_chained_filters_keep_what_both_keep(tmp_path):
+    corpus = _meta_corpus(tmp_path, [
+        ("Tools", 20_000, "2019-12-31"),     # popular, stale
+        ("Tools", 5_000, "2021-01-01"),      # recent, unpopular
+        ("Tools", 20_000, "2021-01-01"),     # both
+        ("Tools", 5_000, "2019-12-31"),      # neither
+    ])
+    popular = SelectionFilter(min_downloads=10_000, min_last_update=date.min,
+                              excluded_categories=frozenset())
+    recent = SelectionFilter(min_downloads=0,
+                             min_last_update=date(2020, 1, 1),
+                             excluded_categories=frozenset())
+
+    def kept(view):
+        return {r.sha256 for r in view}
+
+    assert kept(apply_filter(corpus, popular)) == {sha_for(0), sha_for(2)}
+    assert kept(apply_filter(corpus, recent)) == {sha_for(1), sha_for(2)}
+    assert kept(apply_filter(apply_filter(corpus, popular), recent)) \
+        == kept(apply_filter(apply_filter(corpus, recent), popular)) \
+        == {sha_for(2)}
+    assert len(kept(corpus)) == 4       # a filter leaves its source view as is
+
+
+def test_corpus_is_a_view_read_afresh_by_each_pass(tmp_path):
+    corpus = _corpus(tmp_path, [report_doc(sha_for(0))])
+    assert not hasattr(corpus, "records")
+    assert [r.sha256 for r in corpus] == [sha_for(0)]
+    assert [r.sha256 for r in corpus] == [sha_for(0)]
+    write_report(tmp_path / "reports",
+                 report_doc(sha_for(1), matches=[make_match("drm")]))
+    assert compute_stats(corpus).totals["analyzed"] == 2
+    assert api_prevalence(corpus)["per_api"]["drm"]["apps"] == 1
+
+
+def test_each_pass_names_the_first_bad_report_in_name_order(tmp_path):
+    report_dir = tmp_path / "reports"
+    write_report(report_dir, report_doc(sha_for(0)))
+    (report_dir / "m.json").write_text('{"meta": []}')
+    (report_dir / "b.json").write_text("[]")
+    (report_dir / "z.json").write_text("{not json")
+    corpus = load_corpus(report_dir)        # reads no report
+    passes = (compute_stats, api_prevalence, category_breakdown, crypto_table,
+              lambda c: location_split(c, PREFIXES),
+              lambda c: top_libraries(c, "drm", 3, PREFIXES), list)
+    for one_pass in passes:
+        with pytest.raises(MalformedReportError) as info:
+            one_pass(corpus)
+        assert str(info.value) == f"{report_dir / 'b.json'}: not a JSON object"
+
+
+_SELECTIONS = {
+    "none": None,
+    "defaults": SelectionFilter(),
+    "recent": SelectionFilter(min_downloads=0,
+                              min_last_update=date(2020, 1, 1),
+                              excluded_categories=frozenset()),
+}
+
+
+@pytest.mark.parametrize("seed", [7, 21, 42])
+@pytest.mark.parametrize("selection", sorted(_SELECTIONS))
+def test_each_table_function_is_its_part_of_compute_stats(tmp_path, seed,
+                                                          selection):
+    report_dir = tmp_path / "reports"
+    synth.random_corpus(random.Random(seed), report_dir,
+                        tmp_path / "corpus.csv", apps=30)
+    corpus = load_corpus(report_dir, tmp_path / "corpus.csv")
+    if _SELECTIONS[selection] is not None:
+        corpus = apply_filter(corpus, _SELECTIONS[selection])
+    stats = compute_stats(corpus, top_n=3, known_prefixes=PREFIXES)
+    records = list(corpus)
+    assert stats.totals["analyzed"] == len(records)
+    assert stats.totals["ok"] == sum(r.status == "ok" for r in records)
+    assert stats.totals["unmatched_metadata"] >= 1      # the ghost row
+    assert api_prevalence(corpus) == stats.prevalence
+    assert location_split(corpus, PREFIXES) == stats.locations
+    for d in synth.APIS:
+        assert top_libraries(corpus, d, 3, PREFIXES) == stats.top_libs[d]
+    assert category_breakdown(corpus) == stats.categories
+    assert crypto_table(corpus) == stats.crypto
 
 
 def test_prevalence_hand_computed(tmp_path):
@@ -248,72 +332,12 @@ def test_records_hold_per_app_facts_not_matches(tmp_path):
                for i in range(50)]
     matches.append(make_match("bouncycastle", "inmain", "com.app.main"))
     doc = report_doc(sha_for(0), matches=matches, crypto=("bouncycastle",))
-    record = _corpus(tmp_path, [doc]).records[0]
+    (record,) = _corpus(tmp_path, [doc])
     assert not hasattr(record, "matches")
     assert record.detectors == {"drm"}
     assert record.location_counts == {"inlib": 50}
     assert record.inlib_packages == {"drm": {"com.appsflyer.core"}}
     assert record.crypto_libs == {"bouncycastle"}
-
-
-_SHARED_FIELDS = ("status", "detectors", "location_counts", "inlib_packages",
-                  "crypto_libs", "native_libs")
-
-
-def test_equal_report_facts_are_one_object(tmp_path):
-    facts = {"matches": [make_match("drm", "inlib", "com.appsflyer.core"),
-                         make_match("keystore", "inmain", "com.app.main")],
-             "crypto": ("bouncycastle",), "native": ("openssl",)}
-    docs = [report_doc(sha_for(0), **facts), report_doc(sha_for(1), **facts),
-            report_doc(sha_for(2), matches=[
-                make_match("biometrics", "inlib", "com.appsflyer.core"),
-                make_match("biometrics", "inlib", "androidx.biometric")]),
-            report_doc(sha_for(3), status="error"),
-            report_doc(sha_for(4), status="timeout"),
-            report_doc(sha_for(5))]
-    for doc in docs:
-        write_report(tmp_path / "reports", doc)
-    entries = load_corpus_csv(write_corpus_csv(tmp_path / "corpus.csv", [
-        (sha_for(i), "com.a", "Tools", 20_000, "2021-01-01")
-        for i in range(2)]))
-    corpus = join_reports(tmp_path / "reports", entries)
-    first, second, other, error, timeout, empty = corpus.records
-
-    for name in _SHARED_FIELDS + ("category", "downloads", "last_update"):
-        assert getattr(first, name) is getattr(second, name), name
-    assert [r.sha256 for r in (first, second)] == [e.sha256 for e in entries]
-    assert all(r.sha256 is e.sha256 for r, e in zip((first, second), entries))
-    # one package string across different package sets
-    (package,) = first.inlib_packages["drm"]
-    assert any(p is package for p in other.inlib_packages["biometrics"])
-    # failed and match-free records share their empty sets and maps
-    for name in _SHARED_FIELDS[1:]:
-        assert getattr(error, name) is getattr(timeout, name), name
-        assert getattr(error, name) is getattr(empty, name), name
-    assert error.location_counts == {} and error.inlib_packages == {}
-
-
-def test_shared_maps_refuse_mutation(tmp_path):
-    doc = report_doc(sha_for(0), matches=[make_match("drm")])
-    record = _corpus(tmp_path, [doc]).records[0]
-    with pytest.raises(TypeError):
-        record.location_counts["inlib"] = 2
-    with pytest.raises(TypeError):
-        record.inlib_packages["drm"] = frozenset()
-    assert isinstance(record.inlib_packages["drm"], frozenset)
-    assert record.location_counts == {"inlib": 1}
-
-
-def test_each_join_has_its_own_table(tmp_path):
-    doc = report_doc(sha_for(0), matches=[make_match("drm")],
-                     crypto=("bouncycastle",), native=("openssl",))
-    write_report(tmp_path / "one", doc)
-    write_report(tmp_path / "two", doc)
-    first = load_corpus(tmp_path / "one").records[0]
-    second = load_corpus(tmp_path / "two").records[0]
-    assert first == second
-    for name in _SHARED_FIELDS[1:]:
-        assert getattr(first, name) is not getattr(second, name), name
 
 
 def test_location_obfuscated_only_app(tmp_path):

@@ -483,6 +483,26 @@ def test_stats_names_the_later_report_repeating_a_sha256(tmp_path, capsys):
         f"sha256 {_SHA0} repeats an earlier report"]
 
 
+def test_stats_names_the_first_of_two_bad_reports_and_writes_no_table(
+        tmp_path, capsys):
+    report_dir = tmp_path / "reports"
+    synth.random_corpus(__import__("random").Random(3), report_dir,
+                        tmp_path / "corpus.csv", apps=5)
+    (report_dir / "x.json").write_text('{"meta": {"status": "done"}}')
+    (report_dir / "g.json").write_text(_report_with_match(package=5))
+    out_dir = tmp_path / "tables"
+    code = main(["stats", "--reports", str(report_dir), "--corpus",
+                 str(tmp_path / "corpus.csv"), "--out", str(out_dir),
+                 "--filter-defaults"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"cannot read report {report_dir / 'g.json'}: "
+        "field matches[0].package is not a string"]
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("cwd, arg", [
     ("", "reports"), ("", "./reports"), ("", "reports/"), ("reports", "."),
 ], ids=["bare", "dot-slash", "trailing-slash", "dot"])

@@ -430,3 +430,51 @@ def test_every_name_the_benchmark_trace_calls_exists():
         target = getattr(importlib.import_module(f"analytika.{module}"),
                          name, None)
         assert callable(target), f"analytika.{module}.{name}"
+
+
+def test_the_benchmark_trace_runs_the_stats_layers_without_a_miss(tmp_path):
+    # The name check above cannot see a changed signature, or an attribute
+    # the trace reads off a value the program returned; running the trace's
+    # stats sequence can.
+    from pathlib import Path
+
+    import synth
+
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    sys.path.insert(0, bench)
+    try:
+        import traced
+    finally:
+        sys.path.remove(bench)
+    rows = []
+    for i, detector in enumerate(("drm", "keystore", "biometrics")):
+        synth.write_report(tmp_path / "reports", synth.report_doc(
+            synth.sha_for(i), matches=[synth.make_match(detector)],
+            crypto=("bouncycastle",)))
+        rows.append((synth.sha_for(i), f"com.app{i}", "Tools", 20_000,
+                     "2021-01-01"))
+    synth.write_corpus_csv(tmp_path / "corpus.csv", rows)
+    tracer = traced.Tracer(False)
+    traced.emulate_stats(traced.Layers(tracer), tracer, tmp_path / "reports",
+                         tmp_path / "corpus.csv", tmp_path / "tables",
+                         {"matches_held": 0})
+    assert tracer.missing == set()
+    assert (tmp_path / "tables" / "summary.json").is_file()
+
+
+def test_unreadable_entries_without_a_sha256_get_distinct_stable_reports(
+        tmp_path):
+    from analytika.aggregate import compute_stats, load_corpus
+
+    entries = [CorpusEntry(sha256="", source=str(tmp_path / "gone1.apk")),
+               CorpusEntry(sha256="", source=str(tmp_path / "gone2.apk"))]
+    for _ in range(2):                  # a rerun rewrites the same two
+        summary = run_corpus(entries, _config(tmp_path))
+        assert (summary.analyzed, summary.error) == (2, 2)
+        names = sorted(p.name for p in (tmp_path / "reports").glob("*.json"))
+        assert len(names) == 2 and all(n.startswith("unread-") for n in names)
+    docs = [read_report_document(tmp_path / "reports" / n) for n in names]
+    assert sorted(d["meta"]["sha256"] + ".json" for d in docs) == names
+    assert all(d["meta"]["status"] == "error" for d in docs)
+    totals = compute_stats(load_corpus(tmp_path / "reports")).totals
+    assert (totals["analyzed"], totals["failed"]) == (2, 2)
