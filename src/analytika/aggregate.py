@@ -85,17 +85,12 @@ class Corpus:
 
 
 def load_corpus(report_dir, corpus_csv=None) -> Corpus:
-    """Join report files with the rows of a corpus CSV (see join_reports)."""
-    entries = load_corpus_csv(corpus_csv) if corpus_csv is not None else ()
-    return join_reports(report_dir, entries)
-
-
-def join_reports(report_dir, entries) -> Corpus:
     """The view of report_dir's *.json files joined on sha256 with the
-    category, downloads and last update of `entries`, equal rows one tuple.
-    Reports without metadata keep a null category; metadata rows without a
-    report are only counted. A repeated entry sha256 raises
+    category, downloads and last update of the corpus CSV's rows, equal rows
+    one tuple. Reports without metadata keep a null category; metadata rows
+    without a report are only counted. A sha256 the CSV lists twice raises
     DuplicateSha256Error; no report is read here."""
+    entries = load_corpus_csv(corpus_csv) if corpus_csv is not None else ()
     metadata: dict[str, tuple] = {}
     rows: dict[tuple, tuple] = {}
     for entry in entries:
@@ -279,23 +274,19 @@ def category_breakdown(corpus: Corpus) -> list[dict]:
     return rows
 
 
-def crypto_table(corpus: Corpus, software_libs=None, native_libs=None) -> dict:
+def crypto_table(corpus: Corpus) -> dict:
     """Distinct-app counts per crypto library, software and native.
 
-    Libraries from the default pattern universe appear even with zero apps;
-    anything else observed in the reports is appended in sorted order. An
-    explicitly empty list means no default rows for that kind.
+    Libraries of the shipped pattern files appear even with zero apps;
+    anything else observed in the reports is appended in sorted order.
     """
-    if software_libs is None or native_libs is None:
-        patterns = load_patterns()
-        if software_libs is None:
-            software_libs = [s.detector_id for s in patterns.crypto_sets]
-        if native_libs is None:
-            native_libs = [p.library for p in patterns.native_patterns]
+    patterns = load_patterns()
     t = _tally(corpus)
     return {
-        "software": _universe_first(t.software, software_libs),
-        "native": _universe_first(t.native, native_libs),
+        "software": _universe_first(
+            t.software, [s.detector_id for s in patterns.crypto_sets]),
+        "native": _universe_first(
+            t.native, [p.library for p in patterns.native_patterns]),
         "apps_with_software": t.apps["software"],
         "apps_with_native": t.apps["native"],
         "ok_apps": t.ok,

@@ -42,13 +42,6 @@ def _check_out(path: str) -> None:
         raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
 
 
-def _read_corpus(path) -> list:
-    from .corpus import load_corpus_csv
-
-    with _cannot(f"read corpus {path}"):
-        return load_corpus_csv(path)
-
-
 def _bool_flag(value: str) -> bool:
     lowered = value.strip().lower()
     if lowered in ("true", "1", "yes"):
@@ -100,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_analyze(args) -> int:
-    from .corpus import CorpusEntry
+    from .corpus import CorpusEntry, load_corpus_csv
     from .matchers import load_patterns
     from .pipeline import AnalysisConfig, run_corpus
 
@@ -119,7 +112,6 @@ def _cmd_analyze(args) -> int:
             output_dir=Path(args.out),
             timeout_seconds=args.timeout,
             worker_count=args.workers,
-            pattern_dir=Path(args.patterns) if args.patterns else None,
             proguard_as_main=args.proguard_as_main,
             force=args.force,
             fetch_endpoint=args.fetch_endpoint,
@@ -130,8 +122,11 @@ def _cmd_analyze(args) -> int:
     with _cannot(f"write reports {args.out}"):
         _check_out(args.out)
     with _cannot(f"read patterns {args.patterns}"):
-        patterns = load_patterns(config.pattern_dir)
-    entries = _read_corpus(args.corpus) if args.corpus else []
+        patterns = load_patterns(args.patterns)
+    entries = []
+    if args.corpus:
+        with _cannot(f"read corpus {args.corpus}"):
+            entries = load_corpus_csv(args.corpus)
     # Each worker reads and hashes its APK once; here each path only opens.
     for apk_path in args.apk:
         with _cannot(f"read {apk_path}"):
@@ -152,7 +147,7 @@ def _pct(share: float) -> str:
 def _cmd_stats(args) -> int:
     from . import aggregate, defaults
     from .attribution import load_known_prefixes
-    from .errors import DuplicateSha256Error, MalformedReportError
+    from .errors import MalformedReportError
 
     # Every argument file is read and checked before the reports, so an
     # unusable one fails fast and no table is written.
@@ -192,11 +187,8 @@ def _cmd_stats(args) -> int:
                      or defaults.default_known_prefixes_path())
     with _cannot(f"read known prefixes {prefixes_path}"):
         prefixes = load_known_prefixes(prefixes_path)
-    try:
-        corpus = aggregate.join_reports(
-            args.reports, _read_corpus(args.corpus) if args.corpus else ())
-    except DuplicateSha256Error as exc:
-        raise _Unusable(f"cannot read corpus {args.corpus}: {exc}") from None
+    with _cannot(f"read corpus {args.corpus}"):
+        corpus = aggregate.load_corpus(args.reports, args.corpus or None)
     if selection is not None:
         corpus = aggregate.apply_filter(corpus, selection)
     try:

@@ -58,8 +58,8 @@ class NetworkError(AnalytikaError):
 class HttpStatusError(AnalytikaError):
     """Non-success HTTP status from the download endpoint."""
 
-    def __init__(self, code: int, message: str = ""):
-        super().__init__(message or f"HTTP status {code}")
+    def __init__(self, code: int):
+        super().__init__(f"HTTP status {code}")
         self.code = code
 
 
@@ -69,7 +69,7 @@ class HashMismatchError(AnalytikaError):
 
 # -- aggregation -------------------------------------------------------------
 
-class DuplicateSha256Error(AnalytikaError):
+class DuplicateSha256Error(AnalytikaError, ValueError):
     """Corpus metadata contains the same sha256 more than once."""
 
 

@@ -66,6 +66,7 @@ from .report import (
 log = logging.getLogger(__name__)
 
 MANIFEST_ENTRY = "AndroidManifest.xml"
+_FETCH_TIMEOUT_S = 60.0        # seconds per download request
 
 
 class Deadline:
@@ -85,7 +86,6 @@ class AnalysisConfig:
     output_dir: Path = Path("reports")
     timeout_seconds: float = 900
     worker_count: int = 4
-    pattern_dir: Path | None = None
     proguard_as_main: bool = True
     force: bool = False
     fetch_endpoint: str | None = None
@@ -99,12 +99,15 @@ class AnalysisConfig:
 
 
 @contextmanager
-def _stage(timings: dict, name: str):
+def _stage(timings: dict, name: str, deadline: Deadline):
+    """Add the stage's time to `timings[name]`; check `deadline` once the
+    stage completes."""
     start = time.perf_counter()
     try:
         yield
     finally:
         timings[name] = timings.get(name, 0.0) + time.perf_counter() - start
+    deadline.check()
 
 
 def compare_package_names(expected: str | None, actual: str) -> str:
@@ -128,7 +131,7 @@ def analyze_apk(data: bytes, entry: CorpusEntry, config: AnalysisConfig,
     failed apps cannot leak into corpus statistics.
     """
     if patterns is None:
-        patterns = load_patterns(config.pattern_dir)
+        patterns = load_patterns()
     return _analyze_hashed(data, *_timed_digest(data), entry, config,
                            patterns)
 
@@ -150,36 +153,31 @@ def _analyze_hashed(data: bytes, digest: str, digest_s: float,
         if entry.sha256 and digest != entry.sha256.lower():
             raise HashMismatchError(
                 f"hash mismatch: expected {entry.sha256}, computed {digest}")
-        deadline.check()
 
-        with _stage(timings, "archive"):
+        with _stage(timings, "archive", deadline):
             index = open_archive(data)
-        deadline.check()
 
-        with _stage(timings, "manifest"):
+        with _stage(timings, "manifest", deadline):
             try:
                 manifest_bytes = read_entry(index, MANIFEST_ENTRY,
                                             cancel_check=deadline.check)
             except EntryNotFoundError:
                 raise AnalytikaError("archive has no manifest entry") from None
             info = extract_manifest_info(parse_binary_xml(manifest_bytes))
-        deadline.check()
 
         tee_records = []
         crypto_records = []
         for dex_name in enumerate_dex(index):
-            deadline.check()
-            with _stage(timings, "inflate"):
+            with _stage(timings, "inflate", deadline):
                 raw = read_entry(index, dex_name, cancel_check=deadline.check)
-            with _stage(timings, "dex_parse"):
+            with _stage(timings, "dex_parse", deadline):
                 unit = parse_dex(raw, dex_name, cancel_check=deadline.check)
-            deadline.check()
-            with _stage(timings, "match"):
+            with _stage(timings, "match", deadline):
                 tee, crypto = match_unit(unit, patterns.index)
             tee_records += tee
             crypto_records += crypto
 
-        with _stage(timings, "attribution"):
+        with _stage(timings, "attribution", deadline):
             app_pkg = parse_package(info.package_name)
             for record in tee_records + crypto_records:
                 pkg = (package_of_class(record.caller_class)
@@ -187,9 +185,8 @@ def _analyze_hashed(data: bytes, digest: str, digest_s: float,
                 record.attributed_package = render_package(pkg)
                 record.location = classify_location(
                     app_pkg, pkg, proguard_as_main=config.proguard_as_main)
-        deadline.check()
 
-        with _stage(timings, "native"):
+        with _stage(timings, "native", deadline):
             native_hits = match_native_libs(enumerate_native_libs(index),
                                             patterns.native_patterns)
 
@@ -286,13 +283,13 @@ def run_corpus(entries, config: AnalysisConfig,
     entry without a sha256 is checked once its worker has read and hashed
     its bytes; that one digest also names its report. If its bytes cannot
     be read, its error report is named by `_unread_name` instead.
-    Patterns not given are loaded from config.pattern_dir before the output
+    Patterns not given are the shipped ones, loaded before the output
     directory is made. Every worker holds only immutable shared state
     (patterns, config); the run log is the single append-only shared output
     besides the reports.
     """
     if patterns is None:
-        patterns = load_patterns(config.pattern_dir)
+        patterns = load_patterns()
     out_dir = Path(config.output_dir)
     _probe_writable(out_dir)
 
@@ -350,8 +347,7 @@ def run_corpus(entries, config: AnalysisConfig,
     return summary
 
 
-def fetch_by_hash(sha256: str, endpoint: str, api_key: str,
-                  timeout: float = 60.0) -> bytes:
+def fetch_by_hash(sha256: str, endpoint: str, api_key: str) -> bytes:
     """Download one APK by digest and verify the bytes before returning."""
     # Imported here: the HTTP stack costs every other run its start-up.
     import urllib.error
@@ -361,7 +357,7 @@ def fetch_by_hash(sha256: str, endpoint: str, api_key: str,
     query = urllib.parse.urlencode({"apikey": api_key, "sha256": sha256})
     url = f"{endpoint}?{query}"
     try:
-        with urllib.request.urlopen(url, timeout=timeout) as response:
+        with urllib.request.urlopen(url, timeout=_FETCH_TIMEOUT_S) as response:
             data = response.read()
     except urllib.error.HTTPError as exc:
         exc.close()             # the error holds the response connection

@@ -21,6 +21,7 @@ from analytika.aggregate import (
 from analytika.attribution import load_known_prefixes
 from analytika.defaults import default_known_prefixes_path
 from analytika.errors import DuplicateSha256Error, MalformedReportError
+from analytika.matchers import load_patterns
 
 import synth
 from synth import make_match, report_doc, sha_for, write_corpus_csv, write_report
@@ -426,16 +427,6 @@ def test_crypto_table_hand_computed(tmp_path):
     assert table["software"]["apache_tuweni"] == 0
 
 
-def test_crypto_table_explicit_empty_list_is_kept(tmp_path):
-    docs = [report_doc(sha_for(0), crypto=("bouncycastle",),
-                       native=("openssl",))]
-    table = crypto_table(_corpus(tmp_path, docs), software_libs=[],
-                         native_libs=None)
-    assert table["software"] == {"bouncycastle": 1}
-    assert table["native"]["openssl"] == 1
-    assert table["native"]["sodium"] == 0     # default universe still used
-
-
 def test_crypto_table_extras_follow_defaults_sorted(tmp_path):
     # Reports are read in sha order, which here is reverse name order, and
     # the last report's library set has no order of its own.
@@ -443,14 +434,18 @@ def test_crypto_table_extras_follow_defaults_sorted(tmp_path):
             report_doc(sha_for(1), crypto=("custom_c",), native=("native_c",)),
             report_doc(sha_for(2), crypto=("custom_b", "custom_a"),
                        native=("native_b", "native_a"))]
-    table = crypto_table(_corpus(tmp_path, docs),
-                         software_libs=["zeta", "alpha"], native_libs=["zz"])
-    assert list(table["software"]) == [
-        "zeta", "alpha", "custom_a", "custom_b", "custom_c", "custom_d"]
-    assert list(table["native"]) == [
-        "zz", "native_a", "native_b", "native_c", "native_d"]
+    table = crypto_table(_corpus(tmp_path, docs))
+    shipped = load_patterns()
+    software = [s.detector_id for s in shipped.crypto_sets]
+    # one library may have several file name rows; its first one places it
+    native = list(dict.fromkeys(p.library for p in shipped.native_patterns))
+    assert software and native
+    assert list(table["software"]) == software + [
+        "custom_a", "custom_b", "custom_c", "custom_d"]
+    assert list(table["native"]) == native + [
+        "native_a", "native_b", "native_c", "native_d"]
     assert table["software"]["custom_a"] == 1
-    assert table["software"]["zeta"] == 0
+    assert table["software"][software[0]] == 0
 
 
 def test_crypto_table_empty(tmp_path):

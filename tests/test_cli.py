@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import argparse
 import errno
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import analytika
-from analytika.cli import main
+from analytika.cli import build_parser, main
 from analytika.container import sha256_digest
 from analytika.report import deterministic_document
 
@@ -580,3 +582,25 @@ def test_package_root_imports_no_submodule():
     for path in Path(analytika.__file__).parent.glob("*.py")))
 def test_module_imports_alone(module):
     _python("-c", f"import {module}")
+
+
+def _readme_usage_flags(command: str) -> set[str]:
+    """The --flags of the README usage block that runs `command`."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = [block for block in readme.read_text(encoding="utf-8").split("```")[1::2]
+              if f"analytika {command} " in block]
+    assert len(blocks) == 1, f"one usage block for {command}"
+    return set(re.findall(r"--[a-z][a-z0-9-]*", blocks[0]))
+
+
+@pytest.mark.parametrize("command", ["analyze", "stats"])
+def test_readme_usage_lists_exactly_the_parser_options(command):
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    options = [action.option_strings
+               for action in subparsers.choices[command]._actions
+               if action.option_strings and action.dest != "help"]
+    documented = _readme_usage_flags(command)
+    assert [o for o in options if not documented & set(o)] == []
+    accepted = {flag for strings in options for flag in strings}
+    assert documented - accepted == set()

@@ -15,6 +15,7 @@ from analytika.container import MAX_ENTRY_SIZE, sha256_digest
 from analytika.corpus import CorpusEntry, load_corpus_csv
 from analytika import pipeline
 from analytika.errors import AnalysisTimeout, HashMismatchError, HttpStatusError
+from analytika.matchers import load_patterns
 from analytika.pipeline import (
     AnalysisConfig,
     _failure_report,
@@ -121,6 +122,54 @@ def test_failed_app_keeps_no_partial_results(tmp_path):
     assert doc["crypto_libs"] == []
     assert doc["native_libs"] == []
     assert not any(doc["meta"]["api_summary"].values())
+
+
+def test_timeout_at_any_check_keeps_no_partial_results(tmp_path,
+                                                      monkeypatch):
+    # Two bytecode entries, a crypto and a native hit: every stage runs,
+    # and a deadline that expires at any one of its checks, the last (after
+    # the native stage) included, leaves only the app's identity.
+    plan = PLANTED_PLAN + [
+        ("com.fixture.app.Vault", [("org.bouncycastle.crypto.Digest",
+                                    "update")])]
+    apk = make_fixture_apk(
+        dex_plans=[plan, [("com.fixture.app.Player",
+                           [("android.media.MediaDrm", "<init>")])]],
+        native_libs=("lib/arm64-v8a/libcrypto.so",))
+    entry, config = _entry_for(apk), _config(tmp_path)
+    patterns = load_patterns()
+    deadlines = []
+
+    class ExpiresAtCheck(pipeline.Deadline):
+        expires_at = 0                  # the failing check's number; 0: none
+
+        def __init__(self, seconds: float):
+            super().__init__(seconds)
+            self.checks = 0
+            deadlines.append(self)
+
+        def check(self) -> None:
+            self.checks += 1
+            if self.checks == self.expires_at:
+                raise AnalysisTimeout(f"expired at check {self.checks}")
+
+    monkeypatch.setattr(pipeline, "Deadline", ExpiresAtCheck)
+    doc = analyze_apk(apk, entry, config, patterns=patterns).to_document()
+    assert doc["meta"]["status"] == "ok"
+    assert doc["matches"] and doc["crypto_libs"] and doc["native_libs"]
+    assert all(doc["meta"]["api_summary"].values())
+
+    for k in range(1, deadlines[-1].checks + 1):
+        ExpiresAtCheck.expires_at = k
+        report = analyze_apk(apk, entry, config, patterns=patterns)
+        doc = report.to_document()
+        assert (doc["meta"]["status"], report.message) == (
+            "timeout", f"expired at check {k}")
+        assert doc["meta"]["package"] == ""
+        assert doc["matches"] == []
+        assert doc["crypto_libs"] == []
+        assert doc["native_libs"] == []
+        assert not any(doc["meta"]["api_summary"].values())
 
 
 def _patch_declared_size(apk: bytes, name: str, size: int) -> bytes:
@@ -413,6 +462,7 @@ def test_fetch_by_hash_http_status(stub_server):
     with pytest.raises(HttpStatusError) as exc_info:
         fetch_by_hash("0" * 64, stub_server, "test-key")
     assert exc_info.value.code == 403
+    assert str(exc_info.value) == "HTTP status 403"
 
 
 def test_every_name_the_benchmark_trace_calls_exists():
