@@ -127,7 +127,7 @@ def _cmd_analyze(args) -> int:
     if args.corpus:
         with _cannot(f"read corpus {args.corpus}"):
             entries = load_corpus_csv(args.corpus)
-    # Each worker reads and hashes its APK once; here each path only opens.
+    # The run reads and hashes each APK once; here each path only opens.
     for apk_path in args.apk:
         with _cannot(f"read {apk_path}"):
             open(apk_path, "rb").close()

@@ -12,7 +12,7 @@ import re
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import (
     DecompressionError,
@@ -42,8 +42,7 @@ _READ_CHUNK = 1 << 20
 MAX_ENTRY_SIZE = 512 << 20
 
 
-@dataclass(frozen=True)
-class EntryMeta:
+class EntryMeta(NamedTuple):
     """One central-directory entry with its resolved data region."""
 
     name: str
@@ -101,6 +100,8 @@ def open_archive(data: bytes) -> ArchiveIndex:
     if cd_offset + cd_size > eocd_pos:
         raise MalformedArchiveError("central directory overlaps end record")
 
+    # tuple.__new__ skips the named tuple's Python-level constructor.
+    new_meta = tuple.__new__
     entries: list[EntryMeta] = []
     off = cd_offset
     for _ in range(total_entries):
@@ -138,9 +139,8 @@ def open_archive(data: bytes) -> ArchiveIndex:
             raise MalformedArchiveError(
                 f"stored entry with mismatched sizes: {name!r}")
 
-        entries.append(EntryMeta(
-            name=name, compressed_size=csize, uncompressed_size=usize,
-            method_code=method, data_offset=data_offset, flags=flags))
+        entries.append(new_meta(EntryMeta, (name, csize, usize, method,
+                                             data_offset, flags)))
         off = name_end + extra_len + comment_len
 
     by_name = {entry.name: entry for entry in entries}

@@ -1,11 +1,13 @@
-"""Per-app analysis orchestration and parallel corpus runs.
+"""Per-app analysis orchestration and corpus runs.
 
 Each app is analyzed independently: verify digest, open the archive, parse
 the manifest and every bytecode entry, run the detectors, attribute each
 match, and write one JSON report. A cooperative deadline is checked at
 stage boundaries and inside the long loops (entry decompression, per-class
 bytecode parsing), so a stuck app is abandoned shortly after its deadline
-without affecting its siblings. Failed apps keep no partial results.
+without affecting its siblings' reports. Failed apps keep no partial
+results. A corpus run analyzes one app at a time, in input order, while
+loader threads read and hash the next few apps ahead of it.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from __future__ import annotations
 import logging
 import os
 import tempfile
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -274,19 +276,53 @@ def _unread_name(entry: CorpusEntry) -> str:
     return f"unread-{sha256_digest(key)}"
 
 
+def _load(entry: CorpusEntry, config: AnalysisConfig):
+    """Read (or download) and hash one app's bytes: work that releases the
+    interpreter lock, so it can run beside the analysis of another app.
+
+    Gives (bytes, digest, digest seconds), or, if the bytes cannot be read,
+    the app's error report, its total time being the failed load's.
+    """
+    started = time.perf_counter()
+    try:
+        data = _load_entry_bytes(entry, config)
+    except Exception as exc:
+        report = _failure_report(entry, STATUS_ERROR,
+                                 f"could not load app bytes: {exc}",
+                                 _unread_name(entry))
+        report.timings = {"total": time.perf_counter() - started}
+        return report
+    return (data, *_timed_digest(data))
+
+
+def _read_ahead(entries, config: AnalysisConfig, loaders: Executor):
+    """Yield (entry, future of its `_load`) in input order, with the loads
+    of the next `config.worker_count - 1` entries started on `loaders`
+    before each entry is yielded."""
+    pending = deque()
+    for entry in entries:
+        pending.append((entry, loaders.submit(_load, entry, config)))
+        if len(pending) == config.worker_count:
+            yield pending.popleft()
+    while pending:
+        yield pending.popleft()
+
+
 def run_corpus(entries, config: AnalysisConfig,
                patterns: LoadedPatterns | None = None) -> RunSummary:
-    """Analyze a corpus with a worker pool; one report file per app.
+    """Analyze a corpus in input order; one report file per app.
 
     Apps whose report `read_record` reads as ok are skipped unless
-    config.force is set, which makes interrupted runs cheap to resume. An
-    entry without a sha256 is checked once its worker has read and hashed
-    its bytes; that one digest also names its report. If its bytes cannot
-    be read, its error report is named by `_unread_name` instead.
-    Patterns not given are the shipped ones, loaded before the output
-    directory is made. Every worker holds only immutable shared state
-    (patterns, config); the run log is the single append-only shared output
-    besides the reports.
+    config.force is set, which makes interrupted runs cheap to resume.
+    Each app is analyzed in the calling thread, one at a time, while loader
+    threads read (or download) and hash up to `config.worker_count - 1`
+    apps ahead of it; so at most `worker_count` apps are in flight. An
+    entry without a sha256 is checked once its bytes are hashed, just
+    before its analysis, so a repeat of an earlier entry's bytes is
+    skipped; that one digest also names its report. If its bytes cannot be
+    read, its error report is named by `_unread_name` instead. Patterns not
+    given are the shipped ones, loaded before the output directory is made.
+    `run.log` gets one line per analyzed app, in input order.
     """
     if patterns is None:
         patterns = load_patterns()
@@ -302,47 +338,33 @@ def run_corpus(entries, config: AnalysisConfig,
         else:
             todo.append(entry)
 
-    log_lock = threading.Lock()
     log_path = out_dir / "run.log"
-
-    def _work(entry: CorpusEntry) -> str | None:
-        """Analyze one app and return its status, or None when skipped."""
-        started = time.perf_counter()
-        try:
-            data = _load_entry_bytes(entry, config)
-        except Exception as exc:
-            report = _failure_report(entry, STATUS_ERROR,
-                                     f"could not load app bytes: {exc}",
-                                     _unread_name(entry))
-            report.timings = {"total": time.perf_counter() - started}
-        else:
-            digest, digest_s = _timed_digest(data)
-            if not entry.sha256 and not config.force and _has_ok_report(
-                    out_dir, digest):
-                return None
-            report = _analyze_hashed(data, digest, digest_s, entry, config,
-                                     patterns)
-        write_report(report, out_dir)
-        line = (f"{report.sha256} {report.status} "
-                f"{report.timings.get('total', 0.0):.3f}s {report.message}\n")
-        with log_lock:
-            with open(log_path, "a", encoding="utf-8") as handle:
-                handle.write(line)
-        return report.status
-
-    if todo:
-        with ThreadPoolExecutor(max_workers=config.worker_count) as pool:
-            for status in pool.map(_work, todo):
-                if status is None:
+    loaders = ThreadPoolExecutor(max_workers=max(config.worker_count - 1, 1))
+    with loaders:
+        for entry, loading in _read_ahead(todo, config, loaders):
+            loaded = loading.result()
+            if isinstance(loaded, AppReport):
+                report = loaded         # its bytes could not be read
+            else:
+                data, digest, digest_s = loaded
+                if not entry.sha256 and not config.force and _has_ok_report(
+                        out_dir, digest):
                     summary.skipped += 1
                     continue
-                summary.analyzed += 1
-                if status == STATUS_OK:
-                    summary.ok += 1
-                elif status == STATUS_TIMEOUT:
-                    summary.timeout += 1
-                else:
-                    summary.error += 1
+                report = _analyze_hashed(data, digest, digest_s, entry,
+                                         config, patterns)
+            write_report(report, out_dir)
+            with open(log_path, "a", encoding="utf-8") as handle:
+                handle.write(f"{report.sha256} {report.status} "
+                             f"{report.timings.get('total', 0.0):.3f}s "
+                             f"{report.message}\n")
+            summary.analyzed += 1
+            if report.status == STATUS_OK:
+                summary.ok += 1
+            elif report.status == STATUS_TIMEOUT:
+                summary.timeout += 1
+            else:
+                summary.error += 1
     log.info("corpus run finished: %s", summary.as_dict())
     return summary
 

@@ -332,12 +332,17 @@ def test_empty_corpus(tmp_path):
                                  "error": 0, "skipped": 0}
 
 
-def test_poisoned_fixture_does_not_affect_others(tmp_path, slow_apk):
-    apps = {f"app{i}": make_fixture_apk(
+def _keychain_apps(count: int) -> dict[str, bytes]:
+    """`count` distinct apps, each with one keystore match."""
+    return {f"app{i}": make_fixture_apk(
         package=f"com.app{i}.main",
         dex_plans=[[(f"com.app{i}.main.M",
                      [("android.security.KeyChain", "getPrivateKey")])]])
-        for i in range(4)}
+        for i in range(count)}
+
+
+def test_poisoned_fixture_does_not_affect_others(tmp_path, slow_apk):
+    apps = _keychain_apps(4)
     clean_entries = _write_corpus(tmp_path / "clean", apps)
     clean_config = AnalysisConfig(output_dir=tmp_path / "clean" / "reports",
                                   timeout_seconds=5)
@@ -360,6 +365,108 @@ def test_poisoned_fixture_does_not_affect_others(tmp_path, slow_apk):
         mixed_bytes = json.dumps(deterministic_document(mixed_doc),
                                  sort_keys=True)
         assert clean_bytes == mixed_bytes
+
+
+def _mixed_corpus(tmp_path):
+    """Five good apps, a truncated one and a missing file, in that order."""
+    apps = _keychain_apps(5)
+    apps["broken"] = apps["app0"][:200]
+    entries = _write_corpus(tmp_path, apps)
+    return entries + [CorpusEntry(sha256="",
+                                  source=str(tmp_path / "gone.apk"))]
+
+
+def test_run_log_follows_input_order(tmp_path, monkeypatch):
+    # The first app's bytes arrive last; its line still comes first.
+    entries = _mixed_corpus(tmp_path)
+    load = pipeline._load_entry_bytes
+
+    def first_loads_slowly(entry, config):
+        if entry is entries[0]:
+            time.sleep(0.2)
+        return load(entry, config)
+
+    monkeypatch.setattr(pipeline, "_load_entry_bytes", first_loads_slowly)
+    orders = []
+    for run in ("first", "second"):
+        out_dir = tmp_path / run
+        summary = run_corpus(entries, _config(tmp_path, output_dir=out_dir,
+                                              worker_count=4))
+        assert (summary.analyzed, summary.error) == (7, 2)
+        lines = (out_dir / "run.log").read_text(encoding="utf-8").splitlines()
+        orders.append([line.split(" ", 1)[0] for line in lines])
+    assert orders[0][:6] == [entry.sha256 for entry in entries[:6]]
+    assert orders[0][6].startswith("unread-")
+    assert orders[1] == orders[0]
+
+
+def test_reports_do_not_depend_on_worker_count(tmp_path):
+    entries = _mixed_corpus(tmp_path)
+    runs = []
+    for workers in (1, 2, 4):
+        out_dir = tmp_path / f"workers{workers}"
+        run_corpus(entries, _config(tmp_path, output_dir=out_dir,
+                                    worker_count=workers))
+        runs.append({path.name: deterministic_document(
+            read_report_document(path)) for path in out_dir.glob("*.json")})
+    assert len(runs[0]) == 7
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_read_ahead_depth_is_workers_minus_one(tmp_path, monkeypatch):
+    # Counts the apps loaded but not yet analyzed while each analysis runs.
+    entries = _write_corpus(tmp_path, _keychain_apps(8))
+    load, analyze = pipeline._load_entry_bytes, pipeline._analyze_hashed
+    lock = threading.Lock()
+    counts = {"loaded": 0, "started": 0}
+    depths = []
+
+    def counted_load(entry, config):
+        data = load(entry, config)
+        with lock:
+            counts["loaded"] += 1
+        return data
+
+    def slow_analysis(*args):
+        with lock:
+            counts["started"] += 1
+        time.sleep(0.02)                # the loads ahead finish meanwhile
+        report = analyze(*args)
+        with lock:
+            depths.append(counts["loaded"] - counts["started"])
+        return report
+
+    monkeypatch.setattr(pipeline, "_load_entry_bytes", counted_load)
+    monkeypatch.setattr(pipeline, "_analyze_hashed", slow_analysis)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, 2, 4):
+            counts.update(loaded=0, started=0)
+            depths.clear()
+            summary = run_corpus(entries, _config(
+                tmp_path, output_dir=tmp_path / f"workers{workers}",
+                worker_count=workers))
+            assert (summary.analyzed, summary.ok) == (8, 8)
+            assert len(depths) == 8
+            assert max(depths) == workers - 1, (workers, depths)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_repeated_bytes_without_a_sha256_are_analyzed_once(tmp_path):
+    apk = make_fixture_apk()
+    paths = [tmp_path / "one.apk", tmp_path / "two.apk"]
+    for path in paths:
+        path.write_bytes(apk)
+    entries = [CorpusEntry(sha256="", source=str(path)) for path in paths]
+    summary = run_corpus(entries, _config(tmp_path, worker_count=4))
+    assert summary.as_dict() == {"analyzed": 1, "ok": 1, "timeout": 0,
+                                 "error": 0, "skipped": 1}
+    assert [p.name for p in (tmp_path / "reports").glob("*.json")] == [
+        f"{sha256_digest(apk)}.json"]
+    log_lines = (tmp_path / "reports" / "run.log").read_text().splitlines()
+    assert len(log_lines) == 1
 
 
 def test_unwritable_output_dir(tmp_path):
