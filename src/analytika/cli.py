@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import csv
 import errno
-import logging
 import os
 import sys
 from contextlib import contextmanager
@@ -166,13 +165,18 @@ def _cmd_stats(args) -> int:
                         "would read it as a report in --reports")
     if args.top_n < 1:
         raise _Unusable("invalid option: top_n must be at least 1")
+    explicit = (args.min_downloads is not None or args.min_date is not None
+                or args.exclude_categories is not None)
+    if args.filter_defaults and explicit:
+        raise _Unusable("invalid option: --filter-defaults cannot be combined "
+                        "with --min-downloads, --min-date or "
+                        "--exclude-categories")
     selection = None
     if args.filter_defaults:
         selection = aggregate.SelectionFilter()
-    elif (args.min_downloads is not None or args.min_date is not None
-          or args.exclude_categories):
+    elif explicit:
         excluded = frozenset()
-        if args.exclude_categories:
+        if args.exclude_categories is not None:
             with _cannot(f"read excluded categories {args.exclude_categories}"):
                 excluded = defaults.load_game_categories(
                     args.exclude_categories)
@@ -214,7 +218,6 @@ def _cmd_stats(args) -> int:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
     command = _cmd_analyze if args.command == "analyze" else _cmd_stats
     try:

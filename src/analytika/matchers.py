@@ -39,14 +39,6 @@ class PatternSet:
     class_prefixes: tuple[str, ...]
     method_patterns: tuple[tuple[str, str], ...] = ()
 
-    def __post_init__(self):
-        if not self.class_prefixes:
-            raise PatternParseError(
-                f"detector {self.detector_id!r} has no class patterns")
-        if self.kind == KIND_TEE_API and not self.method_patterns:
-            raise PatternParseError(
-                f"detector {self.detector_id!r} needs method patterns")
-
 
 @dataclass(frozen=True)
 class NativeLibPattern:
@@ -134,22 +126,20 @@ class PatternIndex(NamedTuple):
     crypto: dict[str, list[str]]             # class or package -> detectors
 
 
-def index_patterns(tee_sets=(), crypto_sets=()) -> PatternIndex:
-    """Key the rows of API detectors by class and the prefixes of crypto
-    detectors by class or package; a set of the wrong kind is refused."""
-    tee: dict[str, list[tuple[str, str]]] = {}
-    for pattern_set in tee_sets:
-        if pattern_set.kind != KIND_TEE_API:
-            raise ValueError(f"not an API pattern set: {pattern_set.detector_id}")
-        for cls, method in pattern_set.method_patterns:
-            tee.setdefault(cls, []).append((pattern_set.detector_id, method))
-    crypto: dict[str, list[str]] = {}
-    for pattern_set in crypto_sets:
-        if pattern_set.kind != KIND_CRYPTO_SOFTWARE:
-            raise ValueError(f"not a crypto pattern set: {pattern_set.detector_id}")
-        for prefix in pattern_set.class_prefixes:
-            crypto.setdefault(prefix, []).append(pattern_set.detector_id)
-    return PatternIndex(tee, crypto)
+def index_patterns(sets) -> PatternIndex:
+    """Key each set by its own kind: the rows of an API detector by class,
+    the prefixes of a crypto detector by class or package."""
+    index = PatternIndex({}, {})
+    for pattern_set in sets:
+        if pattern_set.kind == KIND_TEE_API:
+            for cls, method in pattern_set.method_patterns:
+                index.tee.setdefault(cls, []).append(
+                    (pattern_set.detector_id, method))
+        elif pattern_set.kind == KIND_CRYPTO_SOFTWARE:
+            for prefix in pattern_set.class_prefixes:
+                index.crypto.setdefault(prefix, []).append(
+                    pattern_set.detector_id)
+    return index
 
 
 @dataclass(frozen=True)
@@ -157,7 +147,7 @@ class LoadedPatterns:
     tee_sets: tuple
     crypto_sets: tuple
     native_patterns: tuple
-    index: PatternIndex         # of tee_sets and crypto_sets
+    index: PatternIndex         # of every bytecode set
 
 
 def load_patterns(pattern_dir=None) -> LoadedPatterns:
@@ -171,12 +161,11 @@ def load_patterns(pattern_dir=None) -> LoadedPatterns:
         bytecode = pattern_dir / "bytecode_patterns.csv"
         native = pattern_dir / "native_patterns.csv"
     sets = load_pattern_file(bytecode)
-    tee_sets = tuple(s for s in sets if s.kind == KIND_TEE_API)
-    crypto_sets = tuple(s for s in sets if s.kind == KIND_CRYPTO_SOFTWARE)
     return LoadedPatterns(
-        tee_sets=tee_sets, crypto_sets=crypto_sets,
+        tee_sets=tuple(s for s in sets if s.kind == KIND_TEE_API),
+        crypto_sets=tuple(s for s in sets if s.kind == KIND_CRYPTO_SOFTWARE),
         native_patterns=tuple(load_native_pattern_file(native)),
-        index=index_patterns(tee_sets, crypto_sets))
+        index=index_patterns(sets))
 
 
 def match_tee_apis(unit: DexUnit, sets) -> list[MatchRecord]:
@@ -184,9 +173,10 @@ def match_tee_apis(unit: DexUnit, sets) -> list[MatchRecord]:
 
     A record is produced only when the invoked method hits a (class, method)
     row; a pattern class matches itself and its inner classes. Class
-    references that are never invoked do not match.
+    references that are never invoked do not match. Crypto sets among
+    `sets` add nothing.
     """
-    return match_unit(unit, index_patterns(tee_sets=sets))[0]
+    return match_unit(unit, index_patterns(sets))[0]
 
 
 def match_crypto_packages(unit: DexUnit, sets) -> list[MatchRecord]:
@@ -197,9 +187,9 @@ def match_crypto_packages(unit: DexUnit, sets) -> list[MatchRecord]:
     record per invocation. Uninvoked references carry an empty caller (and
     point at the method pool slot) so they only count at app scope. A class
     sits under a prefix when the prefix is the class itself or one of its
-    enclosing packages.
+    enclosing packages. API sets among `sets` add nothing.
     """
-    return match_unit(unit, index_patterns(crypto_sets=sets))[1]
+    return match_unit(unit, index_patterns(sets))[1]
 
 
 def _resolve(name: str, index: dict, sep: str) -> list:

@@ -12,14 +12,13 @@ loader threads read and hash the next few apps ahead of it.
 
 from __future__ import annotations
 
-import logging
 import os
 import tempfile
 import time
 from collections import deque
 from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .attribution import (
@@ -64,8 +63,6 @@ from .report import (
     report_path,
     write_report,
 )
-
-log = logging.getLogger(__name__)
 
 MANIFEST_ENTRY = "AndroidManifest.xml"
 _FETCH_TIMEOUT_S = 60.0        # seconds per download request
@@ -235,9 +232,7 @@ class RunSummary:
     skipped: int = 0
 
     def as_dict(self) -> dict:
-        return {"analyzed": self.analyzed, "ok": self.ok,
-                "timeout": self.timeout, "error": self.error,
-                "skipped": self.skipped}
+        return asdict(self)
 
 
 def _probe_writable(out_dir: Path) -> None:
@@ -251,9 +246,11 @@ def _probe_writable(out_dir: Path) -> None:
 
 
 def _has_ok_report(out_dir: Path, sha256: str) -> bool:
-    """Whether `read_record` reads the app's report as ok."""
+    """Whether `read_record` reads the app's report as ok and as the
+    report of `sha256`, not of an app whose report was copied or renamed."""
     try:
-        return read_record(report_path(out_dir, sha256)).status == STATUS_OK
+        record = read_record(report_path(out_dir, sha256))
+        return record.status == STATUS_OK and record.sha256 == sha256
     except MalformedReportError:
         return False            # missing, or a report stats would refuse
 
@@ -312,8 +309,9 @@ def run_corpus(entries, config: AnalysisConfig,
                patterns: LoadedPatterns | None = None) -> RunSummary:
     """Analyze a corpus in input order; one report file per app.
 
-    Apps whose report `read_record` reads as ok are skipped unless
-    config.force is set, which makes interrupted runs cheap to resume.
+    Apps whose report `read_record` reads as ok, with a `meta.sha256` that
+    names the app, are skipped unless config.force is set, which makes
+    interrupted runs cheap to resume.
     Each app is analyzed in the calling thread, one at a time, while loader
     threads read (or download) and hash up to `config.worker_count - 1`
     apps ahead of it; so at most `worker_count` apps are in flight. An
@@ -365,7 +363,6 @@ def run_corpus(entries, config: AnalysisConfig,
                 summary.timeout += 1
             else:
                 summary.error += 1
-    log.info("corpus run finished: %s", summary.as_dict())
     return summary
 
 

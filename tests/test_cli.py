@@ -325,6 +325,10 @@ def _report_with_match(**fields) -> str:
     return json.dumps(doc)
 
 
+_EXCLUSIVE = ("invalid option: --filter-defaults cannot be combined with "
+              "--min-downloads, --min-date or --exclude-categories")
+
+
 @pytest.mark.parametrize("extra, line", [
     (["--corpus", "{tmp}/nope.csv"],
      f"cannot read corpus {{tmp}}/nope.csv: {_ENOENT}"),
@@ -333,6 +337,8 @@ def _report_with_match(**fields) -> str:
      "expected 6 columns, got 2"),
     (["--exclude-categories", "{tmp}/nope.txt"],
      f"cannot read excluded categories {{tmp}}/nope.txt: {_ENOENT}"),
+    (["--exclude-categories", ""],
+     f"cannot read excluded categories : {os.strerror(errno.EISDIR)}"),
     (["--known-prefixes", "{tmp}/nope.txt"],
      f"cannot read known prefixes {{tmp}}/nope.txt: {_ENOENT}"),
     (["--reports", "{tmp}/nope"],
@@ -348,6 +354,11 @@ def _report_with_match(**fields) -> str:
      "invalid option: min_downloads must be non-negative"),
     (["--top-n", "0"], "invalid option: top_n must be at least 1"),
     (["--top-n", "-1"], "invalid option: top_n must be at least 1"),
+    (["--filter-defaults", "--min-downloads", "100000000"], _EXCLUSIVE),
+    (["--filter-defaults", "--min-date", "2020-01-01"], _EXCLUSIVE),
+    (["--filter-defaults", "--exclude-categories", ""], _EXCLUSIVE),
+    (["--reports", "{tmp}/not_json", "--filter-defaults",
+      "--exclude-categories", "{tmp}/nope.txt"], _EXCLUSIVE),
     (["--corpus", "{tmp}/dup.csv"],
      f"cannot read corpus {{tmp}}/dup.csv: sha256 {_SHA0} is listed twice"),
     (["--reports", "{tmp}/not_json"],
@@ -365,9 +376,13 @@ def _report_with_match(**fields) -> str:
      f"cannot read report {{tmp}}/int_package/{_SHA0}.json: "
      "field matches[0].package is not a string"),
 ], ids=["missing-corpus", "short-row-corpus", "missing-exclude-categories",
+        "empty-exclude-categories",
         "missing-known-prefixes", "missing-reports", "reports-not-a-directory",
         "out-is-a-file", "out-under-a-file",
         "negative-min-downloads", "top-n-zero", "top-n-negative",
+        "defaults-and-min-downloads", "defaults-and-min-date",
+        "defaults-and-empty-exclude-categories",
+        "defaults-and-exclude-categories-before-reading",
         "duplicate-sha-corpus", "report-not-json",
         "report-not-an-object", "report-meta-not-an-object",
         "report-match-without-detector", "report-package-not-a-string"])
@@ -537,7 +552,8 @@ def test_stats_leaves_analysis_modules_unloaded(tmp_path):
     probe = ("import sys; from analytika.cli import main; "
              "code = main(sys.argv[1:]); "
              "print(sorted(m for m in ('analytika.container', 'analytika.dex',"
-             " 'analytika.manifest', 'analytika.pipeline') if m in sys.modules));"
+             " 'analytika.manifest', 'analytika.pipeline', 'logging')"
+             " if m in sys.modules));"
              " sys.exit(code)")
     done = _python("-c", probe, "stats", "--reports", str(report_dir),
                    "--corpus", str(tmp_path / "corpus.csv"),
@@ -567,6 +583,37 @@ def test_analyze_reanalyzes_report_stats_would_refuse(tmp_path):
     assert aggregate_loaded == "False"
     assert (deterministic_document(json.loads(report.read_text()))
             == deterministic_document(clean))
+    assert main(["stats", "--reports", str(out_dir),
+                 "--out", str(tmp_path / "tables")]) == 0
+
+
+def test_a_clean_analyze_run_prints_only_its_summary_line(tmp_path):
+    apk_path = tmp_path / "app.apk"
+    apk_path.write_bytes(planted_apk())
+    done = _python("-c", "import sys; from analytika.cli import main; "
+                   "sys.exit(main(sys.argv[1:]))", "analyze", str(apk_path),
+                   "--out", str(tmp_path / "reports"))
+    assert done.stdout == "analyzed=1 ok=1 timeout=0 error=0 skipped=0\n"
+    assert done.stderr == ""
+
+
+def test_analyze_reanalyzes_a_report_naming_another_app(tmp_path, capsys):
+    paths = []
+    for i, package in enumerate(("com.fixture.a", "com.fixture.b")):
+        paths.append(tmp_path / f"app{i}.apk")
+        paths[-1].write_bytes(planted_apk(package=package))
+    out_dir = tmp_path / "reports"
+    argv = ["analyze", *map(str, paths), "--out", str(out_dir)]
+    assert main(argv) == 0
+    a, b = (out_dir / f"{sha256_digest(p.read_bytes())}.json" for p in paths)
+    clean_b = json.loads(b.read_text())
+    b.write_bytes(a.read_bytes())       # b's name, a's report
+
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "analyzed=1 ok=1 timeout=0 error=0 skipped=1")
+    assert (deterministic_document(json.loads(b.read_text()))
+            == deterministic_document(clean_b))
     assert main(["stats", "--reports", str(out_dir),
                  "--out", str(tmp_path / "tables")]) == 0
 

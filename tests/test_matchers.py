@@ -11,6 +11,7 @@ from analytika.errors import PatternParseError
 from analytika.matchers import (
     MATCH_ORDER,
     NativeLibPattern,
+    index_patterns,
     load_native_pattern_file,
     load_pattern_file,
     load_patterns,
@@ -194,6 +195,20 @@ def test_uninvoked_crypto_reference_counts_at_app_scope(patterns):
     assert record.detector_id == "jasypt"
     assert record.caller_class == ""
     assert record.code_offset >= unit.method_ids_off
+
+
+def test_each_matcher_uses_only_the_sets_of_its_own_kind(patterns):
+    unit = parse_dex(build_fixture_dex(PLANTED_PLAN + [
+        ("com.app.Crypto", [("org.bouncycastle.crypto.Digest", "update")])]))
+    every_set = patterns.tee_sets + patterns.crypto_sets
+    tee = match_tee_apis(unit, patterns.tee_sets)
+    crypto = match_crypto_packages(unit, patterns.crypto_sets)
+    assert len(tee) == 6 and {r.detector_id for r in crypto} == {"bouncycastle"}
+    assert match_tee_apis(unit, every_set) == tee
+    assert match_crypto_packages(unit, every_set) == crypto
+    assert match_tee_apis(unit, patterns.crypto_sets) == []
+    assert match_crypto_packages(unit, patterns.tee_sets) == []
+    assert index_patterns(every_set) == patterns.index
 
 
 def test_native_lib_variants():

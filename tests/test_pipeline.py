@@ -589,13 +589,9 @@ def test_every_name_the_benchmark_trace_calls_exists():
         assert callable(target), f"analytika.{module}.{name}"
 
 
-def test_the_benchmark_trace_runs_the_stats_layers_without_a_miss(tmp_path):
-    # The name check above cannot see a changed signature, or an attribute
-    # the trace reads off a value the program returned; running the trace's
-    # stats sequence can.
+def _traced():
+    """The benchmark's tracing module, imported from `bench/`."""
     from pathlib import Path
-
-    import synth
 
     bench = str(Path(__file__).resolve().parents[1] / "bench")
     sys.path.insert(0, bench)
@@ -603,6 +599,16 @@ def test_the_benchmark_trace_runs_the_stats_layers_without_a_miss(tmp_path):
         import traced
     finally:
         sys.path.remove(bench)
+    return traced
+
+
+def test_the_benchmark_trace_runs_the_stats_layers_without_a_miss(tmp_path):
+    # The name check above cannot see a changed signature, or an attribute
+    # the trace reads off a value the program returned; running the trace's
+    # stats sequence can.
+    import synth
+
+    traced = _traced()
     rows = []
     for i, detector in enumerate(("drm", "keystore", "biometrics")):
         synth.write_report(tmp_path / "reports", synth.report_doc(
@@ -617,6 +623,20 @@ def test_the_benchmark_trace_runs_the_stats_layers_without_a_miss(tmp_path):
                          {"matches_held": 0})
     assert tracer.missing == set()
     assert (tmp_path / "tables" / "summary.json").is_file()
+
+
+def test_the_benchmark_trace_runs_the_analyze_layers_to_the_known_miss():
+    # The trace still reads `DexUnit.invocations`, which `DexUnit` no longer
+    # has, and stops each app there. Every call and attribute it reaches
+    # before that, the `LoadedPatterns` fields included, must still fit.
+    traced = _traced()
+    tracer = traced.Tracer(False)
+    sink = dict.fromkeys(("inflated", "dex_bytes", "tee_records",
+                          "crypto_records", "crypto_distinct"), 0)
+    traced.emulate_app(traced.Layers(tracer), tracer, 0, planted_apk(),
+                       load_patterns(), sink)
+    assert tracer.missing == {"dex.DexUnit.invocations"}
+    assert sink["dex_bytes"] > 0
 
 
 def test_unreadable_entries_without_a_sha256_get_distinct_stable_reports(

@@ -95,17 +95,22 @@ def test_unknown_keys_leave_the_record_unchanged(tmp_path):
 
 
 def test_resume_skips_exactly_the_reports_read_as_ok(tmp_path):
+    # Each case is written under its own sha-shaped name, but most carry
+    # their base document's meta.sha256: a report read as ok is skipped only
+    # when its meta.sha256 names the app it is filed under.
     cases = reportfuzz.mutation_cases()
-    written, read_ok = [], set()
+    written, read_ok, named_other = [], set(), set()
     for i, (_, _, doc) in enumerate(cases):
         path = reportfuzz.write_case(tmp_path, i, doc)
         written.append(path.read_bytes())
         try:
-            if read_record(path).status == STATUS_OK:
-                read_ok.add(i)
+            record = read_record(path)
         except MalformedReportError:
-            pass
+            continue
+        if record.status == STATUS_OK:
+            (read_ok if record.sha256 == path.stem else named_other).add(i)
     assert 0 < len(read_ok) < len(cases)
+    assert named_other
     # Entries without a source fail fast, so every app not skipped gets a
     # fresh error report in place of its case.
     entries = [CorpusEntry(sha256=reportfuzz.case_path(tmp_path, i).stem)
