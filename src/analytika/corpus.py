@@ -49,7 +49,7 @@ def load_corpus_csv(path) -> list[CorpusEntry]:
     def one(value):
         return shared.setdefault(value, value)
 
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         for row in csv.reader(handle):
             first = row[0].strip().lower() if row else ""
             if not row or first.startswith("#") or first == "sha256":

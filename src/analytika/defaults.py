@@ -10,12 +10,8 @@ def _data_path(*parts: str) -> Path:
     return Path(resources.files("analytika").joinpath("data", *parts))
 
 
-def default_bytecode_patterns_path() -> Path:
-    return _data_path("patterns", "bytecode_patterns.csv")
-
-
-def default_native_patterns_path() -> Path:
-    return _data_path("patterns", "native_patterns.csv")
+def default_patterns_dir() -> Path:
+    return _data_path("patterns")
 
 
 def default_known_prefixes_path() -> Path:
@@ -30,7 +26,7 @@ def read_list(path) -> list[str]:
     """The stripped lines of a one-entry-per-line file, without blank lines
     and lines starting with #."""
     lines = (line.strip()
-             for line in Path(path).read_text(encoding="utf-8").splitlines())
+             for line in Path(path).read_text(encoding="utf-8-sig").splitlines())
     return [line for line in lines if line and not line.startswith("#")]
 
 

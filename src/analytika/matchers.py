@@ -72,7 +72,7 @@ _DEFINING_CLASS = attrgetter("defining_class")
 
 def _pattern_rows(path: Path) -> list[list[str]]:
     rows = []
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         for line_no, row in enumerate(csv.reader(handle), start=1):
             if not row or (row[0].lstrip().startswith("#")):
                 continue
@@ -92,6 +92,9 @@ def load_pattern_file(path) -> list[PatternSet]:
             raise PatternParseError(f"{path}:{line_no}: unknown kind {kind!r}")
         if not detector or not cls or not method:
             raise PatternParseError(f"{path}:{line_no}: empty pattern field")
+        if (kind == KIND_TEE_API) != (detector in TEE_DETECTORS):
+            raise PatternParseError(
+                f"{path}:{line_no}: detector {detector!r} cannot be {kind}")
         grouped.setdefault((detector, kind), []).append((cls, method))
 
     sets = []
@@ -153,18 +156,14 @@ class LoadedPatterns:
 def load_patterns(pattern_dir=None) -> LoadedPatterns:
     """Both pattern files of `pattern_dir`, or the shipped ones, with the
     bytecode detectors indexed once for every unit the run matches."""
-    if pattern_dir is None:
-        bytecode = defaults.default_bytecode_patterns_path()
-        native = defaults.default_native_patterns_path()
-    else:
-        pattern_dir = Path(pattern_dir)
-        bytecode = pattern_dir / "bytecode_patterns.csv"
-        native = pattern_dir / "native_patterns.csv"
-    sets = load_pattern_file(bytecode)
+    pattern_dir = Path(defaults.default_patterns_dir() if pattern_dir is None
+                       else pattern_dir)
+    sets = load_pattern_file(pattern_dir / "bytecode_patterns.csv")
     return LoadedPatterns(
         tee_sets=tuple(s for s in sets if s.kind == KIND_TEE_API),
         crypto_sets=tuple(s for s in sets if s.kind == KIND_CRYPTO_SOFTWARE),
-        native_patterns=tuple(load_native_pattern_file(native)),
+        native_patterns=tuple(load_native_pattern_file(
+            pattern_dir / "native_patterns.csv")),
         index=index_patterns(sets))
 
 

@@ -48,7 +48,6 @@ from .errors import (
 from .manifest import extract_manifest_info, parse_binary_xml
 from .matchers import (
     MATCH_ORDER,
-    TEE_DETECTORS,
     LoadedPatterns,
     load_patterns,
     match_native_libs,
@@ -164,8 +163,7 @@ def _analyze_hashed(data: bytes, digest: str, digest_s: float,
                 raise AnalytikaError("archive has no manifest entry") from None
             info = extract_manifest_info(parse_binary_xml(manifest_bytes))
 
-        tee_records = []
-        crypto_records = []
+        records = []
         for dex_name in enumerate_dex(index):
             with _stage(timings, "inflate", deadline):
                 raw = read_entry(index, dex_name, cancel_check=deadline.check)
@@ -173,12 +171,11 @@ def _analyze_hashed(data: bytes, digest: str, digest_s: float,
                 unit = parse_dex(raw, dex_name, cancel_check=deadline.check)
             with _stage(timings, "match", deadline):
                 tee, crypto = match_unit(unit, patterns.index)
-            tee_records += tee
-            crypto_records += crypto
+            records += tee + crypto
 
         with _stage(timings, "attribution", deadline):
             app_pkg = parse_package(info.package_name)
-            for record in tee_records + crypto_records:
+            for record in records:
                 pkg = (package_of_class(record.caller_class)
                        if record.caller_class else ())
                 record.attributed_package = render_package(pkg)
@@ -189,7 +186,6 @@ def _analyze_hashed(data: bytes, digest: str, digest_s: float,
             native_hits = match_native_libs(enumerate_native_libs(index),
                                             patterns.native_patterns)
 
-        tee_hit = {r.detector_id for r in tee_records}
         report = AppReport(
             sha256=entry.sha256 or digest,
             package_name=info.package_name,
@@ -199,11 +195,8 @@ def _analyze_hashed(data: bytes, digest: str, digest_s: float,
                 entry.expected_package_name, info.package_name),
             permissions=info.permissions,
             min_sdk=info.min_sdk,
-            matches=sorted(tee_records + crypto_records, key=MATCH_ORDER),
-            native_lib_hits=native_hits,
-            crypto_software_libs=sorted(
-                {r.detector_id for r in crypto_records}),
-            api_summary={d: d in tee_hit for d in TEE_DETECTORS})
+            matches=sorted(records, key=MATCH_ORDER),
+            native_lib_hits=native_hits)
     except AnalysisTimeout as exc:
         report = _failure_report(entry, STATUS_TIMEOUT, str(exc), digest)
     except Exception as exc:  # any stage failure excludes the app

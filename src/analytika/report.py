@@ -38,11 +38,10 @@ class AppReport:
     min_sdk: int | None = None
     matches: list[MatchRecord] = field(default_factory=list)
     native_lib_hits: list[tuple[str, str]] = field(default_factory=list)
-    crypto_software_libs: list[str] = field(default_factory=list)
-    api_summary: dict[str, bool] = field(default_factory=dict)
     timings: dict[str, float] = field(default_factory=dict)
 
     def to_document(self) -> dict:
+        detectors = {m.detector_id for m in self.matches}
         return {
             "meta": {
                 "package": self.package_name,
@@ -53,8 +52,7 @@ class AppReport:
                 "package_name_check": self.package_name_check,
                 "permissions": list(self.permissions),
                 "min_sdk": self.min_sdk,
-                "api_summary": {d: bool(self.api_summary.get(d))
-                                for d in TEE_DETECTORS},
+                "api_summary": {d: d in detectors for d in TEE_DETECTORS},
             },
             "matches": [
                 {
@@ -71,7 +69,7 @@ class AppReport:
             ],
             "native_libs": [{"library": lib, "file": name}
                             for lib, name in self.native_lib_hits],
-            "crypto_libs": list(self.crypto_software_libs),
+            "crypto_libs": sorted(detectors.difference(TEE_DETECTORS)),
             "timing": {
                 "total_s": self.timings.get("total", 0.0),
                 "stages": {k: v for k, v in self.timings.items()

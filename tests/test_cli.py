@@ -14,6 +14,9 @@ import pytest
 import analytika
 from analytika.cli import build_parser, main
 from analytika.container import sha256_digest
+from analytika.corpus import load_corpus_csv
+from analytika.defaults import read_list
+from analytika.matchers import load_pattern_file
 from analytika.report import deterministic_document
 
 import synth
@@ -143,7 +146,15 @@ def test_analyze_rejects_out_of_range_option(tmp_path, capsys, flag, value,
     ({"bytecode_patterns.csv": "drm,tee_api,android.media.MediaDrm,open\n",
       "native_patterns.csv": "openssl,lib/crypto\n"},
      "bad native stem: 'lib/crypto'"),
-], ids=["missing-directory", "missing-native-file", "short-row", "bad-stem"])
+    ({"bytecode_patterns.csv": "foo,tee_api,android.media.MediaDrm,open\n",
+      "native_patterns.csv": "openssl,libcrypto\n"},
+     "{patterns}/bytecode_patterns.csv:1: detector 'foo' cannot be tee_api"),
+    ({"bytecode_patterns.csv": "drm,crypto_software,org.bouncycastle,*\n",
+      "native_patterns.csv": "openssl,libcrypto\n"},
+     "{patterns}/bytecode_patterns.csv:1: "
+     "detector 'drm' cannot be crypto_software"),
+], ids=["missing-directory", "missing-native-file", "short-row", "bad-stem",
+        "api-kind-other-id", "crypto-kind-api-id"])
 def test_analyze_rejects_unreadable_patterns(tmp_path, capsys, files, reason):
     patterns = tmp_path / "patterns"
     if files is not None:
@@ -160,6 +171,29 @@ def test_analyze_rejects_unreadable_patterns(tmp_path, capsys, files, reason):
         f"cannot read patterns {patterns}: "
         + reason.format(patterns=patterns)]
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("name, text, read, expected", [
+    ("corpus.csv",
+     "sha256,package_name,category,downloads,last_update,path_or_remote\n"
+     f"{'ab' * 32},com.x.app,GAME_CARD,5000,2021-05-01,remote\n",
+     lambda path: [(e.category, e.downloads) for e in load_corpus_csv(path)],
+     [("GAME_CARD", 5000)]),
+    ("categories.txt", "GAME_CARD\nGAME_PUZZLE\n", read_list,
+     ["GAME_CARD", "GAME_PUZZLE"]),
+    ("bytecode_patterns.csv",
+     "# detector,kind,class_or_prefix,method\n"
+     "drm,tee_api,android.media.MediaDrm,open\n",
+     lambda path: [(s.detector_id, s.method_patterns)
+                   for s in load_pattern_file(path)],
+     [("drm", (("android.media.MediaDrm", "open"),))]),
+], ids=["corpus-csv", "list-file", "pattern-csv"])
+def test_text_inputs_read_the_same_with_a_leading_bom(tmp_path, name, text,
+                                                      read, expected):
+    # Spreadsheet exports start the file with U+FEFF.
+    path = tmp_path / name
+    path.write_text("\ufeff" + text, encoding="utf-8")
+    assert read(path) == expected
 
 
 def test_analyze_unreadable_apk_path(tmp_path, capsys):

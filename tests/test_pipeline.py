@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import struct
 import sys
 import threading
@@ -14,7 +15,12 @@ import pytest
 from analytika.container import MAX_ENTRY_SIZE, sha256_digest
 from analytika.corpus import CorpusEntry, load_corpus_csv
 from analytika import pipeline
-from analytika.errors import AnalysisTimeout, HashMismatchError, HttpStatusError
+from analytika.errors import (
+    AnalysisTimeout,
+    HashMismatchError,
+    HttpStatusError,
+    NetworkError,
+)
 from analytika.matchers import load_patterns
 from analytika.pipeline import (
     AnalysisConfig,
@@ -47,12 +53,13 @@ def test_analyze_planted_fixture(tmp_path, fixture_apk_bytes):
     assert report.package_name == "com.fixture.app"
     assert report.package_name_check == "match"
     assert len(report.matches) == 6
-    assert report.api_summary == {"keystore": True, "drm": True,
-                                  "biometrics": True,
-                                  "protected_confirmation": True}
+    doc = report.to_document()
+    assert doc["meta"]["api_summary"] == {"keystore": True, "drm": True,
+                                          "biometrics": True,
+                                          "protected_confirmation": True}
     assert report.native_lib_hits == [
         ("openssl", "lib/arm64-v8a/libcrypto.so")]
-    assert report.crypto_software_libs == []
+    assert doc["crypto_libs"] == []
     # bytecode time is split by layer; there is no combined stage
     assert {"inflate", "dex_parse", "match"} <= report.timings.keys()
     assert "dex" not in report.timings
@@ -248,7 +255,7 @@ def test_crypto_and_proguard_attribution(tmp_path):
     report = analyze_apk(apk, _entry_for(apk), _config(tmp_path))
     locations = {m.caller_class: m.location for m in report.matches}
     assert locations["b.d.E"] == "inmain"
-    assert report.crypto_software_libs == ["google_tink"]
+    assert report.to_document()["crypto_libs"] == ["google_tink"]
 
     config = _config(tmp_path, proguard_as_main=False)
     report2 = analyze_apk(apk, _entry_for(apk), config)
@@ -477,6 +484,23 @@ def test_unwritable_output_dir(tmp_path):
         run_corpus([], config)
 
 
+def test_run_refuses_an_unwritable_output_dir_before_any_analysis(
+        tmp_path, monkeypatch, fixture_apk_bytes):
+    apk = tmp_path / "app.apk"
+    apk.write_bytes(fixture_apk_bytes)
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("file in the way")
+    out_dir = blocker / "reports"
+    analyzed = []
+    monkeypatch.setattr(pipeline, "_analyze_hashed",
+                        lambda *args: analyzed.append(args))
+    with pytest.raises(OSError) as exc_info:
+        run_corpus([_entry_for(fixture_apk_bytes, apk)],
+                   _config(tmp_path, output_dir=out_dir))
+    assert str(exc_info.value) == f"output directory not writable: {out_dir}"
+    assert analyzed == []
+
+
 def test_remote_entry_without_endpoint_errors(tmp_path):
     entry = CorpusEntry(sha256="a" * 64, source="remote")
     summary = run_corpus([entry], _config(tmp_path))
@@ -570,6 +594,15 @@ def test_fetch_by_hash_http_status(stub_server):
         fetch_by_hash("0" * 64, stub_server, "test-key")
     assert exc_info.value.code == 403
     assert str(exc_info.value) == "HTTP status 403"
+
+
+def test_fetch_by_hash_from_a_closed_port_raises_network_error():
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    with pytest.raises(NetworkError):
+        fetch_by_hash("0" * 64, f"http://127.0.0.1:{port}/download",
+                      "test-key")
 
 
 def test_every_name_the_benchmark_trace_calls_exists():

@@ -32,13 +32,17 @@ def _report():
             dex_file="classes.dex", code_offset=64, location="inmain",
             attributed_package="com.x.app")],
         native_lib_hits=[("openssl", "lib/x86/libssl.so")],
-        crypto_software_libs=["java_security"],
-        api_summary={"drm": True},
         timings={"total": 0.5, "archive": 0.1})
 
 
 def test_document_layout_is_the_stable_contract():
-    doc = _report().to_document()
+    report = _report()
+    report.matches.append(MatchRecord(
+        detector_id="java_security", target_class="javax.crypto.Cipher",
+        target_method="getInstance", caller_class="com.x.app.P",
+        dex_file="classes.dex", code_offset=96, location="inmain",
+        attributed_package="com.x.app"))
+    doc = report.to_document()
     assert set(doc) == {"meta", "matches", "native_libs", "crypto_libs",
                         "timing"}
     assert set(doc["meta"]) == {
@@ -51,8 +55,11 @@ def test_document_layout_is_the_stable_contract():
                                    "file": "lib/x86/libssl.so"}]
     assert doc["timing"]["total_s"] == 0.5
     assert doc["timing"]["stages"] == {"archive": 0.1}
-    assert doc["meta"]["api_summary"]["drm"] is True
-    assert doc["meta"]["api_summary"]["keystore"] is False
+    # Both summaries follow from the detectors of the matches.
+    assert doc["meta"]["api_summary"] == {
+        "keystore": False, "drm": True, "biometrics": False,
+        "protected_confirmation": False}
+    assert doc["crypto_libs"] == ["java_security"]
 
 
 def test_write_is_atomic_named_by_sha_and_round_trips(tmp_path):
