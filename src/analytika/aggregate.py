@@ -23,7 +23,7 @@ from . import defaults
 from .attribution import (LOCATION_INLIB, LOCATION_INMAIN, LOCATION_OBFUSCATED,
                           load_known_prefixes, normalize_library, parse_package)
 from .corpus import load_corpus_csv
-from .errors import DuplicateSha256Error, MalformedReportError
+from .errors import MalformedReportError
 from .matchers import TEE_DETECTORS, load_patterns
 from .report import STATUS_OK, CorpusRecord, read_record
 
@@ -57,6 +57,7 @@ class Corpus:
     report_dir: str | Path
     metadata: Mapping[str, tuple] = field(default_factory=dict)
     selections: tuple[SelectionFilter, ...] = ()
+    unkeyed: int = 0        # metadata rows without a sha256, never joined
 
     def __iter__(self) -> Iterator[CorpusRecord]:
         return self.scan(dict(self.metadata))
@@ -88,17 +89,15 @@ def load_corpus(report_dir, corpus_csv=None) -> Corpus:
     """The view of report_dir's *.json files joined on sha256 with the
     category, downloads and last update of the corpus CSV's rows, equal rows
     one tuple. Reports without metadata keep a null category; metadata rows
-    without a report are only counted. A sha256 the CSV lists twice raises
-    DuplicateSha256Error; no report is read here."""
+    without a report, and rows without a sha256, are only counted. No report
+    is read here."""
     entries = load_corpus_csv(corpus_csv) if corpus_csv is not None else ()
     metadata: dict[str, tuple] = {}
     rows: dict[tuple, tuple] = {}
-    for entry in entries:
-        if entry.sha256 in metadata:
-            raise DuplicateSha256Error(f"sha256 {entry.sha256} is listed twice")
+    for entry in (entry for entry in entries if entry.sha256):
         row = (entry.category, entry.downloads, entry.last_update)
         metadata[entry.sha256] = rows.setdefault(row, row)
-    return Corpus(report_dir, metadata)
+    return Corpus(report_dir, metadata, unkeyed=len(entries) - len(metadata))
 
 
 def apply_filter(corpus: Corpus, selection: SelectionFilter) -> Corpus:
@@ -178,7 +177,7 @@ def _tally(source: Corpus | _Tally, known_prefixes=None) -> _Tally:
     unjoined = dict(source.metadata)
     for record in source.scan(unjoined):
         tally.add(record)
-    tally.unmatched_metadata = len(unjoined)
+    tally.unmatched_metadata = len(unjoined) + source.unkeyed
     return tally
 
 

@@ -11,6 +11,8 @@ from contextlib import contextmanager
 from datetime import date
 from pathlib import Path
 
+from .corpus import parse_date
+
 # Each command imports its own modules when it runs, so `stats` never loads
 # the archive, DEX and manifest readers and `analyze` never loads `aggregate`.
 
@@ -82,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--filter-defaults", action="store_true",
                        help="apply the default selection filter")
     stats.add_argument("--min-downloads", type=int)
-    stats.add_argument("--min-date", type=date.fromisoformat, metavar="YYYY-MM-DD")
+    stats.add_argument("--min-date", type=parse_date, metavar="YYYY-MM-DD")
     stats.add_argument("--exclude-categories",
                        help="file with one excluded category per line")
     stats.add_argument("--known-prefixes",

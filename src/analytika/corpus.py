@@ -6,13 +6,18 @@ category, downloads and last update.
 
 from __future__ import annotations
 
-import csv
 import os
+import re
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 
+from .defaults import read_rows
+from .errors import DuplicateSha256Error
+
 REMOTE_SOURCE = "remote"
+
+_DATE = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -33,6 +38,14 @@ def _is_sha256(text: str) -> bool:
     return len(text) == 64 and not text.lower().strip("0123456789abcdef")
 
 
+def parse_date(text: str) -> date:
+    """A YYYY-MM-DD date. `date.fromisoformat` alone would also take
+    `20210101` and `2021-W01-1` from Python 3.11 on."""
+    if not _DATE.fullmatch(text):
+        raise ValueError(f"Invalid isoformat string: {text!r}")
+    return date.fromisoformat(text)
+
+
 def load_corpus_csv(path) -> list[CorpusEntry]:
     """Read corpus metadata rows.
 
@@ -41,6 +54,7 @@ def load_corpus_csv(path) -> list[CorpusEntry]:
     resolved against the CSV's own directory. Download counts must already be
     plain integers (bucketed strings resolved upstream). Equal categories,
     download counts and dates are one object each across the file's rows.
+    Once every row parses, a sha256 listed twice raises DuplicateSha256Error.
     """
     path = Path(path)
     entries = []
@@ -49,23 +63,24 @@ def load_corpus_csv(path) -> list[CorpusEntry]:
     def one(value):
         return shared.setdefault(value, value)
 
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        for row in csv.reader(handle):
-            first = row[0].strip().lower() if row else ""
-            if not row or first.startswith("#") or first == "sha256":
-                continue
-            if len(row) != 6:
-                raise ValueError(f"{path}: expected 6 columns, got {len(row)}")
-            sha, package, category, downloads, last_update, source = \
-                (cell.strip() for cell in row)
-            if source and source != REMOTE_SOURCE and not os.path.isabs(source):
-                source = str(path.parent / source)
-            entries.append(CorpusEntry(
-                sha256=sha.lower(),
-                expected_package_name=package or None,
-                category=one(category) if category else None,
-                downloads=one(int(downloads)) if downloads else None,
-                last_update=(one(date.fromisoformat(last_update))
-                             if last_update else None),
-                source=source))
+    for _, row in read_rows(path):
+        if row[0].lower() == "sha256":
+            continue
+        if len(row) != 6:
+            raise ValueError(f"{path}: expected 6 columns, got {len(row)}")
+        sha, package, category, downloads, last_update, source = row
+        if source and source != REMOTE_SOURCE and not os.path.isabs(source):
+            source = str(path.parent / source)
+        entries.append(CorpusEntry(
+            sha256=sha.lower(),
+            expected_package_name=package or None,
+            category=one(category) if category else None,
+            downloads=one(int(downloads)) if downloads else None,
+            last_update=one(parse_date(last_update)) if last_update else None,
+            source=source))
+    listed = set()
+    for sha in (entry.sha256 for entry in entries if entry.sha256):
+        if sha in listed:
+            raise DuplicateSha256Error(f"sha256 {sha} is listed twice")
+        listed.add(sha)
     return entries

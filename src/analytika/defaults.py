@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+from collections.abc import Iterator
 from importlib import resources
 from pathlib import Path
 
@@ -28,6 +30,14 @@ def read_list(path) -> list[str]:
     lines = (line.strip()
              for line in Path(path).read_text(encoding="utf-8-sig").splitlines())
     return [line for line in lines if line and not line.startswith("#")]
+
+
+def read_rows(path) -> Iterator[tuple[int, list[str]]]:
+    """Each CSV row as (row number, stripped cells), skipping blank and # rows."""
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        for line_no, row in enumerate(csv.reader(handle), start=1):
+            if row and not row[0].lstrip().startswith("#"):
+                yield line_no, [cell.strip() for cell in row]
 
 
 def load_game_categories(path=None) -> frozenset[str]:

@@ -9,7 +9,6 @@ soon as its classes are referenced.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from itertools import compress, count, repeat
 from operator import attrgetter
@@ -70,20 +69,10 @@ MATCH_ORDER = attrgetter("dex_file", "code_offset", "detector_id")
 _DEFINING_CLASS = attrgetter("defining_class")
 
 
-def _pattern_rows(path: Path) -> list[list[str]]:
-    rows = []
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        for line_no, row in enumerate(csv.reader(handle), start=1):
-            if not row or (row[0].lstrip().startswith("#")):
-                continue
-            rows.append([cell.strip() for cell in row] + [str(line_no)])
-    return rows
-
-
 def load_pattern_file(path) -> list[PatternSet]:
     """Parse a bytecode pattern CSV: detector,kind,class_or_prefix,method."""
     grouped: dict[tuple[str, str], list[tuple[str, str]]] = {}
-    for *cells, line_no in _pattern_rows(Path(path)):
+    for line_no, cells in defaults.read_rows(path):
         if len(cells) != 4:
             raise PatternParseError(
                 f"{path}:{line_no}: expected 4 columns, got {len(cells)}")
@@ -111,7 +100,7 @@ def load_pattern_file(path) -> list[PatternSet]:
 def load_native_pattern_file(path) -> list[NativeLibPattern]:
     """Parse a native pattern CSV: library,stem."""
     patterns = []
-    for *cells, line_no in _pattern_rows(Path(path)):
+    for line_no, cells in defaults.read_rows(path):
         if len(cells) != 2:
             raise PatternParseError(
                 f"{path}:{line_no}: expected 2 columns, got {len(cells)}")

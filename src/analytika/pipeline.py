@@ -250,6 +250,8 @@ def _has_ok_report(out_dir: Path, sha256: str) -> bool:
 
 def _load_entry_bytes(entry: CorpusEntry, config: AnalysisConfig) -> bytes:
     if entry.source == REMOTE_SOURCE:
+        if not entry.sha256:
+            raise AnalytikaError("remote entry has no sha256")
         if not config.fetch_endpoint or not config.api_key:
             raise AnalytikaError("remote entry but no fetch endpoint configured")
         return fetch_by_hash(entry.sha256, config.fetch_endpoint, config.api_key)

@@ -210,7 +210,11 @@ def test_analyze_unreadable_apk_path(tmp_path, capsys):
 @pytest.mark.parametrize("text, reason", [
     ("abc,def\n", "{corpus}: expected 6 columns, got 2"),
     ("x" * 200_000 + "\n", "field larger than field limit (131072)"),
-], ids=["short-row", "overlong-field"])
+    (f"{'ab' * 32},com.x,Tools,20000,20210101,remote\n",
+     "Invalid isoformat string: '20210101'"),
+    (f"{'ab' * 32},com.x,Tools,20000,2021-W01-1,remote\n",
+     "Invalid isoformat string: '2021-W01-1'"),
+], ids=["short-row", "overlong-field", "basic-format-date", "week-date"])
 def test_analyze_malformed_corpus(tmp_path, capsys, text, reason):
     corpus = tmp_path / "bad.csv"
     corpus.write_text(text)
@@ -232,6 +236,48 @@ def test_analyze_missing_corpus(tmp_path, capsys):
     assert err.splitlines() == [
         f"cannot read corpus {corpus}: {os.strerror(errno.ENOENT)}"]
     assert not out_dir.exists()
+
+
+_APP_ROW = "{sha},com.x,Tools,20000,2021-01-01,app.apk"
+
+
+@pytest.mark.parametrize("rows, refusal", [
+    ([_APP_ROW] * 2, "sha256 {sha} is listed twice"),
+    ([_APP_ROW.replace("{sha}", "{SHA}"), _APP_ROW],
+     "sha256 {sha} is listed twice"),
+    ([_APP_ROW.replace("{sha}", "")] * 2, None),
+    (["\ufeffsha256,package_name,category,downloads,last_update,"
+      "path_or_remote", "# one app", _APP_ROW], None),
+    ([_APP_ROW.replace("2021-01-01", "20210101")],
+     "Invalid isoformat string: '20210101'"),
+], ids=["sha-twice", "sha-upper-and-lower", "two-rows-without-sha",
+        "bom-header-comment", "basic-format-date"])
+def test_analyze_and_stats_accept_the_same_corpus_files(tmp_path, capsys,
+                                                        rows, refusal):
+    apk = planted_apk()
+    (tmp_path / "app.apk").write_bytes(apk)
+    sha = sha256_digest(apk)
+    corpus = tmp_path / "corpus.csv"
+    corpus.write_text("".join(row.format(sha=sha, SHA=sha.upper()) + "\n"
+                              for row in rows), encoding="utf-8")
+    (tmp_path / "empty").mkdir()
+    reports, tables = tmp_path / "reports", tmp_path / "tables"
+    outcomes = []
+    for argv in (["analyze", "--out", str(reports)],
+                 ["stats", "--reports", str(tmp_path / "empty"),
+                  "--out", str(tables)]):
+        code = main(argv + ["--corpus", str(corpus)])
+        outcomes.append((code, capsys.readouterr().err.splitlines()))
+    if refusal is None:
+        assert outcomes == [(0, []), (0, [])]
+        # With no report to join, every data row is unmatched.
+        summary = json.loads((tables / "summary.json").read_text())
+        assert summary["totals"]["unmatched_metadata"] == sum(
+            row.endswith("app.apk") for row in rows)
+    else:
+        line = f"cannot read corpus {corpus}: {refusal.format(sha=sha)}"
+        assert outcomes == [(2, [line]), (2, [line])]
+        assert not reports.exists() and not tables.exists()
 
 
 def test_cli_import_leaves_http_and_stats_unloaded():
@@ -290,6 +336,46 @@ def test_analyze_remote_corpus_with_api_key_env(tmp_path, monkeypatch):
     assert doc["meta"]["status"] == "ok"
 
 
+def test_analyze_remote_row_without_sha256_sends_no_request(tmp_path,
+                                                          monkeypatch):
+    import threading
+    from http.server import BaseHTTPRequestHandler, HTTPServer
+
+    requests = []
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_GET(self):
+            requests.append(self.path)
+            self.send_response(404)
+            self.end_headers()
+
+        def log_message(self, *args):
+            pass
+
+    server = HTTPServer(("127.0.0.1", 0), Handler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_text(",com.x,Tools,20000,2021-01-01,remote\n")
+        monkeypatch.setenv("TEST_DL_KEY", "sekrit")
+        out_dir = tmp_path / "reports"
+        code = main(["analyze", "--corpus", str(corpus),
+                     "--out", str(out_dir),
+                     "--fetch-endpoint",
+                     f"http://127.0.0.1:{server.server_port}/dl",
+                     "--api-key-env", "TEST_DL_KEY"])
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert code == 1
+    assert requests == []
+    (report,) = out_dir.glob("*.json")
+    meta = json.loads(report.read_text())["meta"]
+    assert meta["status"] == "error"
+    assert meta["message"] == \
+        "could not load app bytes: remote entry has no sha256"
+
+
 def test_analyze_missing_api_key_env(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("NOPE_KEY", raising=False)
     code = main(["analyze", "x.apk", "--out", str(tmp_path),
@@ -333,6 +419,17 @@ def test_stats_explicit_filter_flags(tmp_path):
                  "--out", str(out_dir)]) == 0
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["totals"]["analyzed"] == 1
+
+
+def test_stats_min_date_takes_only_yyyy_mm_dd(tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["stats", "--reports", str(tmp_path),
+              "--out", str(tmp_path / "tables"), "--min-date", "20210101"])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "analytika stats: error: argument --min-date: "
+        "invalid parse_date value: '20210101'")
+    assert not (tmp_path / "tables").exists()
 
 
 _SHA0 = synth.sha_for(0)

@@ -130,6 +130,18 @@ def test_resume_skips_exactly_the_reports_read_as_ok(tmp_path):
     assert summary.skipped == len(read_ok)
 
 
+def _lf_twin_error(data: bytes) -> str:
+    """json's message for `data` with its \\r\\n and \\r line ends read as \\n."""
+    text = data.decode().replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        json.loads(text)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError(f"{text!r} parses")
+
+
+_CRLF_MALFORMED = b'{\r\n  "meta": {\r\n    "status": "ok",\r\n  }\r\n}\r\n'
+_CR_MALFORMED = b'{\r"meta":\r\r\n{"status": "ok",}}'
 _DOC = {"meta": {"sha256": "cd" * 32, "status": "ok"},
         "matches": [{"detector": "drm", "location": "inmain"}],
         "crypto_libs": ["bouncycastle"]}
@@ -142,12 +154,8 @@ _DOC = {"meta": {"sha256": "cd" * 32, "status": "ok"},
      "'utf-8' codec can't decode byte 0xff in position 22: invalid start byte"),
     (json.dumps(_DOC).encode("utf-16"),
      "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
-    (b'{\r\n  "meta": {\r\n    "status": "ok",\r\n  }\r\n}\r\n',
-     "Expecting property name enclosed in double quotes: "
-     "line 4 column 3 (char 36)"),
-    (b'{\r"meta":\r\r\n{"status": "ok",}}',
-     "Expecting property name enclosed in double quotes: "
-     "line 4 column 17 (char 27)"),
+    (_CRLF_MALFORMED, _lf_twin_error(_CRLF_MALFORMED)),
+    (_CR_MALFORMED, _lf_twin_error(_CR_MALFORMED)),
 ], ids=["utf8-bom", "invalid-utf8", "utf16", "crlf-malformed",
         "cr-malformed"])
 def test_refused_encodings_and_line_ends_keep_their_reason(tmp_path, data,
