@@ -46,13 +46,21 @@ def parse_date(text: str) -> date:
     return date.fromisoformat(text)
 
 
+def parse_downloads(text: str) -> int:
+    """A download count of ASCII digits. `int` alone would also take `-5`,
+    `1_000` and the digits of other scripts."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
 def load_corpus_csv(path) -> list[CorpusEntry]:
     """Read corpus metadata rows.
 
     Columns: sha256,package_name,category,downloads,last_update,path_or_remote.
     A header row is recognized by its literal first cell. Relative paths are
     resolved against the CSV's own directory. Download counts must already be
-    plain integers (bucketed strings resolved upstream). Equal categories,
+    ASCII digits (bucketed strings resolved upstream). Equal categories,
     download counts and dates are one object each across the file's rows.
     Once every row parses, a sha256 listed twice raises DuplicateSha256Error.
     """
@@ -75,7 +83,7 @@ def load_corpus_csv(path) -> list[CorpusEntry]:
             sha256=sha.lower(),
             expected_package_name=package or None,
             category=one(category) if category else None,
-            downloads=one(int(downloads)) if downloads else None,
+            downloads=one(parse_downloads(downloads)) if downloads else None,
             last_update=one(parse_date(last_update)) if last_update else None,
             source=source))
     listed = set()

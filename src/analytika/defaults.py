@@ -33,11 +33,15 @@ def read_list(path) -> list[str]:
 
 
 def read_rows(path) -> Iterator[tuple[int, list[str]]]:
-    """Each CSV row as (row number, stripped cells), skipping blank and # rows."""
+    """Each CSV row as (the file line it starts on, stripped cells),
+    skipping blank and # rows."""
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        for line_no, row in enumerate(csv.reader(handle), start=1):
+        reader = csv.reader(handle)
+        line_no = 1
+        for row in reader:
             if row and not row[0].lstrip().startswith("#"):
                 yield line_no, [cell.strip() for cell in row]
+            line_no = reader.line_num + 1
 
 
 def load_game_categories(path=None) -> frozenset[str]:

@@ -31,12 +31,11 @@ WILDCARD = "*"
 
 @dataclass(frozen=True)
 class PatternSet:
-    """One detector: class prefixes plus (class, method) rows."""
+    """One detector: its distinct (class or prefix, method) rows."""
 
     detector_id: str
     kind: str
-    class_prefixes: tuple[str, ...]
-    method_patterns: tuple[tuple[str, str], ...] = ()
+    rows: tuple[tuple[str, str], ...]
 
 
 @dataclass(frozen=True)
@@ -71,11 +70,14 @@ _DEFINING_CLASS = attrgetter("defining_class")
 
 def load_pattern_file(path) -> list[PatternSet]:
     """Parse a bytecode pattern CSV: detector,kind,class_or_prefix,method."""
-    grouped: dict[tuple[str, str], list[tuple[str, str]]] = {}
+    grouped: dict[tuple[str, str], dict[tuple[str, str], None]] = {}
     for line_no, cells in defaults.read_rows(path):
         if len(cells) != 4:
             raise PatternParseError(
                 f"{path}:{line_no}: expected 4 columns, got {len(cells)}")
+        if any(brk in cell for cell in cells for brk in "\r\n"):
+            raise PatternParseError(
+                f"{path}:{line_no}: a cell holds a line break")
         detector, kind, cls, method = cells
         if kind not in (KIND_TEE_API, KIND_CRYPTO_SOFTWARE):
             raise PatternParseError(f"{path}:{line_no}: unknown kind {kind!r}")
@@ -84,17 +86,13 @@ def load_pattern_file(path) -> list[PatternSet]:
         if (kind == KIND_TEE_API) != (detector in TEE_DETECTORS):
             raise PatternParseError(
                 f"{path}:{line_no}: detector {detector!r} cannot be {kind}")
-        grouped.setdefault((detector, kind), []).append((cls, method))
-
-    sets = []
-    for (detector, kind), rows in grouped.items():
-        deduped = list(dict.fromkeys(rows))
-        classes = tuple(dict.fromkeys(cls for cls, _ in deduped))
-        if kind == KIND_TEE_API:
-            sets.append(PatternSet(detector, kind, classes, tuple(deduped)))
-        else:
-            sets.append(PatternSet(detector, kind, classes))
-    return sets
+        if kind == KIND_CRYPTO_SOFTWARE and method != WILDCARD:
+            raise PatternParseError(
+                f"{path}:{line_no}: a crypto_software row matches every "
+                f"method, so its method must be {WILDCARD}")
+        grouped.setdefault((detector, kind), {})[cls, method] = None
+    return [PatternSet(detector, kind, tuple(rows))
+            for (detector, kind), rows in grouped.items()]
 
 
 def load_native_pattern_file(path) -> list[NativeLibPattern]:
@@ -107,7 +105,10 @@ def load_native_pattern_file(path) -> list[NativeLibPattern]:
         library, stem = cells
         if not library:
             raise PatternParseError(f"{path}:{line_no}: empty library name")
-        patterns.append(NativeLibPattern(library, stem))
+        try:
+            patterns.append(NativeLibPattern(library, stem))
+        except PatternParseError as exc:
+            raise PatternParseError(f"{path}:{line_no}: {exc}") from None
     return patterns
 
 
@@ -119,18 +120,16 @@ class PatternIndex(NamedTuple):
 
 
 def index_patterns(sets) -> PatternIndex:
-    """Key each set by its own kind: the rows of an API detector by class,
-    the prefixes of a crypto detector by class or package."""
+    """Key each set's rows by its own kind: an API detector's by class,
+    a crypto detector's by class or package."""
     index = PatternIndex({}, {})
     for pattern_set in sets:
-        if pattern_set.kind == KIND_TEE_API:
-            for cls, method in pattern_set.method_patterns:
-                index.tee.setdefault(cls, []).append(
-                    (pattern_set.detector_id, method))
-        elif pattern_set.kind == KIND_CRYPTO_SOFTWARE:
-            for prefix in pattern_set.class_prefixes:
-                index.crypto.setdefault(prefix, []).append(
-                    pattern_set.detector_id)
+        detector = pattern_set.detector_id
+        for cls, method in pattern_set.rows:
+            if pattern_set.kind == KIND_TEE_API:
+                index.tee.setdefault(cls, []).append((detector, method))
+            elif pattern_set.kind == KIND_CRYPTO_SOFTWARE:
+                index.crypto.setdefault(cls, []).append(detector)
     return index
 
 

@@ -145,7 +145,7 @@ def test_analyze_rejects_out_of_range_option(tmp_path, capsys, flag, value,
      "{patterns}/bytecode_patterns.csv:1: expected 4 columns, got 2"),
     ({"bytecode_patterns.csv": "drm,tee_api,android.media.MediaDrm,open\n",
       "native_patterns.csv": "openssl,lib/crypto\n"},
-     "bad native stem: 'lib/crypto'"),
+     "{patterns}/native_patterns.csv:1: bad native stem: 'lib/crypto'"),
     ({"bytecode_patterns.csv": "foo,tee_api,android.media.MediaDrm,open\n",
       "native_patterns.csv": "openssl,libcrypto\n"},
      "{patterns}/bytecode_patterns.csv:1: detector 'foo' cannot be tee_api"),
@@ -153,8 +153,21 @@ def test_analyze_rejects_out_of_range_option(tmp_path, capsys, flag, value,
       "native_patterns.csv": "openssl,libcrypto\n"},
      "{patterns}/bytecode_patterns.csv:1: "
      "detector 'drm' cannot be crypto_software"),
+    ({"bytecode_patterns.csv":
+      "bouncycastle,crypto_software,org.bouncycastle,getInstance\n",
+      "native_patterns.csv": "openssl,libcrypto\n"},
+     "{patterns}/bytecode_patterns.csv:1: a crypto_software row matches "
+     "every method, so its method must be *"),
+    ({"bytecode_patterns.csv": '# note,"first\nsecond"\n'
+      "drm,tee_api,android.media.MediaDrm,open\ndrm,tee_api\n",
+      "native_patterns.csv": "openssl,libcrypto\n"},
+     "{patterns}/bytecode_patterns.csv:4: expected 4 columns, got 2"),
+    ({"bytecode_patterns.csv": 'drm,tee_api,"android.media.\nMediaDrm",open\n',
+      "native_patterns.csv": "openssl,libcrypto\n"},
+     "{patterns}/bytecode_patterns.csv:1: a cell holds a line break"),
 ], ids=["missing-directory", "missing-native-file", "short-row", "bad-stem",
-        "api-kind-other-id", "crypto-kind-api-id"])
+        "api-kind-other-id", "crypto-kind-api-id", "crypto-method-not-any",
+        "row-after-two-line-cell", "cell-with-line-break"])
 def test_analyze_rejects_unreadable_patterns(tmp_path, capsys, files, reason):
     patterns = tmp_path / "patterns"
     if files is not None:
@@ -184,7 +197,7 @@ def test_analyze_rejects_unreadable_patterns(tmp_path, capsys, files, reason):
     ("bytecode_patterns.csv",
      "# detector,kind,class_or_prefix,method\n"
      "drm,tee_api,android.media.MediaDrm,open\n",
-     lambda path: [(s.detector_id, s.method_patterns)
+     lambda path: [(s.detector_id, s.rows)
                    for s in load_pattern_file(path)],
      [("drm", (("android.media.MediaDrm", "open"),))]),
 ], ids=["corpus-csv", "list-file", "pattern-csv"])
@@ -214,7 +227,12 @@ def test_analyze_unreadable_apk_path(tmp_path, capsys):
      "Invalid isoformat string: '20210101'"),
     (f"{'ab' * 32},com.x,Tools,20000,2021-W01-1,remote\n",
      "Invalid isoformat string: '2021-W01-1'"),
-], ids=["short-row", "overlong-field", "basic-format-date", "week-date"])
+    (f"{'ab' * 32},com.x,Tools,-5,2021-01-01,remote\n",
+     "invalid literal for int() with base 10: '-5'"),
+    (f"{'ab' * 32},com.x,Tools,1_000,2021-01-01,remote\n",
+     "invalid literal for int() with base 10: '1_000'"),
+], ids=["short-row", "overlong-field", "basic-format-date", "week-date",
+        "negative-downloads", "underscore-downloads"])
 def test_analyze_malformed_corpus(tmp_path, capsys, text, reason):
     corpus = tmp_path / "bad.csv"
     corpus.write_text(text)
@@ -250,8 +268,13 @@ _APP_ROW = "{sha},com.x,Tools,20000,2021-01-01,app.apk"
       "path_or_remote", "# one app", _APP_ROW], None),
     ([_APP_ROW.replace("2021-01-01", "20210101")],
      "Invalid isoformat string: '20210101'"),
+    ([_APP_ROW.replace("20000", "-5")],
+     "invalid literal for int() with base 10: '-5'"),
+    ([_APP_ROW.replace("20000", "1_000")],
+     "invalid literal for int() with base 10: '1_000'"),
 ], ids=["sha-twice", "sha-upper-and-lower", "two-rows-without-sha",
-        "bom-header-comment", "basic-format-date"])
+        "bom-header-comment", "basic-format-date", "negative-downloads",
+        "underscore-downloads"])
 def test_analyze_and_stats_accept_the_same_corpus_files(tmp_path, capsys,
                                                         rows, refusal):
     apk = planted_apk()

@@ -52,8 +52,10 @@ def test_load_pattern_file_rows(tmp_path, patterns):
     sets = load_pattern_file(path)
     assert len(sets) == 2
     keystore = next(s for s in sets if s.detector_id == "keystore")
-    assert keystore.method_patterns == (
+    assert keystore.rows == (
         ("android.security.keystore.KeyGenParameterSpec", "build"),)
+    tink = next(s for s in sets if s.detector_id == "tinklib")
+    assert tink.rows == (("com.google.crypto.tink", "*"),)
 
 
 def test_load_pattern_file_empty(tmp_path):
@@ -141,7 +143,7 @@ def test_string_scan_oracle_agreement(patterns):
     strings = list_strings(data)
     scanned = set()
     for pattern_set in patterns.tee_sets:
-        for cls in pattern_set.class_prefixes:
+        for cls, _ in pattern_set.rows:
             descriptor_stem = "L" + cls.replace(".", "/")
             if any(s.startswith(descriptor_stem) for s in strings):
                 scanned.add(pattern_set.detector_id)
@@ -243,7 +245,7 @@ def test_records_never_fall_outside_loaded_patterns(patterns, smoke_corpus):
         for pattern_set in patterns.tee_sets:
             if pattern_set.detector_id != record.detector_id:
                 continue
-            for cls, method in pattern_set.method_patterns:
+            for cls, method in pattern_set.rows:
                 class_ok = (record.target_class == cls
                             or record.target_class.startswith(cls + "$"))
                 if class_ok and method in ("*", record.target_method):
@@ -254,7 +256,7 @@ def test_records_never_fall_outside_loaded_patterns(patterns, smoke_corpus):
         for pattern_set in patterns.crypto_sets:
             if pattern_set.detector_id != record.detector_id:
                 continue
-            for prefix in pattern_set.class_prefixes:
+            for prefix, _ in pattern_set.rows:
                 if record.target_class == prefix \
                         or record.target_class.startswith(prefix + "."):
                     return True
@@ -336,7 +338,7 @@ _RECORD_ROW = attrgetter("detector_id", "target_class", "target_method",
 def _crypto_oracle(unit, sets):
     """Record tuples from the prefix rule run on every pool entry."""
     def detectors(ref):
-        return sorted({s.detector_id for s in sets for prefix in s.class_prefixes
+        return sorted({s.detector_id for s in sets for prefix, _ in s.rows
                        if _is_or_continues(ref.defining_class, prefix, ".")})
 
     rows = []
@@ -406,7 +408,7 @@ def _tee_oracle(unit, sets):
                   row.caller_class, row.code_offset, unit.entry_name)
                  for det in sorted({
                      s.detector_id for s in sets
-                     for cls, method in s.method_patterns
+                     for cls, method in s.rows
                      if _is_or_continues(target.defining_class, cls, "$")
                      and method in ("*", target.method_name)})]
     return sorted(rows, key=lambda r: (r[4], r[0]))
