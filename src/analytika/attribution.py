@@ -54,6 +54,18 @@ def is_subpackage(child: PackageName, parent: PackageName) -> bool:
     return len(child) > len(parent) and child[:len(parent)] == parent
 
 
+def compare_package_names(expected: str | None, actual: str) -> str:
+    """unchecked, match, prefix (one under the other) or mismatch."""
+    if not expected:
+        return "unchecked"
+    left, right = parse_package(expected), parse_package(actual)
+    if left == right:
+        return "match"
+    if is_subpackage(left, right) or is_subpackage(right, left):
+        return "prefix"
+    return "mismatch"
+
+
 def classify_location(app_pkg: PackageName, match_pkg: PackageName, *,
                       proguard_as_main: bool = True) -> str:
     """Decide inmain / inlib / obfuscated for one match package.

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 from datetime import date
 from pathlib import Path
 
-from .corpus import parse_date
+from .corpus import parse_date, parse_downloads
 
 # Each command imports its own modules when it runs, so `stats` never loads
 # the archive, DEX and manifest readers and `analyze` never loads `aggregate`.
@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--out", required=True, help="table output directory")
     stats.add_argument("--filter-defaults", action="store_true",
                        help="apply the default selection filter")
-    stats.add_argument("--min-downloads", type=int)
+    stats.add_argument("--min-downloads", type=parse_downloads)
     stats.add_argument("--min-date", type=parse_date, metavar="YYYY-MM-DD")
     stats.add_argument("--exclude-categories",
                        help="file with one excluded category per line")
@@ -182,13 +182,10 @@ def _cmd_stats(args) -> int:
             with _cannot(f"read excluded categories {args.exclude_categories}"):
                 excluded = defaults.load_game_categories(
                     args.exclude_categories)
-        try:
-            selection = aggregate.SelectionFilter(
-                min_downloads=args.min_downloads or 0,
-                min_last_update=args.min_date or date.min,
-                excluded_categories=excluded)
-        except ValueError as exc:
-            raise _Unusable(f"invalid option: {exc}") from None
+        selection = aggregate.SelectionFilter(
+            min_downloads=args.min_downloads or 0,
+            min_last_update=args.min_date or date.min,
+            excluded_categories=excluded)
     prefixes_path = (args.known_prefixes
                      or defaults.default_known_prefixes_path())
     with _cannot(f"read known prefixes {prefixes_path}"):

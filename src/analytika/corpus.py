@@ -32,6 +32,7 @@ class CorpusEntry:
     def __post_init__(self):
         if self.sha256 and not _is_sha256(self.sha256):
             raise ValueError(f"not a sha256 hex digest: {self.sha256!r}")
+        object.__setattr__(self, "sha256", self.sha256.lower())
 
 
 def _is_sha256(text: str) -> bool:
@@ -80,7 +81,7 @@ def load_corpus_csv(path) -> list[CorpusEntry]:
         if source and source != REMOTE_SOURCE and not os.path.isabs(source):
             source = str(path.parent / source)
         entries.append(CorpusEntry(
-            sha256=sha.lower(),
+            sha256=sha,
             expected_package_name=package or None,
             category=one(category) if category else None,
             downloads=one(parse_downloads(downloads)) if downloads else None,

@@ -64,7 +64,7 @@ class HttpStatusError(AnalytikaError):
 
 
 class HashMismatchError(AnalytikaError):
-    """Downloaded bytes do not digest to the requested hash."""
+    """An app's bytes do not digest to its listed sha256."""
 
 
 # -- aggregation -------------------------------------------------------------

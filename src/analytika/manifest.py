@@ -223,7 +223,7 @@ def extract_manifest_info(tree: XmlElement) -> ManifestInfo:
             continue
         if isinstance(value, int):
             min_sdk = value
-        elif isinstance(value, str) and value.isdigit():
+        elif isinstance(value, str) and value.isascii() and value.isdigit():
             min_sdk = int(value)
 
     return ManifestInfo(package_name=package, permissions=tuple(permissions),

@@ -163,7 +163,8 @@ def match_tee_apis(unit: DexUnit, sets) -> list[MatchRecord]:
     references that are never invoked do not match. Crypto sets among
     `sets` add nothing.
     """
-    return match_unit(unit, index_patterns(sets))[0]
+    own = index_patterns(s for s in sets if s.kind == KIND_TEE_API)
+    return sorted(match_unit(unit, own), key=MATCH_ORDER)
 
 
 def match_crypto_packages(unit: DexUnit, sets) -> list[MatchRecord]:
@@ -176,7 +177,8 @@ def match_crypto_packages(unit: DexUnit, sets) -> list[MatchRecord]:
     sits under a prefix when the prefix is the class itself or one of its
     enclosing packages. API sets among `sets` add nothing.
     """
-    return match_unit(unit, index_patterns(sets))[1]
+    own = index_patterns(s for s in sets if s.kind == KIND_CRYPTO_SOFTWARE)
+    return sorted(match_unit(unit, own), key=MATCH_ORDER)
 
 
 def _resolve(name: str, index: dict, sep: str) -> list:
@@ -190,9 +192,8 @@ def _resolve(name: str, index: dict, sep: str) -> list:
         name = name[:cut]
 
 
-def match_unit(unit: DexUnit, index: PatternIndex) -> tuple[
-        list[MatchRecord], list[MatchRecord]]:
-    """The API and the crypto records of one unit, each in MATCH_ORDER.
+def match_unit(unit: DexUnit, index: PatternIndex) -> list[MatchRecord]:
+    """The API and the crypto records of one unit, in no set order.
 
     Each distinct defining class is resolved once for both kinds: against
     the API rows of the class and of each enclosing class along `$`
@@ -202,69 +203,56 @@ def match_unit(unit: DexUnit, index: PatternIndex) -> tuple[
     its method or `*`, and every crypto detector of its class. The invokes
     of hit entries are picked in one pass over the invoke columns; each
     gives one record per detector, and a crypto-hit entry that is never
-    invoked gives one record per detector at its method-pool slot.
+    invoked gives one record per crypto detector at its method-pool slot.
     """
     # Every name `_resolve` looks up is a prefix of the class, so a class
     # that starts with no index key hits nothing: most are dropped here.
     keys = tuple(index.tee.keys() | index.crypto.keys())
     classes = set(map(_DEFINING_CLASS, unit.methods))
     tee_by_class: dict[str, list[tuple[str, str]]] = {}
-    crypto_by_class: dict[str, list[str]] = {}
+    crypto_by_class: dict[str, set[str]] = {}
     for cls in compress(classes, map(str.startswith, classes, repeat(keys))):
         rows = _resolve(cls, index.tee, "$")
         if rows:
             tee_by_class[cls] = rows
         detectors = _resolve(cls, index.crypto, ".")
         if detectors:
-            crypto_by_class[cls] = sorted(set(detectors))
+            crypto_by_class[cls] = set(detectors)
 
-    # Pool index -> sorted detectors, for the entries of hit classes only.
-    tee_hits: dict[int, list[str]] = {}
-    crypto_hits: dict[int, list[str]] = {}
+    # Pool index -> the detectors an invoke of it hits, API then crypto;
+    # `crypto_hits` keeps the crypto ones for the entries never invoked.
+    hits: dict[int, list[str]] = {}
+    crypto_hits: dict[int, set[str]] = {}
     hit_classes = tee_by_class.keys() | crypto_by_class.keys()
     methods = unit.methods
     for i in compress(count(), map(hit_classes.__contains__,
                                    map(_DEFINING_CLASS, methods))):
         cls, name = methods[i][:2]
-        detectors = sorted({detector for detector, method
-                            in tee_by_class.get(cls, ())
-                            if method in (WILDCARD, name)})
+        crypto = crypto_by_class.get(cls, ())
+        detectors = [*{detector for detector, method
+                       in tee_by_class.get(cls, ())
+                       if method in (WILDCARD, name)}, *crypto]
         if detectors:
-            tee_hits[i] = detectors
-        if cls in crypto_by_class:
-            crypto_hits[i] = crypto_by_class[cls]
+            hits[i] = detectors
+        if crypto:
+            crypto_hits[i] = crypto
 
-    hit = tee_hits.keys() | crypto_hits.keys()
     targets = unit.invoke_methods
     callers, offsets = unit.invoke_callers, unit.invoke_offsets
-    tee_sites, crypto_sites = [], []
-    for k in compress(count(), map(hit.__contains__, targets)):
-        i = targets[k]
-        site = (unit.class_names[callers[k]], i, offsets[k])
-        if i in tee_hits:
-            tee_sites.append(site)
-        if i in crypto_hits:
-            crypto_sites.append(site)
-    invoked = {i for _, i, _ in crypto_sites}
-    crypto_sites += [("", i, unit.method_ids_off + 8 * i)
-                     for i in crypto_hits if i not in invoked]
-    return (_records(unit, tee_sites, tee_hits),
-            _records(unit, crypto_sites, crypto_hits))
-
-
-def _records(unit: DexUnit, sites: list, hits: dict) -> list[MatchRecord]:
-    """One record per detector `hits` holds for each (caller, pool index,
-    offset) site, in MATCH_ORDER."""
-    records = [MatchRecord(detector_id=detector,
-                           target_class=unit.methods[i].defining_class,
-                           target_method=unit.methods[i].method_name,
-                           caller_class=caller,
-                           dex_file=unit.entry_name,
-                           code_offset=offset)
-               for caller, i, offset in sites
-               for detector in hits[i]]
-    records.sort(key=MATCH_ORDER)
-    return records
+    sites = [(unit.class_names[callers[k]], targets[k], offsets[k],
+              hits[targets[k]])
+             for k in compress(count(), map(hits.__contains__, targets))]
+    invoked = {i for _, i, _, _ in sites}
+    sites += [("", i, unit.method_ids_off + 8 * i, detectors)
+              for i, detectors in crypto_hits.items() if i not in invoked]
+    return [MatchRecord(detector_id=detector,
+                        target_class=methods[i].defining_class,
+                        target_method=methods[i].method_name,
+                        caller_class=caller,
+                        dex_file=unit.entry_name,
+                        code_offset=offset)
+            for caller, i, offset, detectors in sites
+            for detector in detectors]
 
 
 def match_native_libs(filenames, patterns) -> list[tuple[str, str]]:

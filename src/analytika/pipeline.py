@@ -23,6 +23,7 @@ from pathlib import Path
 
 from .attribution import (
     classify_location,
+    compare_package_names,
     package_of_class,
     parse_package,
     render_package,
@@ -108,18 +109,6 @@ def _stage(timings: dict, name: str, deadline: Deadline):
     deadline.check()
 
 
-def compare_package_names(expected: str | None, actual: str) -> str:
-    if not expected:
-        return "unchecked"
-    if expected == actual:
-        return "match"
-    left, right = expected.split("."), actual.split(".")
-    shorter, longer = (left, right) if len(left) <= len(right) else (right, left)
-    if shorter and longer[:len(shorter)] == shorter:
-        return "prefix"
-    return "mismatch"
-
-
 def analyze_apk(data: bytes, entry: CorpusEntry, config: AnalysisConfig,
                 patterns: LoadedPatterns | None = None) -> AppReport:
     """Analyze one app end to end; never raises.
@@ -148,7 +137,7 @@ def _analyze_hashed(data: bytes, digest: str, digest_s: float,
     timings = {"digest": digest_s}
     started = time.perf_counter() - digest_s
     try:
-        if entry.sha256 and digest != entry.sha256.lower():
+        if entry.sha256 and digest != entry.sha256:
             raise HashMismatchError(
                 f"hash mismatch: expected {entry.sha256}, computed {digest}")
 
@@ -170,8 +159,7 @@ def _analyze_hashed(data: bytes, digest: str, digest_s: float,
             with _stage(timings, "dex_parse", deadline):
                 unit = parse_dex(raw, dex_name, cancel_check=deadline.check)
             with _stage(timings, "match", deadline):
-                tee, crypto = match_unit(unit, patterns.index)
-            records += tee + crypto
+                records += match_unit(unit, patterns.index)
 
         with _stage(timings, "attribution", deadline):
             app_pkg = parse_package(info.package_name)
@@ -362,7 +350,7 @@ def run_corpus(entries, config: AnalysisConfig,
 
 
 def fetch_by_hash(sha256: str, endpoint: str, api_key: str) -> bytes:
-    """Download one APK by digest and verify the bytes before returning."""
+    """Download one APK by its sha256; `analyze_apk` checks the bytes."""
     # Imported here: the HTTP stack costs every other run its start-up.
     import urllib.error
     import urllib.parse
@@ -378,8 +366,4 @@ def fetch_by_hash(sha256: str, endpoint: str, api_key: str) -> bytes:
         raise HttpStatusError(exc.code) from exc
     except urllib.error.URLError as exc:
         raise NetworkError(str(exc)) from exc
-    digest = sha256_digest(data)
-    if digest != sha256.lower():
-        raise HashMismatchError(
-            f"downloaded bytes digest to {digest}, wanted {sha256}")
     return data

@@ -320,9 +320,19 @@ def test_analyze_remote_corpus_with_api_key_env(tmp_path, monkeypatch):
     from http.server import BaseHTTPRequestHandler, HTTPServer
     from urllib.parse import parse_qs, urlparse
 
+    from analytika import container, pipeline
+
     apk = planted_apk()
     sha = sha256_digest(apk)
     seen_keys = []
+    digests = []
+
+    def counting_digest(data):
+        digests.append(len(data))
+        return sha256_digest(data)
+
+    for module in (container, pipeline):
+        monkeypatch.setattr(module, "sha256_digest", counting_digest)
 
     class Handler(BaseHTTPRequestHandler):
         def do_GET(self):
@@ -355,6 +365,7 @@ def test_analyze_remote_corpus_with_api_key_env(tmp_path, monkeypatch):
         server.server_close()
     assert code == 0
     assert seen_keys == ["sekrit"]
+    assert digests == [len(apk)]        # the one check, before analysis
     doc = json.loads((out_dir / f"{sha}.json").read_text())
     assert doc["meta"]["status"] == "ok"
 
@@ -455,6 +466,19 @@ def test_stats_min_date_takes_only_yyyy_mm_dd(tmp_path, capsys):
     assert not (tmp_path / "tables").exists()
 
 
+@pytest.mark.parametrize("value", ["-1", "1_000", "\u0661\u0662"],
+                         ids=["negative", "underscore", "arabic-indic"])
+def test_stats_min_downloads_takes_only_ascii_digits(tmp_path, capsys, value):
+    with pytest.raises(SystemExit) as info:
+        main(["stats", "--reports", str(tmp_path),
+              "--out", str(tmp_path / "tables"), "--min-downloads", value])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "analytika stats: error: argument --min-downloads: "
+        f"invalid parse_downloads value: '{value}'")
+    assert not (tmp_path / "tables").exists()
+
+
 _SHA0 = synth.sha_for(0)
 
 
@@ -504,8 +528,6 @@ _EXCLUSIVE = ("invalid option: --filter-defaults cannot be combined with "
     (["--out", "{tmp}/short.csv/tables"],
      "cannot write tables {tmp}/short.csv/tables: "
      + os.strerror(errno.ENOTDIR)),
-    (["--min-downloads", "-1"],
-     "invalid option: min_downloads must be non-negative"),
     (["--top-n", "0"], "invalid option: top_n must be at least 1"),
     (["--top-n", "-1"], "invalid option: top_n must be at least 1"),
     (["--filter-defaults", "--min-downloads", "100000000"], _EXCLUSIVE),
@@ -533,7 +555,7 @@ _EXCLUSIVE = ("invalid option: --filter-defaults cannot be combined with "
         "empty-exclude-categories",
         "missing-known-prefixes", "missing-reports", "reports-not-a-directory",
         "out-is-a-file", "out-under-a-file",
-        "negative-min-downloads", "top-n-zero", "top-n-negative",
+        "top-n-zero", "top-n-negative",
         "defaults-and-min-downloads", "defaults-and-min-date",
         "defaults-and-empty-exclude-categories",
         "defaults-and-exclude-categories-before-reading",

@@ -49,6 +49,15 @@ def test_no_permissions_yields_empty_list():
     assert info.min_sdk is None
 
 
+@pytest.mark.parametrize("value", ["\u00b2", "\u0663"],
+                         ids=["superscript-two", "arabic-indic-three"])
+def test_min_sdk_of_digits_outside_ascii_is_unknown(value):
+    # str.isdigit takes both; int() refuses the first and reads the
+    # second as 3.
+    data = manifest_bytes("com.package", min_sdk=value)
+    assert extract_manifest_info(parse_binary_xml(data)).min_sdk is None
+
+
 def test_missing_package_attribute():
     data = build_axml(Elem("manifest", {"versionName": "1.0"}))
     with pytest.raises(MissingPackageNameError):

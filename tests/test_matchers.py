@@ -462,3 +462,58 @@ def test_pipeline_records_equal_the_two_matchers(patterns, smoke_corpus,
         assert report.status == "ok"
         assert list(map(_RECORD_ROW, report.matches)) == list(
             map(_RECORD_ROW, sorted(expected, key=MATCH_ORDER)))
+
+
+def test_pipeline_merges_both_kinds_where_a_prefix_covers_api_classes(
+        tmp_path):
+    import io
+    import shutil
+    import zipfile
+
+    from analytika.corpus import CorpusEntry
+    from analytika.defaults import default_patterns_dir
+    from analytika.pipeline import AnalysisConfig, analyze_apk
+
+    from conftest import make_fixture_apk
+
+    # An invoke of an API class under the crypto prefix hits both kinds;
+    # the `run` method of a caller class under it sits uninvoked in the
+    # pool, so it hits the crypto detector alone.
+    shipped = default_patterns_dir()
+    pattern_dir = tmp_path / "patterns"
+    pattern_dir.mkdir()
+    (pattern_dir / "bytecode_patterns.csv").write_text(
+        (shipped / "bytecode_patterns.csv").read_text(encoding="utf-8")
+        + "x,crypto_software,android.hardware.biometrics,*\n",
+        encoding="utf-8")
+    shutil.copy(shipped / "native_patterns.csv", pattern_dir)
+    patterns = load_patterns(pattern_dir)
+    apk = make_fixture_apk(dex_plans=[
+        PLANTED_PLAN + [
+            ("android.hardware.biometrics.BiometricManager$Authenticators",
+             [])],
+        [("org.jasypt.Util", [])]])
+
+    expected = []
+    with zipfile.ZipFile(io.BytesIO(apk)) as zf:
+        for name in ("classes.dex", "classes2.dex"):
+            unit = parse_dex(zf.read(name), name)
+            expected += match_tee_apis(unit, patterns.tee_sets)
+            expected += match_crypto_packages(unit, patterns.crypto_sets)
+    report = analyze_apk(apk, CorpusEntry(sha256=""),
+                         AnalysisConfig(output_dir=tmp_path), patterns)
+    assert report.status == "ok"
+    assert list(map(_RECORD_ROW, report.matches)) == list(
+        map(_RECORD_ROW, sorted(expected, key=MATCH_ORDER)))
+    assert sorted(
+        (r.detector_id, r.target_class, r.caller_class)
+        for r in report.matches
+        if r.target_class.startswith("android.hardware.biometrics")) == [
+        ("biometrics", "android.hardware.biometrics.BiometricPrompt",
+         "com.fixture.app.BioHelper"),
+        ("x", "android.hardware.biometrics.BiometricManager$Authenticators",
+         ""),
+        ("x", "android.hardware.biometrics.BiometricPrompt",
+         "com.fixture.app.BioHelper")]
+    assert {r.detector_id for r in report.matches
+            if r.dex_file == "classes2.dex"} == {"jasypt"}

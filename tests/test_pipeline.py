@@ -274,6 +274,13 @@ def test_repeated_analysis_is_deterministic(tmp_path, fixture_apk_bytes):
     assert a == b
 
 
+def test_app_with_a_non_ascii_min_sdk_is_ok(tmp_path):
+    apk = make_fixture_apk(dex_plans=[PLANTED_PLAN], min_sdk="\u00b2")
+    report = analyze_apk(apk, _entry_for(apk), _config(tmp_path))
+    assert report.status == "ok"
+    assert report.min_sdk is None
+
+
 def test_compare_package_names():
     assert compare_package_names(None, "com.a") == "unchecked"
     assert compare_package_names("com.package", "com.package") == "match"
@@ -281,6 +288,21 @@ def test_compare_package_names():
     assert compare_package_names("com.package.xyz", "com.package") == "prefix"
     assert compare_package_names("com.package", "com.packageX") == "mismatch"
     assert compare_package_names("org.other", "com.package") == "mismatch"
+
+
+def test_upper_case_sha256_entry_names_the_lower_case_report(tmp_path):
+    apk = planted_apk()
+    path = tmp_path / "app.apk"
+    path.write_bytes(apk)
+    sha = sha256_digest(apk)
+    config = _config(tmp_path)
+    first = run_corpus([CorpusEntry(sha256=sha.upper(), source=str(path))],
+                       config)
+    assert (first.analyzed, first.ok) == (1, 1)
+    second = run_corpus([CorpusEntry(sha256=sha, source=str(path))], config)
+    assert (second.analyzed, second.skipped) == (0, 1)
+    assert sorted(p.name for p in config.output_dir.glob("*.json")) == [
+        f"{sha}.json"]
 
 
 def _write_corpus(tmp_path, apps: dict[str, bytes]):
@@ -584,9 +606,25 @@ def test_fetch_by_hash_round_trip(stub_server, fixture_apk_bytes):
     assert data == fixture_apk_bytes
 
 
-def test_fetch_by_hash_wrong_bytes(stub_server):
-    with pytest.raises(HashMismatchError):
-        fetch_by_hash("f" * 64, stub_server, "test-key")
+def test_remote_entry_given_other_bytes_gets_a_hash_mismatch_report(
+        stub_server, tmp_path, monkeypatch):
+    from analytika.cli import main
+
+    sha = "f" * 64
+    corpus = tmp_path / "corpus.csv"
+    corpus.write_text(f"{sha},com.fixture.app,Tools,20000,2021-01-01,remote\n")
+    monkeypatch.setenv("TEST_DL_KEY", "test-key")
+    out_dir = tmp_path / "reports"
+    assert main(["analyze", "--corpus", str(corpus), "--out", str(out_dir),
+                 "--fetch-endpoint", stub_server,
+                 "--api-key-env", "TEST_DL_KEY"]) == 1
+    (report,) = out_dir.glob("*.json")
+    assert report.name == f"{sha}.json"
+    meta = json.loads(report.read_text())["meta"]
+    assert meta["status"] == "error"
+    computed = sha256_digest(b"these are not the bytes you wanted")
+    assert meta["message"] == (
+        f"hash mismatch: expected {sha}, computed {computed}")
 
 
 def test_fetch_by_hash_http_status(stub_server):
