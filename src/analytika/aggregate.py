@@ -10,6 +10,7 @@ precision; rounding to presentation form is left to the caller.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import statistics
@@ -329,11 +330,11 @@ def compute_stats(corpus: Corpus, top_n: int = 10,
 
 
 def _write_csv(path: Path, header: list[str], rows) -> Path:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    return path
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return defaults.write_text(path, text.getvalue())
 
 
 def write_stats(stats: CorpusStats, out_dir) -> list[Path]:
@@ -404,9 +405,7 @@ def write_stats(stats: CorpusStats, out_dir) -> list[Path]:
         "categories": stats.categories,
         "crypto": stats.crypto,
     }
-    path = out_dir / "summary.json"
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(summary, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    written.append(path)
+    written.append(defaults.write_text(
+        out_dir / "summary.json",
+        json.dumps(summary, indent=2, sort_keys=True) + "\n"))
     return written

@@ -134,7 +134,8 @@ def _cmd_analyze(args) -> int:
             open(apk_path, "rb").close()
         entries.append(CorpusEntry(sha256="", source=apk_path))
 
-    summary = run_corpus(entries, config, patterns=patterns)
+    with _cannot(f"write reports {args.out}"):
+        summary = run_corpus(entries, config, patterns=patterns)
     print(f"analyzed={summary.analyzed} ok={summary.ok} "
           f"timeout={summary.timeout} error={summary.error} "
           f"skipped={summary.skipped}")

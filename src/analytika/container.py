@@ -21,7 +21,6 @@ from .errors import (
     SizeMismatchError,
 )
 
-_EOCD_SIG = 0x06054B50
 _CDIR_SIG = 0x02014B50
 _LOCAL_SIG = 0x04034B50
 

@@ -1,9 +1,11 @@
-"""Access to the data files shipped with the package."""
+"""The shipped data files, the text input readers and the output writer."""
 
 from __future__ import annotations
 
 import csv
+import os
 from collections.abc import Iterator
+from contextlib import suppress
 from importlib import resources
 from pathlib import Path
 
@@ -42,6 +44,24 @@ def read_rows(path) -> Iterator[tuple[int, list[str]]]:
             if row and not row[0].lstrip().startswith("#"):
                 yield line_no, [cell.strip() for cell in row]
             line_no = reader.line_num + 1
+
+
+def write_text(path: Path, text: str) -> Path:
+    """Make `text` the whole UTF-8 content of `path`, or leave `path` as it
+    was: the text goes to a new file beside it, created with mode 0o666 less
+    the umask, which is then renamed over `path`. Line ends are written as
+    they are in `text`."""
+    new = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(new, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        os.replace(new, path)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(new)
+        raise
+    return path
 
 
 def load_game_categories(path=None) -> frozenset[str]:

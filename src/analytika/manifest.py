@@ -22,7 +22,9 @@ _UTF8_FLAG = 1 << 8
 _NO_INDEX = 0xFFFFFFFF
 
 _TYPE_STRING = 0x03
+_TYPE_FIRST_INT = 0x10
 _TYPE_INT_BOOLEAN = 0x12
+_TYPE_LAST_INT = 0x1F
 
 
 @dataclass
@@ -120,8 +122,9 @@ def _attr_value(pool: list[str], raw_idx: int, vtype: int, vdata: int):
         return pool[vdata]
     if vtype == _TYPE_INT_BOOLEAN:
         return vdata != 0
-    # ints, references, and anything newer surface as raw integers
-    return vdata
+    if _TYPE_FIRST_INT <= vtype <= _TYPE_LAST_INT:
+        return vdata - (vdata >> 31 << 32)      # a signed 32-bit value
+    return None     # a reference, float, dimension or fraction is no integer
 
 
 def parse_binary_xml(data: bytes) -> XmlElement:
@@ -213,8 +216,8 @@ def extract_manifest_info(tree: XmlElement) -> ManifestInfo:
     permissions = []
     for child in tree.find_all("uses-permission"):
         name = child.attributes.get("name")
-        if name is not None:
-            permissions.append(name if isinstance(name, str) else str(name))
+        if isinstance(name, str):
+            permissions.append(name)
 
     min_sdk = None
     for child in tree.find_all("uses-sdk"):

@@ -13,7 +13,6 @@ loader threads read and hash the next few apps ahead of it.
 from __future__ import annotations
 
 import os
-import tempfile
 import time
 from collections import deque
 from concurrent.futures import Executor, ThreadPoolExecutor
@@ -36,6 +35,7 @@ from .container import (
     sha256_digest,
 )
 from .corpus import REMOTE_SOURCE, CorpusEntry
+from .defaults import write_text
 from .dex import parse_dex
 from .errors import (
     AnalysisTimeout,
@@ -219,9 +219,8 @@ class RunSummary:
 def _probe_writable(out_dir: Path) -> None:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        fd, name = tempfile.mkstemp(dir=out_dir, suffix=".probe")
-        os.close(fd)
-        os.unlink(name)
+        # A random name, so the probe replaces and removes no user's file.
+        os.unlink(write_text(out_dir / f"probe-{os.urandom(8).hex()}", ""))
     except OSError as exc:
         raise OSError(f"output directory not writable: {out_dir}") from exc
 

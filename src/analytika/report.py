@@ -9,14 +9,12 @@ are a stable contract for downstream tooling; `read_record` reads them back.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
-from contextlib import suppress
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
 
 from .attribution import LOCATION_INLIB
+from .defaults import write_text
 from .errors import MalformedReportError
 from .matchers import MatchRecord, TEE_DETECTORS
 
@@ -88,21 +86,10 @@ def report_path(out_dir, sha256: str) -> Path:
 
 
 def write_report(report: AppReport, out_dir) -> Path:
-    """Serialize atomically: temp file in the target dir, then rename."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    target = report_path(out_dir, report.sha256)
-    payload = json.dumps(report.to_document(), indent=2, sort_keys=True) + "\n"
-    fd, tmp_name = tempfile.mkstemp(dir=out_dir, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-        os.replace(tmp_name, target)
-    except BaseException:
-        with suppress(OSError):
-            os.unlink(tmp_name)
-        raise
-    return target
+    """Write the report, whole or not at all, into the existing `out_dir`."""
+    return write_text(report_path(out_dir, report.sha256),
+                      json.dumps(report.to_document(), indent=2,
+                                 sort_keys=True) + "\n")
 
 
 def read_report_document(path) -> dict:

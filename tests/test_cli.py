@@ -4,7 +4,9 @@ import argparse
 import errno
 import json
 import os
+import random
 import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -792,6 +794,71 @@ def test_analyze_reanalyzes_a_report_naming_another_app(tmp_path, capsys):
             == deterministic_document(clean_b))
     assert main(["stats", "--reports", str(out_dir),
                  "--out", str(tmp_path / "tables")]) == 0
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask-022", "umask-077"])
+def test_every_written_file_takes_its_mode_from_the_umask(tmp_path, umask,
+                                                          mode):
+    apk_path = tmp_path / "app.apk"
+    apk_path.write_bytes(planted_apk())
+    report_dir, out_dir = tmp_path / "reports", tmp_path / "tables"
+    old = os.umask(umask)
+    try:
+        assert main(["analyze", str(apk_path), "--out", str(report_dir)]) == 0
+        assert main(["stats", "--reports", str(report_dir),
+                     "--out", str(out_dir)]) == 0
+    finally:
+        os.umask(old)
+    written = [*report_dir.iterdir(), *out_dir.iterdir()]
+    assert len(written) == 2 + 10       # report and run.log; 9 CSVs, summary
+    assert {p.name: stat.S_IMODE(p.stat().st_mode) for p in written} == {
+        p.name: mode for p in written}
+
+
+def _cli_writing_at_most(limit: int, *args) -> subprocess.CompletedProcess:
+    """Run the CLI in a child process that can write no file past `limit`
+    bytes (RLIMIT_FSIZE, set in the child only)."""
+    import resource
+
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=str(Path(analytika.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "analytika.cli", *args], env=env,
+        capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE,
+                                              (limit, limit)))
+
+
+def test_stats_that_cannot_write_its_tables_leaves_the_last_summary_whole(
+        tmp_path):
+    report_dir, out_dir = tmp_path / "reports", tmp_path / "tables"
+    synth.random_corpus(random.Random(5), report_dir,
+                        tmp_path / "corpus.csv", apps=12)
+    args = ["stats", "--reports", str(report_dir), "--out", str(out_dir)]
+    assert main(args) == 0
+    before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    # Every table fits under the limit and summary.json does not.
+    limit = max(len(v) for k, v in before.items() if k.endswith(".csv"))
+    assert len(before["summary.json"]) > limit
+    done = _cli_writing_at_most(limit, *args)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", f"cannot write tables {out_dir}: {os.strerror(errno.EFBIG)}\n")
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+
+def test_analyze_that_cannot_write_a_report_exits_2_with_one_line(tmp_path):
+    apk_path = tmp_path / "app.apk"
+    apk_path.write_bytes(planted_apk())
+    out_dir = tmp_path / "reports"
+    done = _cli_writing_at_most(1024, "analyze", str(apk_path),
+                                "--out", str(out_dir))
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", f"cannot write reports {out_dir}: {os.strerror(errno.EFBIG)}\n")
+    assert list(out_dir.iterdir()) == []
+    assert main(["analyze", str(apk_path), "--out", str(out_dir)]) == 0
+    (report,) = out_dir.glob("*.json")
+    assert report.stat().st_size > 1024
 
 
 def test_package_root_imports_no_submodule():

@@ -58,6 +58,34 @@ def test_min_sdk_of_digits_outside_ascii_is_unknown(value):
     assert extract_manifest_info(parse_binary_xml(data)).min_sdk is None
 
 
+def _retyped(data: bytes, value: int, vtype: int, vdata: int) -> bytes:
+    """`data` with its one decimal attribute record of `value` given the
+    value type `vtype` and data `vdata`."""
+    record = struct.pack("<HBBI", 8, 0, 0x10, value)
+    assert data.count(record) == 1
+    return data.replace(record, struct.pack("<HBBI", 8, 0, vtype, vdata))
+
+
+@pytest.mark.parametrize("vtype,vdata,min_sdk", [
+    (0x01, 0x7F0B0001, None),       # a reference, @integer/min_sdk
+    (0x04, struct.unpack("<I", struct.pack("<f", 23.0))[0], None),
+    (0x10, 0xFFFFFFFF, -1),
+    (0x11, 23, 23),                 # hexadecimal
+], ids=["reference", "float", "decimal-minus-one", "hex"])
+def test_min_sdk_reads_only_integer_types_as_signed_values(vtype, vdata,
+                                                           min_sdk):
+    data = _retyped(manifest_bytes("com.app", min_sdk=23), 23, vtype, vdata)
+    assert extract_manifest_info(parse_binary_xml(data)).min_sdk == min_sdk
+
+
+def test_a_permission_name_that_is_no_string_is_skipped():
+    data = _retyped(manifest_bytes(
+        "com.app", permissions=(0x7F0B0001, "android.permission.INTERNET")),
+        0x7F0B0001, 0x01, 0x7F0B0001)
+    info = extract_manifest_info(parse_binary_xml(data))
+    assert info.permissions == ("android.permission.INTERNET",)
+
+
 def test_missing_package_attribute():
     data = build_axml(Elem("manifest", {"versionName": "1.0"}))
     with pytest.raises(MissingPackageNameError):

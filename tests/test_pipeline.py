@@ -81,6 +81,18 @@ def test_analyze_single_drm_plant(tmp_path):
     assert [m.detector_id for m in report.matches] == ["drm"]
 
 
+def test_fingerprint_manager_from_app_code_is_one_biometrics_inmain_match(
+        tmp_path):
+    apk = make_fixture_apk(dex_plans=[[
+        ("com.fixture.app.LegacyAuth", [
+            ("android.hardware.fingerprint.FingerprintManager",
+             "authenticate")]),
+    ]])
+    report = analyze_apk(apk, _entry_for(apk), _config(tmp_path))
+    assert [(m.detector_id, m.location) for m in report.matches] == [
+        ("biometrics", "inmain")]
+
+
 def test_hash_mismatch_is_error(tmp_path, fixture_apk_bytes, monkeypatch):
     # The failure report is built while the stage's exception is handled.
     raised = []
