@@ -329,19 +329,19 @@ def compute_stats(corpus: Corpus, top_n: int = 10,
         crypto=crypto_table(t))
 
 
-def _write_csv(path: Path, header: list[str], rows) -> Path:
+def _csv_text(header: list[str], rows) -> str:
     text = io.StringIO()
     writer = csv.writer(text, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    return defaults.write_text(path, text.getvalue())
+    return text.getvalue()
 
 
 def write_stats(stats: CorpusStats, out_dir) -> list[Path]:
-    """Emit the result tables as CSV plus one machine-readable summary."""
+    """Emit the tables as CSV plus a machine-readable summary, as one set."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
+    texts = {}
 
     prevalence_rows = []
     for d in TEE_DETECTORS:
@@ -351,8 +351,8 @@ def write_stats(stats: CorpusStats, out_dir) -> list[Path]:
                    "all_excl_protected_confirmation"):
         cell = stats.prevalence[metric]
         prevalence_rows.append([metric, cell["apps"], cell["share"]])
-    written.append(_write_csv(out_dir / "prevalence.csv",
-                              ["metric", "apps", "share"], prevalence_rows))
+    texts[out_dir / "prevalence.csv"] = _csv_text(["metric", "apps", "share"],
+                                                  prevalence_rows)
 
     loc = stats.locations
     location_rows = [["matched_apps", loc["matched_apps"]],
@@ -363,12 +363,12 @@ def write_stats(stats: CorpusStats, out_dir) -> list[Path]:
         "inlib_match_share", "apps_with_inlib_share", "apps_with_inmain_share",
         "apps_with_obfuscated_share", "apps_exclusively_inmain_share",
         "libraries_per_app_mean", "libraries_per_app_median")]
-    written.append(_write_csv(out_dir / "locations.csv", ["metric", "value"],
-                              location_rows))
+    texts[out_dir / "locations.csv"] = _csv_text(["metric", "value"],
+                                                 location_rows)
 
     for detector, table in stats.top_libs.items():
-        written.append(_write_csv(out_dir / f"top_libs_{detector}.csv",
-                                  ["library", "apps"], table["rows"]))
+        texts[out_dir / f"top_libs_{detector}.csv"] = _csv_text(
+            ["library", "apps"], table["rows"])
 
     wide_rows = []
     long_rows = []
@@ -378,13 +378,11 @@ def write_stats(stats: CorpusStats, out_dir) -> list[Path]:
         for d in TEE_DETECTORS:
             long_rows.append([row["category"], d, row[d]["apps"],
                               row[d]["share"]])
-    written.append(_write_csv(
-        out_dir / "categories.csv",
+    texts[out_dir / "categories.csv"] = _csv_text(
         ["category", "ok_apps"] + [f"{d}_share" for d in TEE_DETECTORS],
-        wide_rows))
-    written.append(_write_csv(out_dir / "categories_long.csv",
-                              ["category", "detector", "apps", "share"],
-                              long_rows))
+        wide_rows)
+    texts[out_dir / "categories_long.csv"] = _csv_text(
+        ["category", "detector", "apps", "share"], long_rows)
 
     crypto_rows = [["software", lib, count]
                    for lib, count in stats.crypto["software"].items()]
@@ -392,8 +390,8 @@ def write_stats(stats: CorpusStats, out_dir) -> list[Path]:
                     for lib, count in stats.crypto["native"].items()]
     crypto_rows.append(["software", "(any)", stats.crypto["apps_with_software"]])
     crypto_rows.append(["native", "(any)", stats.crypto["apps_with_native"]])
-    written.append(_write_csv(out_dir / "crypto.csv",
-                              ["kind", "library", "apps"], crypto_rows))
+    texts[out_dir / "crypto.csv"] = _csv_text(["kind", "library", "apps"],
+                                              crypto_rows)
 
     summary = {
         "totals": stats.totals,
@@ -405,7 +403,6 @@ def write_stats(stats: CorpusStats, out_dir) -> list[Path]:
         "categories": stats.categories,
         "crypto": stats.crypto,
     }
-    written.append(defaults.write_text(
-        out_dir / "summary.json",
-        json.dumps(summary, indent=2, sort_keys=True) + "\n"))
-    return written
+    texts[out_dir / "summary.json"] = json.dumps(summary, indent=2,
+                                                 sort_keys=True) + "\n"
+    return defaults.write_text(texts)

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import csv
+import errno
 import os
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
 from contextlib import suppress
 from importlib import resources
 from pathlib import Path
@@ -46,22 +47,29 @@ def read_rows(path) -> Iterator[tuple[int, list[str]]]:
             line_no = reader.line_num + 1
 
 
-def write_text(path: Path, text: str) -> Path:
-    """Make `text` the whole UTF-8 content of `path`, or leave `path` as it
-    was: the text goes to a new file beside it, created with mode 0o666 less
-    the umask, which is then renamed over `path`. Line ends are written as
-    they are in `text`."""
-    new = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
-    fd = os.open(new, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+def write_text(texts: Mapping[Path, str]) -> list[Path]:
+    """Make each text the whole UTF-8 content of its path, for every path or
+    for none: each text goes to a new file beside its path (mode 0o666 less
+    the umask, line ends as given), and once all are written each is renamed
+    over its path, in mapping order. No path may be a directory."""
+    for path in filter(os.path.isdir, texts):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    made = []
     try:
-        with open(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-        os.replace(new, path)
+        for path, text in texts.items():
+            new = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+            fd = os.open(new, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            made.append(new)
+            with open(fd, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        for new, path in zip(made, texts):
+            os.replace(new, path)
     except BaseException:
-        with suppress(OSError):
-            os.unlink(new)
+        for new in made:
+            with suppress(OSError):
+                os.unlink(new)
         raise
-    return path
+    return list(texts)
 
 
 def load_game_categories(path=None) -> frozenset[str]:

@@ -17,7 +17,7 @@ import time
 from collections import deque
 from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 from .attribution import (
@@ -212,15 +212,12 @@ class RunSummary:
     error: int = 0
     skipped: int = 0
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def _probe_writable(out_dir: Path) -> None:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         # A random name, so the probe replaces and removes no user's file.
-        os.unlink(write_text(out_dir / f"probe-{os.urandom(8).hex()}", ""))
+        os.unlink(*write_text({out_dir / f"probe-{os.urandom(8).hex()}": ""}))
     except OSError as exc:
         raise OSError(f"output directory not writable: {out_dir}") from exc
 

@@ -22,6 +22,9 @@ STATUS_OK = "ok"
 STATUS_TIMEOUT = "timeout"
 STATUS_ERROR = "error"
 _STATUSES = (STATUS_OK, STATUS_TIMEOUT, STATUS_ERROR)
+# The one report format `read_record` accepts. A report without meta.format
+# is format 1, and `to_document` writes format 1 without the key.
+REPORT_FORMAT = 1
 
 
 @dataclass
@@ -87,9 +90,8 @@ def report_path(out_dir, sha256: str) -> Path:
 
 def write_report(report: AppReport, out_dir) -> Path:
     """Write the report, whole or not at all, into the existing `out_dir`."""
-    return write_text(report_path(out_dir, report.sha256),
-                      json.dumps(report.to_document(), indent=2,
-                                 sort_keys=True) + "\n")
+    return write_text({report_path(out_dir, report.sha256): json.dumps(
+        report.to_document(), indent=2, sort_keys=True) + "\n"})[0]
 
 
 def read_report_document(path) -> dict:
@@ -135,7 +137,8 @@ def _list(path, doc: dict, key: str) -> list:
 def read_record(path: str | Path) -> CorpusRecord:
     """The checked record of the report file at `path`, a str or Path. A
     missing meta or status reads as an error record and a missing list as
-    empty; an unreadable file or a bad kept field raises MalformedReportError.
+    empty; an unreadable file, another report format or a bad kept field
+    raises MalformedReportError.
     """
     try:
         doc = read_report_document(path)
@@ -145,6 +148,11 @@ def read_record(path: str | Path) -> CorpusRecord:
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise _malformed(path, "meta", "an object")
+    found = meta.get("format", REPORT_FORMAT)
+    if type(found) is not int or found != REPORT_FORMAT:
+        raise MalformedReportError(
+            f"{path}: report format {json.dumps(found)} is not format "
+            f"{REPORT_FORMAT}, the one this version reads")
     sha = meta["sha256"] if "sha256" in meta else Path(path).stem
     if not isinstance(sha, str):
         raise _malformed(path, "meta.sha256", "a string")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 from datetime import date
 
@@ -18,6 +19,7 @@ from analytika.aggregate import (
     top_libraries,
     write_stats,
 )
+from analytika import defaults
 from analytika.attribution import load_known_prefixes
 from analytika.defaults import default_known_prefixes_path
 from analytika.errors import DuplicateSha256Error, MalformedReportError
@@ -497,3 +499,35 @@ def test_write_stats_idempotent(tmp_path):
     for a, b in zip(first, second):
         assert a.name == b.name
         assert a.read_bytes() == b.read_bytes()
+
+
+def test_write_stats_writes_every_file_before_it_renames_any(tmp_path,
+                                                              monkeypatch):
+    synth.random_corpus(random.Random(21), tmp_path / "reports",
+                        tmp_path / "corpus.csv", apps=15)
+    stats = compute_stats(load_corpus(tmp_path / "reports"))
+    calls, steps = [], []
+    real_write, real_open, real_replace = (defaults.write_text, os.open,
+                                           os.replace)
+
+    def write_text(texts):
+        calls.append(list(texts))
+        return real_write(texts)
+
+    def open_(path, *args):
+        steps.append(("open", path.name.split(".")[0]))
+        return real_open(path, *args)
+
+    def replace(new, path):
+        steps.append(("replace", path.name.split(".")[0]))
+        return real_replace(new, path)
+
+    monkeypatch.setattr(defaults, "write_text", write_text)
+    monkeypatch.setattr(os, "open", open_)
+    monkeypatch.setattr(os, "replace", replace)
+    written = write_stats(stats, tmp_path / "out")
+    assert calls == [written]
+    assert len(written) == 10 and written[-1].name == "summary.json"
+    names = [p.name.split(".")[0] for p in written]
+    assert steps == ([("open", n) for n in names]
+                     + [("replace", n) for n in names])

@@ -847,6 +847,85 @@ def test_stats_that_cannot_write_its_tables_leaves_the_last_summary_whole(
     assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
 
+def _tables_and_rerun(tmp_path) -> tuple[Path, list[str], dict[str, bytes]]:
+    """A default stats run's --out and its files, and the argv of a
+    --top-n 3 rerun into it that would change three of the files."""
+    report_dir, out_dir = tmp_path / "reports", tmp_path / "tables"
+    synth.random_corpus(random.Random(5), report_dir,
+                        tmp_path / "corpus.csv", apps=40)
+    args = ["stats", "--reports", str(report_dir), "--out", str(out_dir)]
+    assert main(args) == 0
+    before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    rerun = [*args[:-1], str(tmp_path / "rerun"), "--top-n", "3"]
+    assert main(rerun) == 0
+    changed = {p.name for p in (tmp_path / "rerun").iterdir()
+               if p.read_bytes() != before[p.name]}
+    assert changed == {"summary.json", "top_libs_biometrics.csv",
+                       "top_libs_keystore.csv",
+                       "top_libs_protected_confirmation.csv"}
+    return out_dir, [*args, "--top-n", "3"], before
+
+
+def test_stats_rerun_that_cannot_write_every_file_leaves_the_last_set_whole(
+        tmp_path):
+    out_dir, rerun, before = _tables_and_rerun(tmp_path)
+    # Every new table fits under the limit and summary.json does not.
+    limit = max(len(v) for k, v in before.items() if k.endswith(".csv"))
+    done = _cli_writing_at_most(limit, *rerun)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", f"cannot write tables {out_dir}: {os.strerror(errno.EFBIG)}\n")
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+
+def test_stats_refuses_a_table_that_is_a_directory_before_writing_any(
+        tmp_path, capsys):
+    out_dir, rerun, before = _tables_and_rerun(tmp_path)
+    capsys.readouterr()
+    (out_dir / "crypto.csv").unlink()
+    (out_dir / "crypto.csv").mkdir()
+    del before["crypto.csv"]
+    assert main(rerun) == 2
+    assert capsys.readouterr().err == (
+        f"cannot write tables {out_dir}: {os.strerror(errno.EISDIR)}\n")
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()
+            if p.is_file()} == before
+    assert sorted(p.name for p in out_dir.iterdir() if p.is_dir()) == [
+        "crypto.csv"]
+
+
+def test_stats_refuses_a_report_of_another_format_and_analyze_redoes_it(
+        tmp_path, capsys):
+    apk_path = tmp_path / "app.apk"
+    apk_path.write_bytes(planted_apk())
+    report_dir = tmp_path / "reports"
+    analyze = ["analyze", str(apk_path), "--out", str(report_dir)]
+    stats = ["stats", "--reports", str(report_dir),
+             "--out", str(tmp_path / "tables")]
+    assert main(analyze) == 0
+    report = report_dir / f"{sha256_digest(apk_path.read_bytes())}.json"
+    clean = report.read_bytes()
+    doc = json.loads(clean)
+    doc["meta"]["format"] = 2
+    report.write_text(json.dumps(doc))
+    capsys.readouterr()
+
+    assert main(stats) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", (
+        f"cannot read report {report}: report format 2 is not format 1, "
+        "the one this version reads\n"))
+    assert not (tmp_path / "tables").exists()
+
+    assert main(analyze) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "analyzed=1 ok=1 timeout=0 error=0 skipped=0")
+    rewritten = json.loads(report.read_text())
+    assert "format" not in rewritten["meta"]
+    assert (deterministic_document(rewritten)
+            == deterministic_document(json.loads(clean)))
+    assert main(stats) == 0
+
+
 def test_analyze_that_cannot_write_a_report_exits_2_with_one_line(tmp_path):
     apk_path = tmp_path / "app.apk"
     apk_path.write_bytes(planted_apk())

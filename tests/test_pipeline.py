@@ -6,6 +6,7 @@ import struct
 import sys
 import threading
 import time
+from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from types import SimpleNamespace
 from urllib.parse import parse_qs, urlparse
@@ -212,8 +213,8 @@ def test_entry_declared_past_size_cap_is_one_error(tmp_path):
         "classes.dex", MAX_ENTRY_SIZE + 1)
     entries = _write_corpus(tmp_path, {"capped": apk})
     summary = run_corpus(entries, _config(tmp_path))
-    assert summary.as_dict() == {"analyzed": 1, "ok": 0, "timeout": 0,
-                                 "error": 1, "skipped": 0}
+    assert asdict(summary) == {"analyzed": 1, "ok": 0, "timeout": 0,
+                               "error": 1, "skipped": 0}
     reports = sorted((tmp_path / "reports").glob("*.json"))
     assert len(reports) == 1
     doc = read_report_document(reports[0])
@@ -341,8 +342,8 @@ def test_corpus_run_counts_and_resume(tmp_path, slow_apk):
 
     config = _config(tmp_path, timeout_seconds=1, worker_count=4)
     summary = run_corpus(entries, config)
-    assert summary.as_dict() == {"analyzed": 7, "ok": 5, "timeout": 1,
-                                 "error": 1, "skipped": 0}
+    assert asdict(summary) == {"analyzed": 7, "ok": 5, "timeout": 1,
+                               "error": 1, "skipped": 0}
     assert (tmp_path / "reports" / "run.log").exists()
 
     # ok reports are skipped on resume; failures are retried
@@ -363,14 +364,14 @@ def test_resume_reanalyzes_malformed_report(tmp_path):
     out_dir.mkdir()
     (out_dir / f"{entries[0].sha256}.json").write_text('{"meta": []}')
     summary = run_corpus(entries, _config(tmp_path))
-    assert summary.as_dict() == {"analyzed": 1, "ok": 1, "timeout": 0,
-                                 "error": 0, "skipped": 0}
+    assert asdict(summary) == {"analyzed": 1, "ok": 1, "timeout": 0,
+                               "error": 0, "skipped": 0}
 
 
 def test_empty_corpus(tmp_path):
     summary = run_corpus([], _config(tmp_path))
-    assert summary.as_dict() == {"analyzed": 0, "ok": 0, "timeout": 0,
-                                 "error": 0, "skipped": 0}
+    assert asdict(summary) == {"analyzed": 0, "ok": 0, "timeout": 0,
+                               "error": 0, "skipped": 0}
 
 
 def _keychain_apps(count: int) -> dict[str, bytes]:
@@ -502,8 +503,8 @@ def test_repeated_bytes_without_a_sha256_are_analyzed_once(tmp_path):
         path.write_bytes(apk)
     entries = [CorpusEntry(sha256="", source=str(path)) for path in paths]
     summary = run_corpus(entries, _config(tmp_path, worker_count=4))
-    assert summary.as_dict() == {"analyzed": 1, "ok": 1, "timeout": 0,
-                                 "error": 0, "skipped": 1}
+    assert asdict(summary) == {"analyzed": 1, "ok": 1, "timeout": 0,
+                               "error": 0, "skipped": 1}
     assert [p.name for p in (tmp_path / "reports").glob("*.json")] == [
         f"{sha256_digest(apk)}.json"]
     log_lines = (tmp_path / "reports" / "run.log").read_text().splitlines()

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from analytika.corpus import CorpusEntry
+from analytika.defaults import write_text
 from analytika.errors import MalformedReportError
 from analytika.matchers import MatchRecord
 from analytika.pipeline import AnalysisConfig, run_corpus
@@ -188,6 +189,39 @@ def test_str_path_reads_as_path_and_stem_fills_only_absent_sha256(tmp_path):
     with pytest.raises(MalformedReportError) as info:
         read_record(str(path))
     assert str(info.value) == f"{path}: field meta.sha256 is not a string"
+
+
+def test_a_report_without_a_format_reads_as_format_1(tmp_path):
+    marked = {**_DOC, "meta": {**_DOC["meta"], "format": 1}}
+    bare, explicit = tmp_path / "bare.json", tmp_path / "explicit.json"
+    bare.write_text(json.dumps(_DOC))
+    explicit.write_text(json.dumps(marked))
+    assert read_record(explicit) == read_record(bare)
+
+
+@pytest.mark.parametrize("status", ["ok", "error", "timeout"])
+@pytest.mark.parametrize("found", [2, True, "1", 1.0, None],
+                         ids=["2", "true", "string", "float", "null"])
+def test_a_report_of_another_format_is_refused_whatever_its_status(
+        tmp_path, found, status):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"meta": {"sha256": "cd" * 32,
+                                         "status": status, "format": found}}))
+    with pytest.raises(MalformedReportError) as info:
+        read_record(path)
+    assert str(info.value) == (
+        f"{path}: report format {json.dumps(found)} is not format 1, "
+        "the one this version reads")
+
+
+def test_write_text_changes_no_file_when_a_later_one_cannot_be_written(
+        tmp_path):
+    first = tmp_path / "first.csv"
+    first.write_text("old\n")
+    with pytest.raises(FileNotFoundError):
+        write_text({first: "new\n", tmp_path / "missing" / "second.csv": ""})
+    assert first.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["first.csv"]
 
 
 def test_read_record_keeps_no_table(tmp_path):
