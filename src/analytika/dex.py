@@ -4,25 +4,28 @@ The parser reads each fixed-width pool (string/type/proto/method ids and
 class_defs) with one bulk struct call; the header check has already bounded
 every pool region by the file size. String data that is pure ASCII up to
 its NUL terminator is decoded as ASCII, anything else by the modified-UTF-8
-decoder. Each class_data item is decoded in one pass, and every concrete
-method body is walked, instruction by instruction, as soon as its entry is
-decoded, with byte tables for the step and the invoke kind of each opcode;
-the walk appends the byte offset and method index of each invoke-kind
-instruction straight onto the unit's columns. Invokes are kept as three
-parallel index columns (calling class_def, method-pool entry, byte offset),
-so detectors resolve each method-pool entry once and select invokes by
-index; the full method pool also serves package-reference matching, which
-needs methods that are referenced without being invoked. The string, type
-and proto pools are decoded and checked, but the unit keeps only the method
-pool, the class names and the invoke columns.
+decoder. Each class_data item is decoded in one pass, and a method body is
+walked, instruction by instruction, as soon as its entry is decoded, with
+byte tables for the step and the invoke kind of each opcode; the walk
+appends the byte offset and method index of each invoke-kind instruction
+straight onto the unit's columns. Given `wanted`, a regex scan first finds
+the wanted entries' invokes, and only code holding one is walked. Invokes
+are kept as three parallel index columns (calling class_def, method-pool
+entry, byte offset), so detectors resolve each method-pool entry once and
+select invokes by index; the full method pool also serves package-reference
+matching, which needs methods that are referenced without being invoked.
+The string, type and proto pools are decoded and checked, but the unit
+keeps only the method pool, the class names and the invoke columns.
 """
 
 from __future__ import annotations
 
+import re
 import struct
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import MalformedDexError
 
@@ -55,6 +58,13 @@ _IS_INVOKE = bytes(0x6E <= op <= 0x78 and op != 0x73 for op in range(256))
 
 _U32 = struct.Struct("<I")
 
+# The scan maps each byte to its roles (1: invoke opcode; 2/4: low/high byte
+# of a wanted index), so no big-endian word is a surrogate, and finds each
+# index word (roles 2, then 4) right after an opcode word (role 1).
+_SITE = ("[\u0204-\u0207\u0304-\u0307\u0604-\u0607\u0704-\u0707]"
+         "(?<=[\u0100-\u0107\u0300-\u0307\u0500-\u0507\u0700-\u0707].)")
+_SCAN_CHUNK = 1 << 16          # bytes decoded at a time
+
 _PRIMITIVES = {
     "V": "void", "Z": "boolean", "B": "byte", "S": "short", "C": "char",
     "I": "int", "J": "long", "F": "float", "D": "double",
@@ -75,8 +85,8 @@ class MethodRef(NamedTuple):
 
 @dataclass(frozen=True)
 class DexUnit:
-    """The method pool, the class names and every invoke as parallel
-    columns, in parse order."""
+    """The method pool, the class names and the invokes (all, or those of
+    the wanted entries) as parallel columns, in parse order."""
 
     methods: tuple[MethodRef, ...]
     method_ids_off: int             # file offset of the method pool
@@ -204,10 +214,12 @@ def _parse_header(data: bytes) -> tuple[int, tuple[tuple[int, int], ...]]:
 
 
 def _walk_insns(data: bytes, insns_off: int, insns_units: int, limit: int,
-                method_count: int, offsets: array, methods: array) -> None:
-    """Append the absolute offset and method index of every invoke.
+                method_count: int, offsets: array, methods: array,
+                keep: frozenset[int] | None = None) -> None:
+    """Append the absolute offset and method index of every invoke (of an
+    index in `keep`, if given).
 
-    Each invoke adds one slot to `offsets` and one to `methods`. The walk
+    Each such invoke adds one slot to `offsets` and one to `methods`. The walk
     is bounded by the code region: every step advances at least one
     code unit and overrunning the region is an error, so mutated input can
     never loop unboundedly.
@@ -227,8 +239,9 @@ def _walk_insns(data: bytes, insns_off: int, insns_units: int, limit: int,
             if idx >= method_count:
                 raise MalformedDexError(
                     f"invoke references method {idx} of {method_count}")
-            add_offset(pos)
-            add_method(idx)
+            if keep is None or idx in keep:
+                add_offset(pos)
+                add_method(idx)
             pos += 6
             continue
         step = steps[op]
@@ -279,12 +292,39 @@ def _read_strings(data: bytes, string_ids: tuple[int, int],
     return strings
 
 
+def _invoke_sites(data: bytes, limit: int, keep: frozenset[int],
+                  cancel_check: Callable[[], None] | None) -> list[int]:
+    """The even offsets of the invokes of the indexes in `keep`, ascending,
+    then `limit`. Each chunk repeats the last word of the one before, so an
+    opcode and its index are decoded together."""
+    roles = bytearray(_IS_INVOKE)
+    for i in keep:
+        roles[i & 0xFF] |= 2
+        roles[i >> 8 & 0xFF] |= 4
+    sites = []
+    for start in range(0, limit if keep else 0, _SCAN_CHUNK - 2):
+        if cancel_check is not None:
+            cancel_check()
+        end = min(start + _SCAN_CHUNK, limit) & ~1
+        text = data[start:end].translate(roles).decode("utf-16-be")
+        for match in re.finditer(_SITE, text, re.DOTALL):
+            pos = start + 2 * match.start() - 2
+            # Each index byte is a wanted index's byte; is the pair one?
+            if data[pos + 2] | data[pos + 3] << 8 in keep:
+                sites.append(pos)
+    return sites + [limit]
+
+
 def parse_dex(data: bytes, entry_name: str = "classes.dex",
-              cancel_check: Callable[[], None] | None = None) -> DexUnit:
+              cancel_check: Callable[[], None] | None = None,
+              wanted: Callable[..., Iterable[int]] | None = None) -> DexUnit:
     """Parse one DEX file into its method pool plus the invoke columns.
 
     Every pool is decoded and checked, but only what the unit holds
-    outlives the call. `cancel_check` runs once per class definition so
+    outlives the call. `wanted` maps the method pool to the indexes whose
+    invokes the caller needs; the columns then keep only those, and only
+    code that can hold one is walked. `cancel_check` runs once per class
+    definition and scan chunk so
     oversized inputs can be abandoned cooperatively. Raises
     MalformedDexError on any structural problem; never reads outside the
     input buffer.
@@ -317,6 +357,9 @@ def parse_dex(data: bytes, entry_name: str = "classes.dex",
             raise MalformedDexError("method indices out of bounds")
         methods.append(new_ref(MethodRef, (types[class_idx], strings[name_idx])
                                + protos[proto_idx]))
+    keep = None if wanted is None else frozenset(wanted(methods))
+    sites = None if keep is None else _invoke_sites(data, limit, keep,
+                                                     cancel_check)
 
     invoke_callers, invoke_methods, invoke_offsets = (
         array("I"), array("I"), array("I"))
@@ -335,7 +378,7 @@ def parse_dex(data: bytes, entry_name: str = "classes.dex",
             raise MalformedDexError("class_data offset out of bounds")
         before = len(invoke_methods)
         _walk_class_data(data, class_data_off, limit, len(methods),
-                         invoke_offsets, invoke_methods)
+                         invoke_offsets, invoke_methods, sites, keep)
         invoke_callers.extend([i] * (len(invoke_methods) - before))
 
     return DexUnit(methods=tuple(methods), method_ids_off=method_ids[1],
@@ -346,8 +389,10 @@ def parse_dex(data: bytes, entry_name: str = "classes.dex",
 
 
 def _walk_class_data(data: bytes, pos: int, limit: int, method_count: int,
-                     offsets: array, methods: array) -> None:
-    """Walk the code of every method of the class_data_item at `pos`.
+                     offsets: array, methods: array,
+                     sites: list | None, keep: frozenset | None) -> None:
+    """Walk the code of every method of the class_data_item at `pos` (given
+    `sites`, only code that holds one or starts at an odd offset).
 
     A uleb128 of one byte (below 0x80) is read inline, a longer one by
     `_read_uleb128`; `insns_size` is read with one prebuilt struct once the
@@ -388,6 +433,9 @@ def _walk_class_data(data: bytes, pos: int, limit: int, method_count: int,
                 continue
             if code_off + 16 > limit:
                 raise MalformedDexError("code item out of bounds")
-            _walk_insns(data, code_off + 16,
-                        read_insns_units(data, code_off + 12)[0], limit,
-                        method_count, offsets, methods)
+            at = code_off + 16
+            end = at + 2 * read_insns_units(data, code_off + 12)[0]
+            # `sites` ends with `limit`: a region past it is walked, and fails.
+            if sites is None or at & 1 or sites[bisect_left(sites, at)] < end:
+                _walk_insns(data, at, (end - at) // 2, limit, method_count,
+                            offsets, methods, keep)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import compress, count, repeat
 from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from . import defaults
 from .errors import PatternParseError
@@ -163,8 +163,9 @@ def match_tee_apis(unit: DexUnit, sets) -> list[MatchRecord]:
     references that are never invoked do not match. Crypto sets among
     `sets` add nothing.
     """
-    own = index_patterns(s for s in sets if s.kind == KIND_TEE_API)
-    return sorted(match_unit(unit, own), key=MATCH_ORDER)
+    hits = UnitHits(index_patterns(s for s in sets if s.kind == KIND_TEE_API))
+    hits(unit.methods)
+    return sorted(hits.records(unit), key=MATCH_ORDER)
 
 
 def match_crypto_packages(unit: DexUnit, sets) -> list[MatchRecord]:
@@ -177,8 +178,10 @@ def match_crypto_packages(unit: DexUnit, sets) -> list[MatchRecord]:
     sits under a prefix when the prefix is the class itself or one of its
     enclosing packages. API sets among `sets` add nothing.
     """
-    own = index_patterns(s for s in sets if s.kind == KIND_CRYPTO_SOFTWARE)
-    return sorted(match_unit(unit, own), key=MATCH_ORDER)
+    hits = UnitHits(index_patterns(s for s in sets
+                                   if s.kind == KIND_CRYPTO_SOFTWARE))
+    hits(unit.methods)
+    return sorted(hits.records(unit), key=MATCH_ORDER)
 
 
 def _resolve(name: str, index: dict, sep: str) -> list:
@@ -192,67 +195,74 @@ def _resolve(name: str, index: dict, sep: str) -> list:
         name = name[:cut]
 
 
-def match_unit(unit: DexUnit, index: PatternIndex) -> list[MatchRecord]:
-    """The API and the crypto records of one unit, in no set order.
+class UnitHits:
+    """The hit entries of one unit's method pool, resolved once.
 
-    Each distinct defining class is resolved once for both kinds: against
-    the API rows of the class and of each enclosing class along `$`
-    (`KeyGenParameterSpec$Builder`, then `KeyGenParameterSpec`), and against
-    the crypto prefixes of the class and of each enclosing package along
-    `.`. A pool entry of a hit class hits the API detectors whose row names
-    its method or `*`, and every crypto detector of its class. The invokes
-    of hit entries are picked in one pass over the invoke columns; each
-    gives one record per detector, and a crypto-hit entry that is never
-    invoked gives one record per crypto detector at its method-pool slot.
+    Called with the pool, it resolves each distinct defining class once for
+    both kinds: against the API rows of the class and of each enclosing
+    class along `$` (`KeyGenParameterSpec$Builder`, then
+    `KeyGenParameterSpec`), and against the crypto prefixes of the class and
+    of each enclosing package along `.`. A pool entry of a hit class hits
+    the API detectors whose row names its method or `*`, and every crypto
+    detector of its class. It returns the indexes of the entries whose
+    invokes give records, so it serves as `parse_dex`'s `wanted`.
     """
-    # Every name `_resolve` looks up is a prefix of the class, so a class
-    # that starts with no index key hits nothing: most are dropped here.
-    keys = tuple(index.tee.keys() | index.crypto.keys())
-    classes = set(map(_DEFINING_CLASS, unit.methods))
-    tee_by_class: dict[str, list[tuple[str, str]]] = {}
-    crypto_by_class: dict[str, set[str]] = {}
-    for cls in compress(classes, map(str.startswith, classes, repeat(keys))):
-        rows = _resolve(cls, index.tee, "$")
-        if rows:
-            tee_by_class[cls] = rows
-        detectors = _resolve(cls, index.crypto, ".")
-        if detectors:
-            crypto_by_class[cls] = set(detectors)
 
-    # Pool index -> the detectors an invoke of it hits, API then crypto;
-    # `crypto_hits` keeps the crypto ones for the entries never invoked.
-    hits: dict[int, list[str]] = {}
-    crypto_hits: dict[int, set[str]] = {}
-    hit_classes = tee_by_class.keys() | crypto_by_class.keys()
-    methods = unit.methods
-    for i in compress(count(), map(hit_classes.__contains__,
-                                   map(_DEFINING_CLASS, methods))):
-        cls, name = methods[i][:2]
-        crypto = crypto_by_class.get(cls, ())
-        detectors = [*{detector for detector, method
-                       in tee_by_class.get(cls, ())
-                       if method in (WILDCARD, name)}, *crypto]
-        if detectors:
-            hits[i] = detectors
-        if crypto:
-            crypto_hits[i] = crypto
+    def __init__(self, index: PatternIndex):
+        # invoked: pool index -> the detectors an invoke of it hits, API
+        # then crypto; crypto: the crypto ones, for entries never invoked.
+        self.index, self.invoked, self.crypto = index, {}, {}
 
-    targets = unit.invoke_methods
-    callers, offsets = unit.invoke_callers, unit.invoke_offsets
-    sites = [(unit.class_names[callers[k]], targets[k], offsets[k],
-              hits[targets[k]])
-             for k in compress(count(), map(hits.__contains__, targets))]
-    invoked = {i for _, i, _, _ in sites}
-    sites += [("", i, unit.method_ids_off + 8 * i, detectors)
-              for i, detectors in crypto_hits.items() if i not in invoked]
-    return [MatchRecord(detector_id=detector,
-                        target_class=methods[i].defining_class,
-                        target_method=methods[i].method_name,
-                        caller_class=caller,
-                        dex_file=unit.entry_name,
-                        code_offset=offset)
-            for caller, i, offset, detectors in sites
-            for detector in detectors]
+    def __call__(self, methods) -> Iterable[int]:
+        # Every name `_resolve` looks up is a prefix of the class, so a
+        # class that starts with no index key hits nothing: most are dropped.
+        keys = tuple(self.index.tee.keys() | self.index.crypto.keys())
+        classes = set(map(_DEFINING_CLASS, methods))
+        tee_by_class: dict[str, list[tuple[str, str]]] = {}
+        crypto_by_class: dict[str, set[str]] = {}
+        for cls in compress(classes, map(str.startswith, classes,
+                                         repeat(keys))):
+            rows = _resolve(cls, self.index.tee, "$")
+            if rows:
+                tee_by_class[cls] = rows
+            detectors = _resolve(cls, self.index.crypto, ".")
+            if detectors:
+                crypto_by_class[cls] = set(detectors)
+
+        hit_classes = tee_by_class.keys() | crypto_by_class.keys()
+        for i in compress(count(), map(hit_classes.__contains__,
+                                       map(_DEFINING_CLASS, methods))):
+            cls, name = methods[i][:2]
+            crypto = crypto_by_class.get(cls, ())
+            detectors = [*{detector for detector, method
+                           in tee_by_class.get(cls, ())
+                           if method in (WILDCARD, name)}, *crypto]
+            if detectors:
+                self.invoked[i] = detectors
+            if crypto:
+                self.crypto[i] = crypto
+        return self.invoked.keys()
+
+    def records(self, unit: DexUnit) -> list[MatchRecord]:
+        """The records of `unit`, in no set order: one per detector for each
+        invoke of a hit entry, and one per crypto detector, at its
+        method-pool slot, for each crypto-hit entry never invoked."""
+        hits, targets = self.invoked, unit.invoke_methods
+        callers, offsets = unit.invoke_callers, unit.invoke_offsets
+        sites = [(unit.class_names[callers[k]], targets[k], offsets[k],
+                  hits[targets[k]])
+                 for k in compress(count(), map(hits.__contains__, targets))]
+        invoked = {i for _, i, _, _ in sites}
+        sites += [("", i, unit.method_ids_off + 8 * i, detectors)
+                  for i, detectors in self.crypto.items() if i not in invoked]
+        return [MatchRecord(detector_id=detector,
+                            target_class=unit.methods[i].defining_class,
+                            target_method=unit.methods[i].method_name,
+                            caller_class=caller,
+                            dex_file=unit.entry_name,
+                            code_offset=offset)
+                for caller, i, offset, detectors in sites
+                for detector in detectors]
 
 
 def match_native_libs(filenames, patterns) -> list[tuple[str, str]]:

@@ -50,9 +50,9 @@ from .manifest import extract_manifest_info, parse_binary_xml
 from .matchers import (
     MATCH_ORDER,
     LoadedPatterns,
+    UnitHits,
     load_patterns,
     match_native_libs,
-    match_unit,
 )
 from .report import (
     AppReport,
@@ -156,10 +156,12 @@ def _analyze_hashed(data: bytes, digest: str, digest_s: float,
         for dex_name in enumerate_dex(index):
             with _stage(timings, "inflate", deadline):
                 raw = read_entry(index, dex_name, cancel_check=deadline.check)
+            hits = UnitHits(patterns.index)
             with _stage(timings, "dex_parse", deadline):
-                unit = parse_dex(raw, dex_name, cancel_check=deadline.check)
+                unit = parse_dex(raw, dex_name, cancel_check=deadline.check,
+                                 wanted=hits)
             with _stage(timings, "match", deadline):
-                records += match_unit(unit, patterns.index)
+                records += hits.records(unit)
 
         with _stage(timings, "attribution", deadline):
             app_pkg = parse_package(info.package_name)

@@ -7,10 +7,12 @@ from array import array
 
 import pytest
 
+from analytika import dex
 from analytika.dex import (
     _IS_INVOKE,
     _STEPS,
     MethodRef,
+    _invoke_sites,
     _parse_header,
     _read_strings,
     _read_uleb128,
@@ -491,3 +493,156 @@ def test_class_data_decoding_agrees_with_reference(case):
         assert methods == [1, 0, 3, 3, 2, 3]
     else:
         assert expected == error
+
+
+# `wanted` selections for the filtered walk: every other pool entry, every
+# entry, and entry 0 alone.
+SELECTIONS = {
+    "every-other": lambda methods: range(0, len(methods), 2),
+    "every": lambda methods: range(len(methods)),
+    "first": lambda methods: [0],
+}
+
+
+def _columns(unit) -> tuple[list, list, list]:
+    return (list(unit.invoke_callers), list(unit.invoke_methods),
+            list(unit.invoke_offsets))
+
+
+def _restricted(columns, wanted) -> tuple[list, list, list]:
+    """The full walk's columns, keeping only invokes of `wanted` entries."""
+    kept = [k for k, method in enumerate(columns[1]) if method in wanted]
+    return tuple([column[k] for k in kept] for column in columns)
+
+
+def _filtered_agrees(data: bytes, select) -> str:
+    """Compare `parse_dex(data, wanted=select)` with the full walk of
+    `data`: "both" when both parse and the filtered columns are the full
+    ones restricted to the wanted entries, "full-failed" when only the full
+    walk raises, "both-failed" when both do."""
+    try:
+        full = parse_dex(data)
+    except MalformedDexError:
+        full = None
+    try:
+        unit = parse_dex(data, wanted=select)
+    except MalformedDexError:
+        assert full is None, "only the filtered walk failed"
+        return "both-failed"
+    if full is None:
+        return "full-failed"
+    assert (unit.methods, unit.class_names, unit.method_ids_off) == (
+        full.methods, full.class_names, full.method_ids_off)
+    assert _columns(unit) == _restricted(_columns(full),
+                                         set(select(full.methods)))
+    return "both"
+
+
+@pytest.mark.parametrize("name", ["flip", "truncate", "class_data_flip"])
+def test_filtered_walk_agrees_with_full_walk_on_fuzz_cases(name):
+    cases = {"flip": dexfuzz.flip_cases, "truncate": dexfuzz.truncation_cases,
+             "class_data_flip": dexfuzz.class_data_flip_cases}[name]()
+    verdicts = [_filtered_agrees(data, select)
+                for data in cases for select in SELECTIONS.values()]
+    assert "both" in verdicts
+
+
+def _assert_finds(data: bytes, select) -> tuple[list, list, list]:
+    """The filtered columns of `data`, checked against the full walk and
+    checked to hold at least one invoke."""
+    assert _filtered_agrees(data, select) == "both"
+    columns = _columns(parse_dex(data, wanted=select))
+    assert columns[1]
+    return columns
+
+
+def test_filtered_walk_on_random_plans():
+    rng = random.Random(2718)
+    for _ in range(40):
+        data = build_fixture_dex(random_plan(rng, max_classes=12,
+                                             max_targets=6))
+        for select in SELECTIONS.values():
+            assert _filtered_agrees(data, select) == "both"
+
+
+def test_wanted_index_with_a_surrogate_low_byte():
+    # The low byte of an invoke's index is the first byte of a big-endian
+    # word; D8 there would start a surrogate unless it is folded.
+    data = build_fixture_dex([("com.a.B", [("x.y.Z", f"m{i:03d}")
+                                           for i in range(230)])])
+    _callers, methods, _offsets = _assert_finds(data, lambda m: [0xD8])
+    assert methods == [0xD8]
+
+
+def test_scan_reads_surrogate_bytes_and_checks_raw_indexes():
+    # Index bytes D8-DF would read as surrogate words if decoded raw, and
+    # 0xD9DA pairs the low byte of one wanted index with the high byte of
+    # another: the pattern matches it, and the raw check drops it.
+    data = _invoke_code(0xD905, 0xD9DA, 0x06DA)
+    limit = len(data)
+    assert _invoke_sites(data, limit, frozenset({0xD905, 0x06DA}), None) == [
+        0, 12, limit]
+    assert _invoke_sites(data, limit, frozenset({0xD9DA}), None) == [6, limit]
+
+
+def _with_code_at(shift: int, insns: bytes, class_data: bytes) -> bytes:
+    """The two-class fixture of `_with_class_data` with one code item at
+    CODE_AT + `shift`; `class_data` (a function of the code item's offset)
+    becomes the first class_def's item."""
+    base = build_fixture_dex([("com.a.First", [("x.y.Z", "go")]),
+                              ("com.a.Second", [("x.y.Z", "stop")])])
+    data = bytearray(base) + bytes(CODE_AT + shift - len(base))
+    code_off = len(data)
+    data += struct.pack("<4HII", 1, 0, 0, 0, 0, len(insns) // 2) + insns
+    class_data_off = len(data)
+    data += class_data(code_off)
+    _limit, (*_, (_class_count, class_defs_off)) = _parse_header(base)
+    struct.pack_into("<I", data, class_defs_off + 24, class_data_off)
+    struct.pack_into("<I", data, 32, len(data))
+    return bytes(data)
+
+
+def test_code_at_an_odd_offset_is_walked():
+    # The instructions start at CODE_AT + 17, an odd offset, and the scan
+    # reads even words only, so it cannot see these invokes.
+    data = _with_code_at(1, _invoke_code(2, 3, 2),
+                         lambda off: _uleb(0, 0, 1, 0, 0, 0x1, off))
+    _callers, methods, _offsets = _assert_finds(data, lambda m: [2])
+    assert methods == [2, 2]
+
+
+def test_code_item_shared_by_two_methods_is_walked_for_each():
+    data = _with_class_data(
+        lambda offs: _uleb(0, 0, 2, 0, 0, 0x1, offs[0], 1, 0x1, offs[0]),
+        [_invoke_code(2, 3)])
+    callers, methods, _offsets = _assert_finds(data, lambda m: [2])
+    assert (callers, methods) == ([0, 0], [2, 2])
+
+
+def test_site_straddling_a_scan_chunk_is_found(monkeypatch):
+    data = build_fixture_dex([("com.a.B", [("x.y.Z", "go")])])
+    full = parse_dex(data)
+    (site,), (target,) = full.invoke_offsets, full.invoke_methods
+    # The first chunk ends between the opcode word and the index word.
+    monkeypatch.setattr(dex, "_SCAN_CHUNK", site + 2)
+    unit = parse_dex(data, wanted=lambda m: [target])
+    assert list(unit.invoke_offsets) == [site]
+    assert _invoke_sites(data, len(data), frozenset({target}), None) == [
+        site, len(data)]
+
+
+def test_empty_wanted_walks_nothing_but_checks_bounds():
+    # An undefined opcode fails the full walk only.
+    data = _with_class_data(lambda offs: _uleb(0, 0, 1, 0, 0, 0x1, offs[0]),
+                            [_units(0x003E)])
+    with pytest.raises(MalformedDexError, match="invalid opcode"):
+        parse_dex(data)
+    unit = parse_dex(data, wanted=lambda methods: ())
+    assert _columns(unit) == ([], [], [])
+    assert len(unit.methods) == POOL
+    # An instruction region past the end of the file fails both walks.
+    data = bytearray(data)
+    insns_size_at = CODE_AT + 12
+    struct.pack_into("<I", data, insns_size_at, len(data))
+    with pytest.raises(MalformedDexError, match="instruction region"):
+        parse_dex(bytes(data), wanted=lambda methods: ())

@@ -16,10 +16,12 @@ import pytest
 from analytika.container import MAX_ENTRY_SIZE, sha256_digest
 from analytika.corpus import CorpusEntry, load_corpus_csv
 from analytika import pipeline
+from analytika.dex import parse_dex
 from analytika.errors import (
     AnalysisTimeout,
     HashMismatchError,
     HttpStatusError,
+    MalformedDexError,
     NetworkError,
 )
 from analytika.matchers import load_patterns
@@ -34,6 +36,7 @@ from analytika.pipeline import (
 from analytika.report import deterministic_document, read_report_document
 
 from conftest import PLANTED_PLAN, make_fixture_apk, planted_apk
+from dexbuild import build_fixture_dex
 
 
 def _config(tmp_path, **kwargs):
@@ -115,6 +118,42 @@ def test_truncated_apk_is_error(tmp_path, fixture_apk_bytes):
     broken = fixture_apk_bytes[:len(fixture_apk_bytes) // 3]
     report = analyze_apk(broken, _entry_for(broken), _config(tmp_path))
     assert report.status == "error"
+    assert report.matches == []
+
+
+def _with_undefined_opcode(caller: str) -> bytes:
+    """The planted plan plus a class that invokes no pattern entry, with
+    the return-void after `caller`'s last invoke made the undefined opcode
+    0x3e."""
+    data = bytearray(build_fixture_dex(PLANTED_PLAN + [
+        ("com.fixture.app.Plain", [("com.example.util.Helper", "doWork")])]))
+    unit = parse_dex(bytes(data))
+    last = max(offset for k, offset in zip(unit.invoke_callers,
+                                            unit.invoke_offsets)
+               if unit.class_names[k] == caller)
+    assert data[last + 6:last + 8] == b"\x0e\x00"
+    data[last + 6] = 0x3E
+    with pytest.raises(MalformedDexError, match="invalid opcode 0x3e"):
+        parse_dex(bytes(data))          # the full walk fails either way
+    return make_fixture_apk(extra_entries={"classes.dex": bytes(data)})
+
+
+def test_undefined_opcode_fails_the_app_only_in_code_that_can_hit(tmp_path):
+    clean = make_fixture_apk(dex_plans=[PLANTED_PLAN + [
+        ("com.fixture.app.Plain", [("com.example.util.Helper", "doWork")])]])
+    expected = analyze_apk(clean, _entry_for(clean), _config(tmp_path))
+    assert expected.status == "ok" and expected.matches
+
+    # Code that invokes no pattern entry is not walked.
+    plain = _with_undefined_opcode("com.fixture.app.Plain")
+    report = analyze_apk(plain, _entry_for(plain), _config(tmp_path))
+    assert (report.status, report.matches) == ("ok", expected.matches)
+
+    # Code that also invokes a TEE API is walked, and fails the app.
+    hit = _with_undefined_opcode("com.fixture.app.MainActivity")
+    report = analyze_apk(hit, _entry_for(hit), _config(tmp_path))
+    assert report.status == "error"
+    assert "invalid opcode 0x3e" in report.message
     assert report.matches == []
 
 
