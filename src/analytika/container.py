@@ -1,8 +1,10 @@
 """APK container access: ZIP central directory parsing and entry extraction.
 
-APK files are ordinary ZIP archives. Only the two methods that occur in real
-app packages are supported (stored, deflated); ZIP64 and multi-disk archives
-are rejected as malformed since they do not appear at app scale.
+APK files are ordinary ZIP archives. The index is one map from entry name to
+its metadata, built in one pass over the central directory; each directory
+entry and local header is bounds-checked, then unpacked once. Only the
+stored and deflated methods are read, and ZIP64 and multi-disk archives are
+refused as malformed.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ import hashlib
 import re
 import struct
 import zlib
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .errors import (
@@ -25,8 +26,11 @@ _CDIR_SIG = 0x02014B50
 _LOCAL_SIG = 0x04034B50
 
 _EOCD_FMT = "<IHHHHIIH"
-_CDIR_FMT = "<IHHHHHHIIIHHHHHII"
-_LOCAL_FMT = "<IHHHHHIIIHH"
+# Only the fields the reader uses: signature, flags, method, compressed and
+# uncompressed size, name/extra/comment lengths and local header offset.
+_CDIR = struct.Struct("<I4xHH8xIIHHH8xI")
+# Signature and the local name/extra lengths.
+_LOCAL = struct.Struct("<I22xHH")
 
 _METHOD_STORED = 0
 _METHOD_DEFLATED = 8
@@ -44,7 +48,6 @@ MAX_ENTRY_SIZE = 512 << 20
 class EntryMeta(NamedTuple):
     """One central-directory entry with its resolved data region."""
 
-    name: str
     compressed_size: int
     uncompressed_size: int
     method_code: int            # ZIP compression method number
@@ -52,16 +55,12 @@ class EntryMeta(NamedTuple):
     flags: int
 
 
-@dataclass(frozen=True)
-class ArchiveIndex:
-    """Immutable view of an opened archive; safe to share across readers."""
+class ArchiveIndex(NamedTuple):
+    """An opened archive: its bytes and each entry name's metadata, in
+    central-directory order. Readers only read it, so it may be shared."""
 
-    entries: tuple[EntryMeta, ...]
-    _data: bytes = field(repr=False)
-    _by_name: dict = field(repr=False)
-
-    def get(self, name: str) -> EntryMeta | None:
-        return self._by_name.get(name)
+    data: bytes
+    entries: dict[str, EntryMeta]
 
 
 def _find_eocd(data: bytes) -> tuple:
@@ -80,8 +79,9 @@ def _find_eocd(data: bytes) -> tuple:
 def open_archive(data: bytes) -> ArchiveIndex:
     """Build an ArchiveIndex from in-memory archive bytes.
 
-    Entries appear in central-directory order. Duplicate names keep the last
-    occurrence (mirrors platform behavior).
+    Entries appear in central-directory order. A repeated name keeps its
+    last occurrence, at that occurrence's place; Python's zipfile also
+    reads the last one by name.
     Raises MalformedArchiveError for anything structurally unsound.
     """
     if not data:
@@ -101,14 +101,13 @@ def open_archive(data: bytes) -> ArchiveIndex:
 
     # tuple.__new__ skips the named tuple's Python-level constructor.
     new_meta = tuple.__new__
-    entries: list[EntryMeta] = []
+    entries: dict[str, EntryMeta] = {}
     off = cd_offset
     for _ in range(total_entries):
         if off + 46 > eocd_pos:
             raise MalformedArchiveError("truncated central directory")
-        (sig, _ver_made, _ver_need, flags, method, _mtime, _mdate, _crc,
-         csize, usize, name_len, extra_len, comment_len, _disk,
-         _iattr, _eattr, local_off) = struct.unpack_from(_CDIR_FMT, data, off)
+        (sig, flags, method, csize, usize, name_len, extra_len, comment_len,
+         local_off) = _CDIR.unpack_from(data, off)
         if sig != _CDIR_SIG:
             raise MalformedArchiveError(f"bad central-directory signature at {off:#x}")
         name_end = off + 46 + name_len
@@ -126,8 +125,7 @@ def open_archive(data: bytes) -> ArchiveIndex:
         # where the entry's data region starts.
         if local_off + 30 > len(data):
             raise MalformedArchiveError(f"local header out of bounds: {name!r}")
-        (lsig, _lver, _lflags, _lmethod, _lt, _ld, _lcrc, _lcs, _lus,
-         lname_len, lextra_len) = struct.unpack_from(_LOCAL_FMT, data, local_off)
+        lsig, lname_len, lextra_len = _LOCAL.unpack_from(data, local_off)
         if lsig != _LOCAL_SIG:
             raise MalformedArchiveError(f"bad local header signature for {name!r}")
         data_offset = local_off + 30 + lname_len + lextra_len
@@ -138,15 +136,12 @@ def open_archive(data: bytes) -> ArchiveIndex:
             raise MalformedArchiveError(
                 f"stored entry with mismatched sizes: {name!r}")
 
-        entries.append(new_meta(EntryMeta, (name, csize, usize, method,
-                                             data_offset, flags)))
+        entries.pop(name, None)
+        entries[name] = new_meta(EntryMeta, (csize, usize, method,
+                                             data_offset, flags))
         off = name_end + extra_len + comment_len
 
-    by_name = {entry.name: entry for entry in entries}
-    # Keep only the surviving occurrence per name, in directory order.
-    deduped = tuple(e for e in entries if by_name[e.name] is e)
-
-    return ArchiveIndex(entries=deduped, _data=data, _by_name=by_name)
+    return ArchiveIndex(data, entries)
 
 
 def read_entry(index: ArchiveIndex, name: str,
@@ -158,7 +153,7 @@ def read_entry(index: ArchiveIndex, name: str,
     between decompression chunks so long inflations can be abandoned
     cooperatively.
     """
-    meta = index.get(name)
+    meta = index.entries.get(name)
     if meta is None:
         raise EntryNotFoundError(name)
     if meta.flags & 0x1:
@@ -167,7 +162,7 @@ def read_entry(index: ArchiveIndex, name: str,
         raise SizeMismatchError(
             f"entry {name!r} declares {meta.uncompressed_size} bytes, "
             f"over the {MAX_ENTRY_SIZE}-byte limit")
-    raw = index._data[meta.data_offset:meta.data_offset + meta.compressed_size]
+    raw = index.data[meta.data_offset:meta.data_offset + meta.compressed_size]
 
     if meta.method_code == _METHOD_STORED:
         return bytes(raw)
@@ -204,26 +199,20 @@ def read_entry(index: ArchiveIndex, name: str,
 def enumerate_dex(index: ArchiveIndex) -> list[str]:
     """Top-level bytecode entries, classes.dex first then ascending number."""
     found = []
-    for entry in index.entries:
-        if "/" in entry.name:
+    for name in index.entries:
+        if "/" in name:
             continue
-        m = _DEX_NAME.match(entry.name)
+        m = _DEX_NAME.match(name)
         if m:
             n = int(m.group(1)) if m.group(1) else 1
-            found.append((n, entry.name))
+            found.append((n, name))
     return [name for _, name in sorted(found)]
 
 
 def enumerate_native_libs(index: ArchiveIndex) -> list[str]:
     """Entries under lib/ whose filename carries a shared-object suffix."""
-    out = []
-    for entry in index.entries:
-        if not entry.name.startswith("lib/"):
-            continue
-        base = entry.name.rsplit("/", 1)[-1]
-        if ".so" in base:
-            out.append(entry.name)
-    return out
+    return [name for name in index.entries
+            if name.startswith("lib/") and ".so" in name.rsplit("/", 1)[-1]]
 
 
 def sha256_digest(data: bytes) -> str:

@@ -7,12 +7,11 @@ import errno
 import os
 from collections.abc import Iterator, Mapping
 from contextlib import suppress
-from importlib import resources
 from pathlib import Path
 
 
 def _data_path(*parts: str) -> Path:
-    return Path(resources.files("analytika").joinpath("data", *parts))
+    return Path(__file__).parent.joinpath("data", *parts)
 
 
 def default_patterns_dir() -> Path:

@@ -26,6 +26,17 @@ _TYPE_FIRST_INT = 0x10
 _TYPE_INT_BOOLEAN = 0x12
 _TYPE_LAST_INT = 0x1F
 
+# Each fixed-size record is unpacked once, after one bounds check against
+# the chunk it belongs to. Chunk header: type, header size, chunk size.
+_CHUNK = struct.Struct("<HHI")
+# String pool header after the chunk header: count, flags, strings start.
+_POOL = struct.Struct("<8xI4xII")
+# Element start chunk, whose fixed part is 36 bytes: name index, then the
+# attribute start, size and count.
+_ELEMENT = struct.Struct("<20xIHHH")
+# Attribute record (20 bytes): name index, raw value index, type, data.
+_ATTR = struct.Struct("<4xII3xBI")
+
 
 @dataclass
 class XmlElement:
@@ -44,32 +55,14 @@ class ManifestInfo:
     min_sdk: int | None = None
 
 
-def _u16(data, off):
-    if off + 2 > len(data):
-        raise MalformedManifestError(f"short read at {off:#x}")
-    return struct.unpack_from("<H", data, off)[0]
-
-
-def _u32(data, off):
-    if off + 4 > len(data):
-        raise MalformedManifestError(f"short read at {off:#x}")
-    return struct.unpack_from("<I", data, off)[0]
-
-
-def _parse_string_pool(data: bytes, chunk_off: int, header_size: int,
+def _parse_string_pool(data: bytes, base: int, header_size: int,
                        chunk_size: int) -> list[str]:
-    base = chunk_off
-    count = _u32(data, base + 8)
-    _style_count = _u32(data, base + 12)
-    flags = _u32(data, base + 16)
-    strings_start = _u32(data, base + 20)
-    if header_size < 28 or header_size > chunk_size:
+    if header_size < 28:
         raise MalformedManifestError("bad string pool header size")
-    if count > chunk_size // 4:
+    count, flags, strings_start = _POOL.unpack_from(data, base)
+    if header_size + 4 * count > chunk_size:
         raise MalformedManifestError("string pool count exceeds chunk size")
-    offsets = []
-    for i in range(count):
-        offsets.append(_u32(data, base + header_size + 4 * i))
+    offsets = struct.unpack_from(f"<{count}I", data, base + header_size)
     pool_end = base + chunk_size
 
     out = []
@@ -80,17 +73,13 @@ def _parse_string_pool(data: bytes, chunk_off: int, header_size: int,
             raise MalformedManifestError("string offset outside pool")
         if utf8:
             # Two lengths (UTF-16 units, then bytes), each one or two bytes.
-            _, pos = _read_len8(data, pos, pool_end)
-            blen, pos = _read_len8(data, pos, pool_end)
+            _, pos = _read_len(data, pos, pool_end, 1)
+            blen, pos = _read_len(data, pos, pool_end, 1)
             if pos + blen > pool_end:
                 raise MalformedManifestError("string data outside pool")
             out.append(data[pos:pos + blen].decode("utf-8", errors="replace"))
         else:
-            ulen = _u16(data, pos)
-            pos += 2
-            if ulen & 0x8000:
-                ulen = ((ulen & 0x7FFF) << 16) | _u16(data, pos)
-                pos += 2
+            ulen, pos = _read_len(data, pos, pool_end, 2)
             if pos + 2 * ulen > pool_end:
                 raise MalformedManifestError("string data outside pool")
             raw = data[pos:pos + 2 * ulen]
@@ -98,16 +87,20 @@ def _parse_string_pool(data: bytes, chunk_off: int, header_size: int,
     return out
 
 
-def _read_len8(data, pos, end):
-    if pos >= end:
+def _read_len(data, pos, end, width):
+    """A string length: one `width`-byte unit, or two when the first has its
+    high bit set; returns it and the position after it."""
+    if pos + width > end:
         raise MalformedManifestError("truncated string length")
-    n = data[pos]
-    pos += 1
-    if n & 0x80:
-        if pos >= end:
+    n = int.from_bytes(data[pos:pos + width], "little")
+    pos += width
+    high = 1 << 8 * width - 1
+    if n & high:
+        if pos + width > end:
             raise MalformedManifestError("truncated string length")
-        n = ((n & 0x7F) << 8) | data[pos]
-        pos += 1
+        n = (n ^ high) << 8 * width | int.from_bytes(data[pos:pos + width],
+                                                    "little")
+        pos += width
     return n, pos
 
 
@@ -135,9 +128,9 @@ def parse_binary_xml(data: bytes) -> XmlElement:
     """
     if len(data) < 8:
         raise MalformedManifestError("input shorter than a chunk header")
-    if _u16(data, 0) != _CHUNK_XML:
+    magic, _, file_size = _CHUNK.unpack_from(data)
+    if magic != _CHUNK_XML:
         raise MalformedManifestError("not a binary XML document (bad magic)")
-    file_size = _u32(data, 4)
     if file_size < 8 or file_size > len(data):
         raise MalformedManifestError("declared size exceeds input")
 
@@ -149,9 +142,7 @@ def parse_binary_xml(data: bytes) -> XmlElement:
     while off < file_size:
         if off + 8 > file_size:
             raise MalformedManifestError("truncated chunk header")
-        ctype = _u16(data, off)
-        header_size = _u16(data, off + 2)
-        size = _u32(data, off + 4)
+        ctype, header_size, size = _CHUNK.unpack_from(data, off)
         if size < 8 or off + size > file_size or header_size > size:
             raise MalformedManifestError(f"bad chunk size at {off:#x}")
 
@@ -160,28 +151,25 @@ def parse_binary_xml(data: bytes) -> XmlElement:
         elif ctype == _CHUNK_ELEM_START:
             if pool is None:
                 raise MalformedManifestError("element before string pool")
-            name_idx = _u32(data, off + 20)
+            if size < 36:
+                raise MalformedManifestError("element chunk too short")
+            name_idx, attr_start, attr_size, attr_count = _ELEMENT.unpack_from(
+                data, off)
             if name_idx >= len(pool):
                 raise MalformedManifestError("element name index out of pool bounds")
-            ext = off + 16
-            attr_start = _u16(data, ext + 8)
-            attr_size = _u16(data, ext + 10)
-            attr_count = _u16(data, ext + 12)
             if attr_size < 20:
                 raise MalformedManifestError("attribute record too small")
             elem = XmlElement(name=pool[name_idx])
-            for i in range(attr_count):
-                a = ext + attr_start + i * attr_size
+            a = off + 16 + attr_start
+            for _ in range(attr_count):
                 if a + 20 > off + size:
                     raise MalformedManifestError("attribute outside element chunk")
-                attr_name_idx = _u32(data, a + 4)
-                raw_idx = _u32(data, a + 8)
-                vtype = data[a + 15]
-                vdata = _u32(data, a + 16)
+                attr_name_idx, raw_idx, vtype, vdata = _ATTR.unpack_from(data, a)
                 if attr_name_idx >= len(pool):
                     raise MalformedManifestError("attribute name index out of pool bounds")
                 elem.attributes[pool[attr_name_idx]] = _attr_value(
                     pool, raw_idx, vtype, vdata)
+                a += attr_size
             if stack:
                 stack[-1].children.append(elem)
             elif root is None:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import re
 import struct
 import warnings
 import zipfile
@@ -30,8 +31,8 @@ from conftest import make_apk, make_fixture_apk
 def test_single_stored_entry_round_trip():
     data = make_apk({"a.txt": b"hello world"}, stored=("a.txt",))
     index = open_archive(data)
-    assert [e.name for e in index.entries] == ["a.txt"]
-    meta = index.entries[0]
+    assert list(index.entries) == ["a.txt"]
+    meta = index.entries["a.txt"]
     assert meta.method_code == zipfile.ZIP_STORED
     assert meta.compressed_size == meta.uncompressed_size
     assert read_entry(index, "a.txt") == b"hello world"
@@ -48,7 +49,7 @@ def test_fixture_apk_entry_list_matches_independent_lister():
         native_libs=("lib/arm64-v8a/libcrypto.so",))
     index = open_archive(apk)
     expected = zipfile.ZipFile(io.BytesIO(apk)).namelist()
-    names = [e.name for e in index.entries]
+    names = list(index.entries)
     assert sorted(names) == sorted(expected)
     assert set(names) == {
         "AndroidManifest.xml", "classes.dex", "classes2.dex",
@@ -60,10 +61,10 @@ def test_read_entry_digest_matches_recorded_value():
     recorded = {name: hashlib.sha256(zipfile.ZipFile(io.BytesIO(apk)).read(name)).hexdigest()
                 for name in zipfile.ZipFile(io.BytesIO(apk)).namelist()}
     index = open_archive(apk)
-    for meta in index.entries:
-        payload = read_entry(index, meta.name)
+    for name, meta in index.entries.items():
+        payload = read_entry(index, name)
         assert len(payload) == meta.uncompressed_size
-        assert sha256_digest(payload) == recorded[meta.name]
+        assert sha256_digest(payload) == recorded[name]
 
 
 def test_read_absent_entry():
@@ -120,9 +121,10 @@ def test_duplicate_entry_keeps_last():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             zf.writestr("dup.txt", b"first")
+            zf.writestr("other.txt", b"other")
             zf.writestr("dup.txt", b"second")
     index = open_archive(buf.getvalue())
-    assert [e.name for e in index.entries] == ["dup.txt"]
+    assert list(index.entries) == ["other.txt", "dup.txt"]
     assert read_entry(index, "dup.txt") == b"second"
 
 
@@ -131,7 +133,7 @@ def test_unsupported_method_rejected_on_read():
     with zipfile.ZipFile(buf, "w", compression=zipfile.ZIP_BZIP2) as zf:
         zf.writestr("packed.bin", b"q" * 100)
     index = open_archive(buf.getvalue())
-    assert index.entries[0].method_code == zipfile.ZIP_BZIP2
+    assert index.entries["packed.bin"].method_code == zipfile.ZIP_BZIP2
     with pytest.raises(DecompressionError):
         read_entry(index, "packed.bin")
 
@@ -168,7 +170,7 @@ def test_declared_size_over_cap_rejected_before_inflation(monkeypatch):
 def test_corrupt_stream_detected():
     data = bytearray(make_apk({"f.bin": b"abcdef" * 50}))
     index = open_archive(bytes(data))
-    meta = index.entries[0]
+    meta = index.entries["f.bin"]
     data[meta.data_offset:meta.data_offset + meta.compressed_size] = (
         b"\xff" * meta.compressed_size)
     index = open_archive(bytes(data))
@@ -190,3 +192,70 @@ def test_data_region_bounds_checked():
     struct.pack_into("<I", data, cd + 20, 1 << 30)   # compressed_size field
     with pytest.raises(MalformedArchiveError):
         open_archive(bytes(data))
+
+
+def _eocd_offset(data: bytes) -> int:
+    return data.rfind(b"PK\x05\x06")
+
+
+def _set(fmt: str, where, value):
+    """A mutation that packs `value` as `fmt` at the offset `where(data)`."""
+    def mutate(data: bytearray) -> None:
+        struct.pack_into(fmt, data, where(data), *value)
+    return mutate
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (_set("<H", lambda d: _eocd_offset(d) + 4, (1,)),
+     "multi-disk archives are not supported"),
+    (_set("<I", lambda d: _eocd_offset(d) + 16, (0xFFFFFFFF,)),
+     "zip64 archives are not supported"),
+    (_set("<I", lambda d: _eocd_offset(d) + 12, (46 + len("a.txt") + 1,)),
+     "central directory overlaps end record"),
+    (_set("<HH", lambda d: _eocd_offset(d) + 8, (2, 2)),
+     "truncated central directory"),
+    (_set("<I", _central_dir_offset, (0,)), "bad central-directory signature at 0x"),
+    (_set("<H", lambda d: _central_dir_offset(d) + 28, (0xFFFF,)),
+     "entry name extends past central directory"),
+    (_set("<I", lambda d: _central_dir_offset(d) + 20, (0xFFFFFFFF,)),
+     "zip64 entry not supported: 'a.txt'"),
+    (_set("<I", lambda d: _central_dir_offset(d) + 42, (1 << 20,)),
+     "local header out of bounds: 'a.txt'"),
+    (_set("<I", lambda d: 0, (0,)),
+     "bad local header signature for 'a.txt'"),
+], ids=["multi-disk", "zip64-end-record", "cd-overlaps-end-record",
+        "truncated-cd", "bad-cd-signature", "name-past-cd", "zip64-entry",
+        "local-header-out-of-bounds", "bad-local-signature"])
+def test_structural_refusals_keep_their_messages(mutate, message):
+    data = bytearray(make_apk({"a.txt": b"payload-" * 16}))
+    mutate(data)
+    with pytest.raises(MalformedArchiveError, match=re.escape(message)):
+        open_archive(bytes(data))
+
+
+def test_encrypted_entry_refused_on_read():
+    data = bytearray(make_apk({"a.txt": b"payload-" * 16}))
+    flags_at = _central_dir_offset(data) + 8
+    struct.pack_into("<H", data, flags_at,
+                     struct.unpack_from("<H", data, flags_at)[0] | 0x1)
+    with pytest.raises(DecompressionError, match="encrypted entry: 'a.txt'"):
+        read_entry(open_archive(bytes(data)), "a.txt")
+
+
+def test_inflation_past_declared_size_stops():
+    data = bytearray(make_apk({"a.txt": b"payload-" * 16}))
+    usize_at = _central_dir_offset(data) + 24
+    struct.pack_into("<I", data, usize_at, 8 * 16 - 1)
+    with pytest.raises(SizeMismatchError,
+                       match="entry 'a.txt' inflates past declared size 127"):
+        read_entry(open_archive(bytes(data)), "a.txt")
+
+
+def test_utf8_flagged_name_that_is_no_utf8_decodes_with_replacement():
+    data = bytearray(make_apk({"é.txt": b"accent"}))
+    name_at = _central_dir_offset(data) + 46
+    assert struct.unpack_from("<H", data, _central_dir_offset(data) + 8)[0] & 0x800
+    assert data[name_at:name_at + 2] == "é".encode()
+    data[name_at] = 0xFF            # no UTF-8 sequence starts with 0xFF
+    index = open_archive(bytes(data))
+    assert read_entry(index, "\ufffd\ufffd.txt") == b"accent"

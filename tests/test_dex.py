@@ -306,12 +306,21 @@ def _walk(insns, units=None):
     return offsets, methods
 
 
-def test_walker_skips_payload_pseudo_instructions():
-    # invoke-static idx=0 | packed-switch-payload size=2 | return-void
-    insns = _units(0x0071, 0x0000, 0x0000)
-    insns += _units(0x0100, 0x0002, 0, 0, 0, 0, 0, 0)   # 2*2+4 = 8 units
-    insns += _units(0x000E)
-    _offsets, methods = _walk(insns)
+_BAD = 0x003E       # an undefined opcode in every unit a payload holds
+
+
+@pytest.mark.parametrize("payload", [
+    _units(0x0100, 2, *[_BAD] * 6),            # 2*2+4 = 8 units
+    _units(0x0200, 2, *[_BAD] * 8),            # 2*4+2 = 10 units
+    _units(0x0300, 1, 5, 0, *[_BAD] * 3),      # (5*1+1)//2+4 = 7 units
+], ids=["packed-switch", "sparse-switch", "fill-array-data"])
+def test_walker_skips_payload_pseudo_instructions(payload):
+    # payload | invoke-static idx=0 | return-void: a step that ends inside
+    # the payload meets an undefined opcode, and one past it misses the
+    # invoke.
+    insns = payload + _units(0x0071, 0x0000, 0x0000, 0x000E)
+    offsets, methods = _walk(insns)
+    assert list(offsets) == [len(payload)]
     assert list(methods) == [0]
 
 

@@ -71,7 +71,8 @@ def _retyped(data: bytes, value: int, vtype: int, vdata: int) -> bytes:
     (0x04, struct.unpack("<I", struct.pack("<f", 23.0))[0], None),
     (0x10, 0xFFFFFFFF, -1),
     (0x11, 23, 23),                 # hexadecimal
-], ids=["reference", "float", "decimal-minus-one", "hex"])
+    (0x12, 0xFFFFFFFF, None),       # boolean true
+], ids=["reference", "float", "decimal-minus-one", "hex", "boolean"])
 def test_min_sdk_reads_only_integer_types_as_signed_values(vtype, vdata,
                                                            min_sdk):
     data = _retyped(manifest_bytes("com.app", min_sdk=23), 23, vtype, vdata)
@@ -164,3 +165,111 @@ def test_utf8_string_pool_variant():
     doc = struct.pack("<HHI", 0x0003, 8, 8 + len(body)) + body
     tree = parse_binary_xml(doc)
     assert tree.name == "m"
+
+
+_NO = 0xFFFFFFFF
+
+
+def _len8(n: int) -> bytes:
+    """A UTF-8 pool length: one byte below 0x80, else two, high bit set."""
+    return bytes([n]) if n < 0x80 else bytes([0x80 | n >> 8, n & 0xFF])
+
+
+def _utf8_pool(strings) -> bytes:
+    blob, offsets = bytearray(), []
+    for s in strings:
+        raw = s.encode("utf-8")
+        offsets.append(len(blob))
+        blob += _len8(len(s)) + _len8(len(raw)) + raw + b"\x00"
+    blob += bytes(-len(blob) % 4)
+    strings_start = 28 + 4 * len(strings)
+    return (struct.pack("<HHIIIIII", 0x0001, 28, strings_start + len(blob),
+                        len(strings), 0, 1 << 8, strings_start, 0)
+            + struct.pack(f"<{len(strings)}I", *offsets) + bytes(blob))
+
+
+def _attr(name_idx: int, raw_idx: int, vtype: int, vdata: int) -> bytes:
+    return struct.pack("<IIIHBBI", _NO, name_idx, raw_idx, 8, 0, vtype, vdata)
+
+
+def _element(name_idx: int, *attrs: bytes, attr_size: int = 20) -> bytes:
+    """A start chunk, its attribute records and the matching end chunk."""
+    records = b"".join(attrs)
+    start = struct.pack("<HHIII", 0x0102, 16, 36 + len(records), 1, _NO)
+    start += struct.pack("<IIHHHHHH", _NO, name_idx, 0x14, attr_size,
+                         len(attrs), 0, 0, 0)
+    end = struct.pack("<HHIIIII", 0x0103, 16, 24, 1, _NO, _NO, name_idx)
+    return start + records + end
+
+
+def _document(*chunks: bytes) -> bytes:
+    body = b"".join(chunks)
+    return struct.pack("<HHI", 0x0003, 8, 8 + len(body)) + body
+
+
+def test_utf8_pool_reads_two_byte_lengths():
+    # 150 characters in 300 bytes: both lengths take the two-byte form.
+    name = "é" * 150
+    tree = parse_binary_xml(_document(_utf8_pool([name]), _element(0)))
+    assert tree.name == name
+
+
+def test_typed_string_attribute_without_raw_value():
+    data = _document(_utf8_pool(["manifest", "package", "com.app"]),
+                     _element(0, _attr(1, _NO, 0x03, 2)))
+    assert extract_manifest_info(parse_binary_xml(data)).package_name == "com.app"
+
+
+def test_min_sdk_of_ascii_digits_reads_as_an_integer():
+    data = manifest_bytes("com.package", min_sdk="23")
+    assert extract_manifest_info(parse_binary_xml(data)).min_sdk == 23
+
+
+def _refused(data: bytes, message: str) -> None:
+    with pytest.raises(MalformedManifestError, match=message):
+        parse_binary_xml(data)
+
+
+def test_attribute_record_too_small():
+    _refused(_document(_utf8_pool(["m", "a"]),
+                       _element(0, _attr(1, 0, 0x03, 0), attr_size=16)),
+             "attribute record too small")
+
+
+def test_bad_string_pool_header_size():
+    pool = bytearray(_utf8_pool(["m"]))
+    struct.pack_into("<H", pool, 2, 20)
+    _refused(_document(bytes(pool), _element(0)), "bad string pool header size")
+
+
+def test_document_without_an_element():
+    _refused(_document(_utf8_pool(["m"])), "document has no root element")
+
+
+@pytest.mark.parametrize("size", [24, 32])
+def test_element_chunk_shorter_than_its_fixed_part(size):
+    # The start chunk keeps its first `size` of 36 bytes; the end chunk
+    # follows at once, so a reader past the chunk would read its bytes.
+    chunks = bytearray(_element(0))
+    struct.pack_into("<I", chunks, 4, size)
+    del chunks[size:36]
+    _refused(_document(_utf8_pool(["m"]), bytes(chunks)),
+             "element chunk too short")
+
+
+def test_string_pool_offsets_past_their_chunk():
+    # Two offsets but room for one: the second would be read from the
+    # empty chunk that follows the pool.
+    pool = struct.pack("<HHIIIIII", 0x0001, 28, 32, 2, 0, 1 << 8, 28, 0)
+    pool += struct.pack("<I", 0)
+    _refused(_document(pool, struct.pack("<HHI", 0, 0, 8), _element(0)),
+             "string pool count exceeds chunk size")
+
+
+def test_utf16_string_length_past_its_pool():
+    # The one string starts at the pool's last byte, so its two-byte length
+    # would take its second byte from the empty chunk that follows.
+    pool = struct.pack("<HHIIIIII", 0x0001, 28, 33, 1, 0, 0, 32, 0)
+    pool += struct.pack("<I", 0) + b"\x00"
+    _refused(_document(pool, struct.pack("<HHI", 0, 0, 8), _element(0)),
+             "truncated string length")
