@@ -253,9 +253,7 @@ def top_libraries(corpus: Corpus, detector: str, n: int,
         detector, Counter())
     ranked = sorted(apps_per_library.items(),
                     key=lambda pair: (-pair[1], pair[0]))
-    return {"detector": detector,
-            "rows": ranked[:n],
-            "unique_libraries": len(apps_per_library)}
+    return {"rows": ranked[:n], "unique_libraries": len(apps_per_library)}
 
 
 def category_breakdown(corpus: Corpus) -> list[dict]:
@@ -299,34 +297,25 @@ def _universe_first(counts: Counter, universe) -> dict:
     return {lib: counts[lib] for lib in [*universe, *extras]}
 
 
-@dataclass
-class CorpusStats:
-    totals: dict
-    prevalence: dict
-    locations: dict
-    top_libs: dict
-    categories: list
-    crypto: dict
-
-
 def compute_stats(corpus: Corpus, top_n: int = 10,
-                  known_prefixes=None) -> CorpusStats:
-    """All result tables from one pass over `corpus`; known prefixes
-    default to the shipped file."""
+                  known_prefixes=None) -> dict:
+    """All result tables from one pass over `corpus`, as the mapping that
+    `summary.json` holds; known prefixes default to the shipped file."""
     if known_prefixes is None:
         known_prefixes = load_known_prefixes(
             defaults.default_known_prefixes_path())
     t = _tally(corpus, known_prefixes)
-    return CorpusStats(
-        totals={"analyzed": t.analyzed, "ok": t.ok,
-                "failed": t.analyzed - t.ok,
-                "unmatched_metadata": t.unmatched_metadata},
-        prevalence=api_prevalence(t),
-        locations=location_split(t, known_prefixes),
-        top_libs={d: top_libraries(t, d, top_n, known_prefixes)
-                  for d in TEE_DETECTORS},
-        categories=category_breakdown(t),
-        crypto=crypto_table(t))
+    return {
+        "totals": {"analyzed": t.analyzed, "ok": t.ok,
+                   "failed": t.analyzed - t.ok,
+                   "unmatched_metadata": t.unmatched_metadata},
+        "prevalence": api_prevalence(t),
+        "locations": location_split(t, known_prefixes),
+        "top_libraries": {d: top_libraries(t, d, top_n, known_prefixes)
+                          for d in TEE_DETECTORS},
+        "categories": category_breakdown(t),
+        "crypto": crypto_table(t),
+    }
 
 
 def _csv_text(header: list[str], rows) -> str:
@@ -337,24 +326,26 @@ def _csv_text(header: list[str], rows) -> str:
     return text.getvalue()
 
 
-def write_stats(stats: CorpusStats, out_dir) -> list[Path]:
-    """Emit the tables as CSV plus a machine-readable summary, as one set."""
+def write_stats(stats: dict, out_dir) -> list[Path]:
+    """Render `compute_stats`'s mapping as the nine CSV tables plus the
+    mapping itself as `summary.json`, written as one set."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     texts = {}
 
+    prevalence = stats["prevalence"]
     prevalence_rows = []
     for d in TEE_DETECTORS:
-        cell = stats.prevalence["per_api"][d]
+        cell = prevalence["per_api"][d]
         prevalence_rows.append([d, cell["apps"], cell["share"]])
     for metric in ("any_api", "no_api", "all_four",
                    "all_excl_protected_confirmation"):
-        cell = stats.prevalence[metric]
+        cell = prevalence[metric]
         prevalence_rows.append([metric, cell["apps"], cell["share"]])
     texts[out_dir / "prevalence.csv"] = _csv_text(["metric", "apps", "share"],
                                                   prevalence_rows)
 
-    loc = stats.locations
+    loc = stats["locations"]
     location_rows = [["matched_apps", loc["matched_apps"]],
                      ["matches_total", loc["total_matches"]]]
     location_rows += [[f"matches_{where}", loc["match_counts"][where]]
@@ -366,13 +357,13 @@ def write_stats(stats: CorpusStats, out_dir) -> list[Path]:
     texts[out_dir / "locations.csv"] = _csv_text(["metric", "value"],
                                                  location_rows)
 
-    for detector, table in stats.top_libs.items():
+    for detector, table in stats["top_libraries"].items():
         texts[out_dir / f"top_libs_{detector}.csv"] = _csv_text(
             ["library", "apps"], table["rows"])
 
     wide_rows = []
     long_rows = []
-    for row in stats.categories:
+    for row in stats["categories"]:
         wide_rows.append([row["category"], row["ok_apps"]]
                          + [row[d]["share"] for d in TEE_DETECTORS])
         for d in TEE_DETECTORS:
@@ -384,25 +375,16 @@ def write_stats(stats: CorpusStats, out_dir) -> list[Path]:
     texts[out_dir / "categories_long.csv"] = _csv_text(
         ["category", "detector", "apps", "share"], long_rows)
 
+    crypto = stats["crypto"]
     crypto_rows = [["software", lib, count]
-                   for lib, count in stats.crypto["software"].items()]
+                   for lib, count in crypto["software"].items()]
     crypto_rows += [["native", lib, count]
-                    for lib, count in stats.crypto["native"].items()]
-    crypto_rows.append(["software", "(any)", stats.crypto["apps_with_software"]])
-    crypto_rows.append(["native", "(any)", stats.crypto["apps_with_native"]])
+                    for lib, count in crypto["native"].items()]
+    crypto_rows.append(["software", "(any)", crypto["apps_with_software"]])
+    crypto_rows.append(["native", "(any)", crypto["apps_with_native"]])
     texts[out_dir / "crypto.csv"] = _csv_text(["kind", "library", "apps"],
                                               crypto_rows)
 
-    summary = {
-        "totals": stats.totals,
-        "prevalence": stats.prevalence,
-        "locations": stats.locations,
-        "top_libraries": {d: {"rows": [list(r) for r in t["rows"]],
-                              "unique_libraries": t["unique_libraries"]}
-                          for d, t in stats.top_libs.items()},
-        "categories": stats.categories,
-        "crypto": stats.crypto,
-    }
-    texts[out_dir / "summary.json"] = json.dumps(summary, indent=2,
+    texts[out_dir / "summary.json"] = json.dumps(stats, indent=2,
                                                  sort_keys=True) + "\n"
     return defaults.write_text(texts)

@@ -203,16 +203,16 @@ def _cmd_stats(args) -> int:
     with _cannot(f"write tables {args.out}"):
         written = aggregate.write_stats(stats, args.out)
 
-    totals = stats.totals
+    totals = stats["totals"]
     print(f"apps: analyzed={totals['analyzed']} ok={totals['ok']} "
           f"failed={totals['failed']}")
     for detector in aggregate.TEE_DETECTORS:
-        cell = stats.prevalence["per_api"][detector]
+        cell = stats["prevalence"]["per_api"][detector]
         print(f"  {detector}: {cell['apps']} ({_pct(cell['share'])})")
-    any_cell = stats.prevalence["any_api"]
+    any_cell = stats["prevalence"]["any_api"]
     print(f"  any: {any_cell['apps']} ({_pct(any_cell['share'])})")
-    loc = stats.locations
-    print(f"  library-located match share: {_pct(loc['inlib_match_share'])}")
+    inlib_share = stats["locations"]["inlib_match_share"]
+    print(f"  library-located match share: {_pct(inlib_share)}")
     print(f"wrote {len(written)} files to {args.out}")
     return 0
 

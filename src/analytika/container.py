@@ -174,16 +174,13 @@ def read_entry(index: ArchiveIndex, name: str,
     want = meta.uncompressed_size
     decomp = zlib.decompressobj(-15)
     try:
-        pos = 0
-        while decomp.unconsumed_tail or pos < len(raw):
-            # decompress() stops at max_length; feed its leftover input first
-            data = decomp.unconsumed_tail
-            if not data:
-                data = raw[pos:pos + _READ_CHUNK]
-                pos += _READ_CHUNK
+        # Output capped one byte past `want` leaves input unread only once
+        # the entry has inflated past its size, which raises at once.
+        for pos in range(0, len(raw), _READ_CHUNK):
             if cancel_check is not None:
                 cancel_check()
-            out += decomp.decompress(data, want - len(out) + 1)
+            out += decomp.decompress(raw[pos:pos + _READ_CHUNK],
+                                     want - len(out) + 1)
             if len(out) > want:
                 raise SizeMismatchError(
                     f"entry {name!r} inflates past declared size {want}")

@@ -246,7 +246,7 @@ def _walk_insns(data: bytes, insns_off: int, insns_units: int, limit: int,
             continue
         step = steps[op]
         if op == 0x00:
-            marker = data[pos + 1] if pos + 1 < end else 0
+            marker = data[pos + 1]  # pos and end differ by whole units
             if marker == 0x01:      # packed-switch payload
                 step = 2 * (_u16(data, pos + 2, end) * 2 + 4)
             elif marker == 0x02:    # sparse-switch payload

@@ -49,7 +49,7 @@ def test_load_corpus_full_join(tmp_path):
     records = list(corpus)
     assert len(records) == 3
     assert all(r.category == "Tools" for r in records)
-    assert compute_stats(corpus).totals["unmatched_metadata"] == 0
+    assert compute_stats(corpus)["totals"]["unmatched_metadata"] == 0
 
 
 def test_load_corpus_partial_metadata(tmp_path):
@@ -66,7 +66,7 @@ def test_load_corpus_counts_unmatched_rows(tmp_path):
     rows = [(sha_for(1), "com.a", "Tools", 20_000, "2021-01-01"),
             (sha_for(2), "com.b", "Tools", 20_000, "2021-01-01")]
     corpus = _corpus(tmp_path, docs, rows)
-    assert compute_stats(corpus).totals["unmatched_metadata"] == 1
+    assert compute_stats(corpus)["totals"]["unmatched_metadata"] == 1
 
 
 def test_duplicate_sha_in_csv(tmp_path):
@@ -196,7 +196,7 @@ def test_corpus_is_a_view_read_afresh_by_each_pass(tmp_path):
     assert [r.sha256 for r in corpus] == [sha_for(0)]
     write_report(tmp_path / "reports",
                  report_doc(sha_for(1), matches=[make_match("drm")]))
-    assert compute_stats(corpus).totals["analyzed"] == 2
+    assert compute_stats(corpus)["totals"]["analyzed"] == 2
     assert api_prevalence(corpus)["per_api"]["drm"]["apps"] == 1
 
 
@@ -237,15 +237,31 @@ def test_each_table_function_is_its_part_of_compute_stats(tmp_path, seed,
         corpus = apply_filter(corpus, _SELECTIONS[selection])
     stats = compute_stats(corpus, top_n=3, known_prefixes=PREFIXES)
     records = list(corpus)
-    assert stats.totals["analyzed"] == len(records)
-    assert stats.totals["ok"] == sum(r.status == "ok" for r in records)
-    assert stats.totals["unmatched_metadata"] >= 1      # the ghost row
-    assert api_prevalence(corpus) == stats.prevalence
-    assert location_split(corpus, PREFIXES) == stats.locations
+    assert stats["totals"]["analyzed"] == len(records)
+    assert stats["totals"]["ok"] == sum(r.status == "ok" for r in records)
+    assert stats["totals"]["unmatched_metadata"] >= 1      # the ghost row
+    assert api_prevalence(corpus) == stats["prevalence"]
+    assert location_split(corpus, PREFIXES) == stats["locations"]
     for d in synth.APIS:
-        assert top_libraries(corpus, d, 3, PREFIXES) == stats.top_libs[d]
-    assert category_breakdown(corpus) == stats.categories
-    assert crypto_table(corpus) == stats.crypto
+        assert (top_libraries(corpus, d, 3, PREFIXES)
+                == stats["top_libraries"][d])
+    assert category_breakdown(corpus) == stats["categories"]
+    assert crypto_table(corpus) == stats["crypto"]
+
+
+def test_summary_json_is_the_compute_stats_mapping(tmp_path):
+    synth.random_corpus(random.Random(7), tmp_path / "reports",
+                        tmp_path / "corpus.csv", apps=30)
+    stats = compute_stats(load_corpus(tmp_path / "reports",
+                                      tmp_path / "corpus.csv"),
+                          top_n=3, known_prefixes=PREFIXES)
+    write_stats(stats, tmp_path / "out")
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary == json.loads(json.dumps(stats))
+    assert sorted(summary) == ["categories", "crypto", "locations",
+                               "prevalence", "top_libraries", "totals"]
+    assert all(table.keys() == {"rows", "unique_libraries"}
+               for table in summary["top_libraries"].values())
 
 
 def test_prevalence_hand_computed(tmp_path):
@@ -372,6 +388,19 @@ def test_top_libraries_ranked(tmp_path):
     assert table["rows"][0] == ("com.appsflyer", 3)
     assert table["unique_libraries"] == 1
     assert top_libraries(corpus, "drm", 10, PREFIXES)["rows"] == []
+
+
+def test_top_libraries_refuses_an_empty_ranking(tmp_path):
+    corpus = _corpus(tmp_path, [report_doc(sha_for(0))])
+    with pytest.raises(ValueError) as info:
+        top_libraries(corpus, "keystore", 0, PREFIXES)
+    assert str(info.value) == "n must be at least 1"
+
+
+def test_selection_filter_refuses_negative_min_downloads():
+    with pytest.raises(ValueError) as info:
+        SelectionFilter(min_downloads=-1)
+    assert str(info.value) == "min_downloads must be non-negative"
 
 
 def test_top_libraries_tie_break(tmp_path):

@@ -23,6 +23,12 @@ def test_package_of_class():
     assert package_of_class("a.b.C$D") == ("a", "b")
 
 
+def test_package_of_an_empty_class_name_is_refused():
+    with pytest.raises(ValueError) as info:
+        package_of_class("")
+    assert str(info.value) == "empty class name"
+
+
 def test_application_id_validity():
     assert is_valid_application_id(parse_package("com.package"))
     assert not is_valid_application_id(parse_package("main"))

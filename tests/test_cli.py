@@ -22,7 +22,7 @@ from analytika.matchers import load_pattern_file
 from analytika.report import deterministic_document
 
 import synth
-from conftest import planted_apk
+from conftest import make_fixture_apk, planted_apk
 
 _ENOENT = os.strerror(errno.ENOENT)
 
@@ -71,6 +71,35 @@ def test_analyze_hashes_each_positional_apk_once(tmp_path, capsys,
     assert len(calls) == 4
     assert capsys.readouterr().out.splitlines()[-1] == (
         "analyzed=1 ok=1 timeout=0 error=0 skipped=1")
+
+
+def test_analyze_proguard_as_main_false_moves_a_shrunk_caller_to_inlib(
+        tmp_path):
+    apk_path = tmp_path / "app.apk"
+    apk_path.write_bytes(make_fixture_apk(dex_plans=[[
+        ("b.d.E", [("android.media.MediaDrm", "openSession")])]]))
+    sha = sha256_digest(apk_path.read_bytes())
+    locations = []
+    for value in ("true", "false"):
+        out_dir = tmp_path / value
+        assert main(["analyze", str(apk_path), "--out", str(out_dir),
+                     "--proguard-as-main", value]) == 0
+        doc = json.loads((out_dir / f"{sha}.json").read_text())
+        locations.append([m["location"] for m in doc["matches"]])
+    assert locations == [["inmain"], ["inlib"]]
+
+
+def test_analyze_refuses_a_proguard_as_main_that_is_no_boolean(tmp_path,
+                                                               capsys):
+    apk_path = tmp_path / "app.apk"
+    apk_path.write_bytes(planted_apk())
+    out_dir = tmp_path / "reports"
+    with pytest.raises(SystemExit) as info:
+        main(["analyze", str(apk_path), "--out", str(out_dir),
+              "--proguard-as-main", "maybe"])
+    assert info.value.code == 2
+    assert "expected true or false, got 'maybe'" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_analyze_requires_input(capsys):

@@ -330,6 +330,17 @@ def test_walker_rejects_escaping_payload():
         _walk(insns)
 
 
+@pytest.mark.parametrize("marker", [0x0100, 0x0200, 0x0300],
+                         ids=["packed-switch", "sparse-switch",
+                              "fill-array-data"])
+def test_walker_rejects_payload_header_past_its_region(marker):
+    # The payload's marker is the region's last code unit, so its size
+    # field would be read past the region.
+    with pytest.raises(MalformedDexError) as info:
+        _walk(_units(marker))
+    assert str(info.value) == "short read at 0x2"
+
+
 def test_walker_rejects_undefined_opcode():
     insns = _units(0x003E)
     with pytest.raises(MalformedDexError):

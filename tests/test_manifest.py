@@ -273,3 +273,30 @@ def test_utf16_string_length_past_its_pool():
     pool += struct.pack("<I", 0) + b"\x00"
     _refused(_document(pool, struct.pack("<HHI", 0, 0, 8), _element(0)),
              "truncated string length")
+
+
+def _one_utf8_string(blob: bytes) -> bytes:
+    """A UTF-8 pool whose one string starts at its data and whose chunk
+    ends right after `blob`, then an empty chunk to read into."""
+    pool = struct.pack("<HHIIIIII", 0x0001, 28, 32 + len(blob), 1, 0, 1 << 8,
+                       32, 0)
+    return pool + struct.pack("<I", 0) + blob + struct.pack("<HHI", 0, 0, 8)
+
+
+def test_utf8_string_data_past_its_pool():
+    # Lengths of 1 character and 5 bytes, with 2 bytes left in the pool.
+    _refused(_document(_one_utf8_string(b"\x01\x05ab"), _element(0)),
+             "string data outside pool")
+
+
+def test_utf8_two_byte_length_past_its_pool():
+    # The length's first byte has its high bit set and ends the pool.
+    _refused(_document(_one_utf8_string(b"\x81"), _element(0)),
+             "truncated string length")
+
+
+def test_typed_string_attribute_past_the_pool():
+    # No raw value, and a typed string index one past the three strings.
+    _refused(_document(_utf8_pool(["manifest", "package", "com.app"]),
+                       _element(0, _attr(1, _NO, 0x03, 3))),
+             "attribute string index out of pool bounds")

@@ -71,6 +71,28 @@ def test_load_pattern_file_bad_columns(tmp_path):
         load_pattern_file(path)
 
 
+@pytest.mark.parametrize("row, reason", [
+    ("keystore,tee_apis,a.B,*", "unknown kind 'tee_apis'"),
+    ("keystore,tee_api,,*", "empty pattern field"),
+    (",crypto_software,com.lib,*", "empty pattern field"),
+    ("keystore,tee_api,a.B,", "empty pattern field"),
+], ids=["unknown-kind", "empty-class", "empty-detector", "empty-method"])
+def test_load_pattern_file_refuses_a_bad_field(tmp_path, row, reason):
+    path = tmp_path / "p.csv"
+    path.write_text(f"# comment\n{row}\n")
+    with pytest.raises(PatternParseError) as info:
+        load_pattern_file(path)
+    assert str(info.value) == f"{path}:2: {reason}"
+
+
+def test_load_native_pattern_file_refuses_an_empty_library(tmp_path):
+    path = tmp_path / "native.csv"
+    path.write_text("openssl,libssl\n,libcrypto\n")
+    with pytest.raises(PatternParseError) as info:
+        load_native_pattern_file(path)
+    assert str(info.value) == f"{path}:2: empty library name"
+
+
 def test_load_native_pattern_file(tmp_path):
     path = tmp_path / "native.csv"
     path.write_text("# c\nopenssl,libssl\nopenssl,libcrypto\n")

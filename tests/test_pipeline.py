@@ -535,6 +535,31 @@ def test_read_ahead_depth_is_workers_minus_one(tmp_path, monkeypatch):
         sys.setswitchinterval(interval)
 
 
+def test_digest_stage_counts_no_wait_for_the_interpreter_lock(tmp_path):
+    # The hash releases the lock; while the main thread spins, the loader
+    # waits a whole switch interval to take it back, which is not hashing.
+    path = tmp_path / "app.apk"
+    path.write_bytes(bytes(1 << 20))
+    entry = CorpusEntry(sha256="", source=str(path))
+    loaded = []
+    loader = threading.Thread(
+        target=lambda: loaded.append(pipeline._load(entry, _config(tmp_path))))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(0.2)
+    try:
+        limit = time.monotonic() + 30
+        loader.start()
+        while not loaded and time.monotonic() < limit:
+            pass
+    finally:
+        sys.setswitchinterval(interval)
+    loader.join(timeout=30)
+    assert not loader.is_alive()
+    data, digest, digest_s = loaded[0]
+    assert digest == sha256_digest(data)
+    assert digest_s < 0.1
+
+
 def test_repeated_bytes_without_a_sha256_are_analyzed_once(tmp_path):
     apk = make_fixture_apk()
     paths = [tmp_path / "one.apk", tmp_path / "two.apk"]
@@ -598,6 +623,12 @@ def test_load_corpus_csv(tmp_path):
     assert entries[0].source == str(tmp_path / "app.apk")
     assert entries[1].source == "remote"
     assert entries[1].downloads is None
+
+
+def test_corpus_entry_refuses_a_sha256_that_is_not_hex():
+    with pytest.raises(ValueError) as info:
+        CorpusEntry(sha256="g" * 64)
+    assert str(info.value) == f"not a sha256 hex digest: {'g' * 64!r}"
 
 
 def test_corpus_rows_share_equal_metadata_values(tmp_path):
@@ -776,5 +807,5 @@ def test_unreadable_entries_without_a_sha256_get_distinct_stable_reports(
     docs = [read_report_document(tmp_path / "reports" / n) for n in names]
     assert sorted(d["meta"]["sha256"] + ".json" for d in docs) == names
     assert all(d["meta"]["status"] == "error" for d in docs)
-    totals = compute_stats(load_corpus(tmp_path / "reports")).totals
+    totals = compute_stats(load_corpus(tmp_path / "reports"))["totals"]
     assert (totals["analyzed"], totals["failed"]) == (2, 2)
