@@ -108,13 +108,13 @@ def apply_filter(corpus: Corpus, selection: SelectionFilter) -> Corpus:
 
 class _Tally:
     """Every table's counts, folded from one pass over a corpus's records.
-    Library-located packages are grouped only when known prefixes are
-    given, each distinct package once."""
+    Library-located packages are grouped under `known_prefixes`, each
+    distinct package once."""
 
-    def __init__(self, known_prefixes=None):
+    def __init__(self, known_prefixes):
         self.known_prefixes = known_prefixes
         self.library_of: dict[str, str] = {}
-        self.analyzed = self.ok = self.unmatched_metadata = 0
+        self.analyzed = self.ok = 0
         self.apps = Counter()      # ok apps per detector and per table row
         self.match_counts = {loc: 0 for loc in LOCATIONS}
         self.apps_with = {loc: 0 for loc in LOCATIONS}
@@ -149,8 +149,6 @@ class _Tally:
                 self.match_counts[loc] += counts[loc]
                 self.apps_with[loc] += 1
         self.apps["exclusively_inmain"] += counts.keys() == {LOCATION_INMAIN}
-        if self.known_prefixes is None:
-            return
         libraries = set()
         for detector, packages in record.inlib_packages.items():
             found = set(map(self._library, packages))
@@ -170,125 +168,12 @@ class _Tally:
 _NON_PC = frozenset(d for d in TEE_DETECTORS if d != "protected_confirmation")
 
 
-def _tally(source: Corpus | _Tally, known_prefixes=None) -> _Tally:
-    """`source` if it is a tally already, else one pass over the corpus."""
-    if isinstance(source, _Tally):
-        return source
-    tally = _Tally(known_prefixes)
-    unjoined = dict(source.metadata)
-    for record in source.scan(unjoined):
-        tally.add(record)
-    tally.unmatched_metadata = len(unjoined) + source.unkeyed
-    return tally
-
-
-# Each table function below makes one pass over the corpus it is given;
-# compute_stats makes one pass for all of them and hands each its tally.
-
 def _share(count: int, total: int) -> float:
     return count / total if total else 0.0
 
 
 def _cell(count: int, total: int) -> dict:
     return {"apps": count, "share": _share(count, total)}
-
-
-def api_prevalence(corpus: Corpus) -> dict:
-    """Per-detector app counts and shares over successfully analyzed apps.
-
-    An app counts once per detector no matter how many matches it has.
-    Intersections mirror the result table: all four detectors, and all
-    detectors except the rarely present confirmation dialog one.
-    """
-    t = _tally(corpus)
-    return {
-        "ok_apps": t.ok,
-        "per_api": {d: _cell(t.apps[d], t.ok) for d in TEE_DETECTORS},
-        "any_api": _cell(t.apps["any_api"], t.ok),
-        "no_api": _cell(t.ok - t.apps["any_api"], t.ok),
-        "all_four": _cell(t.apps["all_four"], t.ok),
-        "all_excl_protected_confirmation": _cell(
-            t.apps["all_excl_protected_confirmation"], t.ok),
-    }
-
-
-def location_split(corpus: Corpus, known_prefixes) -> dict:
-    """Where matches live: per-match location shares plus per-app views.
-
-    App-level shares are relative to apps that have at least one detector
-    match. The libraries-per-app distribution counts distinct normalized
-    libraries among apps that have at least one library-located match.
-    """
-    t = _tally(corpus, known_prefixes)
-    matched = t.apps["any_api"]
-    total_matches = sum(t.match_counts.values())
-    libs = t.libs_per_app
-    return {
-        "ok_apps": t.ok,
-        "matched_apps": matched,
-        "match_counts": t.match_counts,
-        "total_matches": total_matches,
-        "inlib_match_share": _share(t.match_counts["inlib"], total_matches),
-        "apps_with_inlib_share": _share(t.apps_with["inlib"], matched),
-        "apps_with_inmain_share": _share(t.apps_with["inmain"], matched),
-        "apps_with_obfuscated_share": _share(t.apps_with["obfuscated"],
-                                             matched),
-        "apps_exclusively_inmain_share": _share(t.apps["exclusively_inmain"],
-                                                matched),
-        "libraries_per_app_mean": statistics.fmean(libs) if libs else 0.0,
-        "libraries_per_app_median": (float(statistics.median(libs))
-                                     if libs else 0.0),
-    }
-
-
-def top_libraries(corpus: Corpus, detector: str, n: int,
-                  known_prefixes) -> dict:
-    """Rank libraries by how many apps embed a matching call for `detector`.
-
-    Only library-located matches count; ties break lexicographically.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    apps_per_library = _tally(corpus, known_prefixes).top_libs.get(
-        detector, Counter())
-    ranked = sorted(apps_per_library.items(),
-                    key=lambda pair: (-pair[1], pair[0]))
-    return {"rows": ranked[:n], "unique_libraries": len(apps_per_library)}
-
-
-def category_breakdown(corpus: Corpus) -> list[dict]:
-    """Per-category detector shares among that category's analyzed apps.
-
-    Apps without metadata (null category) are excluded. An app carrying
-    several detectors contributes to each of their shares, so a category's
-    shares may sum past 1.
-    """
-    rows = []
-    for category, cell in sorted(_tally(corpus).categories.items()):
-        row = {"category": category, "ok_apps": cell["ok_apps"]}
-        for d in TEE_DETECTORS:
-            row[d] = _cell(cell[d], cell["ok_apps"])
-        rows.append(row)
-    return rows
-
-
-def crypto_table(corpus: Corpus) -> dict:
-    """Distinct-app counts per crypto library, software and native.
-
-    Libraries of the shipped pattern files appear even with zero apps;
-    anything else observed in the reports is appended in sorted order.
-    """
-    patterns = load_patterns()
-    t = _tally(corpus)
-    return {
-        "software": _universe_first(
-            t.software, [s.detector_id for s in patterns.crypto_sets]),
-        "native": _universe_first(
-            t.native, [p.library for p in patterns.native_patterns]),
-        "apps_with_software": t.apps["software"],
-        "apps_with_native": t.apps["native"],
-        "ok_apps": t.ok,
-    }
 
 
 def _universe_first(counts: Counter, universe) -> dict:
@@ -300,22 +185,118 @@ def _universe_first(counts: Counter, universe) -> dict:
 def compute_stats(corpus: Corpus, top_n: int = 10,
                   known_prefixes=None) -> dict:
     """All result tables from one pass over `corpus`, as the mapping that
-    `summary.json` holds; known prefixes default to the shipped file."""
+    `summary.json` holds; known prefixes default to the shipped file. The
+    table functions below document each section."""
+    if top_n < 1:
+        raise ValueError("n must be at least 1")
     if known_prefixes is None:
         known_prefixes = load_known_prefixes(
             defaults.default_known_prefixes_path())
-    t = _tally(corpus, known_prefixes)
+    t = _Tally(known_prefixes)
+    unjoined = dict(corpus.metadata)
+    for record in corpus.scan(unjoined):
+        t.add(record)
+    ok, matched = t.ok, t.apps["any_api"]
+    total_matches = sum(t.match_counts.values())
+    libs = t.libs_per_app
+    patterns = load_patterns()
     return {
-        "totals": {"analyzed": t.analyzed, "ok": t.ok,
-                   "failed": t.analyzed - t.ok,
-                   "unmatched_metadata": t.unmatched_metadata},
-        "prevalence": api_prevalence(t),
-        "locations": location_split(t, known_prefixes),
-        "top_libraries": {d: top_libraries(t, d, top_n, known_prefixes)
-                          for d in TEE_DETECTORS},
-        "categories": category_breakdown(t),
-        "crypto": crypto_table(t),
+        "totals": {"analyzed": t.analyzed, "ok": ok,
+                   "failed": t.analyzed - ok,
+                   "unmatched_metadata": len(unjoined) + corpus.unkeyed},
+        "prevalence": {
+            "ok_apps": ok,
+            "per_api": {d: _cell(t.apps[d], ok) for d in TEE_DETECTORS},
+            "any_api": _cell(matched, ok),
+            "no_api": _cell(ok - matched, ok),
+            "all_four": _cell(t.apps["all_four"], ok),
+            "all_excl_protected_confirmation": _cell(
+                t.apps["all_excl_protected_confirmation"], ok),
+        },
+        "locations": {
+            "ok_apps": ok,
+            "matched_apps": matched,
+            "match_counts": t.match_counts,
+            "total_matches": total_matches,
+            "inlib_match_share": _share(t.match_counts["inlib"],
+                                        total_matches),
+            "apps_with_inlib_share": _share(t.apps_with["inlib"], matched),
+            "apps_with_inmain_share": _share(t.apps_with["inmain"], matched),
+            "apps_with_obfuscated_share": _share(t.apps_with["obfuscated"],
+                                                 matched),
+            "apps_exclusively_inmain_share": _share(
+                t.apps["exclusively_inmain"], matched),
+            "libraries_per_app_mean": statistics.fmean(libs) if libs else 0.0,
+            "libraries_per_app_median": (float(statistics.median(libs))
+                                         if libs else 0.0),
+        },
+        "top_libraries": {
+            d: {"rows": sorted(apps_per_library.items(),
+                               key=lambda pair: (-pair[1], pair[0]))[:top_n],
+                "unique_libraries": len(apps_per_library)}
+            for d, apps_per_library in t.top_libs.items()},
+        "categories": [
+            {"category": category, "ok_apps": cell["ok_apps"],
+             **{d: _cell(cell[d], cell["ok_apps"]) for d in TEE_DETECTORS}}
+            for category, cell in sorted(t.categories.items())],
+        "crypto": {
+            "software": _universe_first(
+                t.software, [s.detector_id for s in patterns.crypto_sets]),
+            "native": _universe_first(
+                t.native, [p.library for p in patterns.native_patterns]),
+            "apps_with_software": t.apps["software"],
+            "apps_with_native": t.apps["native"],
+            "ok_apps": ok,
+        },
     }
+
+
+def api_prevalence(corpus: Corpus) -> dict:
+    """Per-detector app counts and shares over successfully analyzed apps.
+
+    An app counts once per detector no matter how many matches it has.
+    Intersections mirror the result table: all four detectors, and all
+    detectors except the rarely present confirmation dialog one.
+    """
+    return compute_stats(corpus)["prevalence"]
+
+
+def location_split(corpus: Corpus, known_prefixes) -> dict:
+    """Where matches live: per-match location shares plus per-app views.
+
+    App-level shares are relative to apps that have at least one detector
+    match. The libraries-per-app distribution counts distinct normalized
+    libraries among apps that have at least one library-located match.
+    """
+    return compute_stats(corpus, known_prefixes=known_prefixes)["locations"]
+
+
+def top_libraries(corpus: Corpus, detector: str, n: int,
+                  known_prefixes) -> dict:
+    """Rank libraries by how many apps embed a matching call for `detector`.
+
+    Only library-located matches count; ties break lexicographically.
+    """
+    return compute_stats(corpus, n, known_prefixes)["top_libraries"][detector]
+
+
+def category_breakdown(corpus: Corpus) -> list[dict]:
+    """Per-category detector shares among that category's analyzed apps.
+
+    Apps without metadata (null category) are excluded. An app carrying
+    several detectors contributes to each of their shares, so a category's
+    shares may sum past 1.
+    """
+    return compute_stats(corpus)["categories"]
+
+
+def crypto_table(corpus: Corpus) -> dict:
+    """Distinct-app counts per crypto library, software and native.
+
+    Libraries of the shipped pattern files appear even with zero apps;
+    anything else observed in the reports is appended in sorted order.
+    """
+    return compute_stats(corpus)["crypto"]
 
 
 def _csv_text(header: list[str], rows) -> str:

@@ -66,7 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--out", default="reports", help="report output directory")
     analyze.add_argument("--timeout", type=float, default=900,
                          help="per-app deadline in seconds")
-    analyze.add_argument("--workers", type=int, default=4)
+    analyze.add_argument("--workers", type=int, default=4,
+                         help="apps in flight: one analyzed, the rest read "
+                              "and hashed ahead")
     analyze.add_argument("--fetch-endpoint",
                          help="download endpoint for remote corpus entries")
     analyze.add_argument("--api-key-env", default="ANALYTIKA_API_KEY",
@@ -83,13 +85,16 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--out", required=True, help="table output directory")
     stats.add_argument("--filter-defaults", action="store_true",
                        help="apply the default selection filter")
-    stats.add_argument("--min-downloads", type=parse_downloads)
-    stats.add_argument("--min-date", type=parse_date, metavar="YYYY-MM-DD")
+    stats.add_argument("--min-downloads", type=parse_downloads,
+                       help="keep apps with at least this many downloads")
+    stats.add_argument("--min-date", type=parse_date, metavar="YYYY-MM-DD",
+                       help="keep apps updated on or after this date")
     stats.add_argument("--exclude-categories",
                        help="file with one excluded category per line")
     stats.add_argument("--known-prefixes",
                        help="file with known library prefixes for ranking")
-    stats.add_argument("--top-n", type=int, default=10)
+    stats.add_argument("--top-n", type=int, default=10,
+                       help="libraries listed per detector in the rankings")
     return parser
 
 
@@ -139,7 +144,7 @@ def _cmd_analyze(args) -> int:
     print(f"analyzed={summary.analyzed} ok={summary.ok} "
           f"timeout={summary.timeout} error={summary.error} "
           f"skipped={summary.skipped}")
-    return 0 if summary.error == 0 else 1
+    return 1 if summary.error or summary.timeout else 0
 
 
 def _pct(share: float) -> str:

@@ -269,7 +269,7 @@ def match_native_libs(filenames, patterns) -> list[tuple[str, str]]:
     """Match shared-object filenames against native library stems.
 
     The basename must start with the stem, the stem boundary must be one of
-    end / "." / "_" / "-", and ".so" must appear after the stem (catching
+    "." / "_" / "-", and ".so" must appear after the stem (catching
     versioned suffixes like name_1.2.3.so and name.so.1.2). Case-insensitive.
     """
     out = []

@@ -146,6 +146,13 @@ def test_analyze_error_exit_code(tmp_path):
     assert main(["analyze", str(bad), "--out", str(tmp_path / "r")]) == 1
 
 
+def test_analyze_timeout_exit_code(tmp_path, capsys, slow_apk):
+    apk_path = tmp_path / "slow.apk"
+    apk_path.write_bytes(slow_apk)
+    assert main(["analyze", str(apk_path), "--out", str(tmp_path / "r")]) == 1
+    assert "ok=0 timeout=1 error=0" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("flag, value, field", [
     ("--workers", "0", "worker_count"),
     ("--timeout", "0.5", "timeout_seconds"),
