@@ -35,7 +35,8 @@ _LOCAL = struct.Struct("<I22xHH")
 _METHOD_STORED = 0
 _METHOD_DEFLATED = 8
 
-_DEX_NAME = re.compile(r"^classes(?:\.dex|([2-9]|[1-9][0-9]+)\.dex)$")
+# Matched whole: `$` would also accept a name with a trailing newline.
+_DEX_NAME = re.compile(r"classes(?:\.dex|([2-9]|[1-9][0-9]+)\.dex)")
 
 _READ_CHUNK = 1 << 20
 
@@ -197,9 +198,7 @@ def enumerate_dex(index: ArchiveIndex) -> list[str]:
     """Top-level bytecode entries, classes.dex first then ascending number."""
     found = []
     for name in index.entries:
-        if "/" in name:
-            continue
-        m = _DEX_NAME.match(name)
+        m = _DEX_NAME.fullmatch(name)
         if m:
             n = int(m.group(1)) if m.group(1) else 1
             found.append((n, name))

@@ -48,22 +48,22 @@ class NativeLibPattern:
             raise PatternParseError(f"bad native stem: {self.stem!r}")
 
 
-@dataclass
-class MatchRecord:
-    """One detection; location and package are filled in by attribution."""
+class MatchRecord(NamedTuple):
+    """One detection, its fields named as a report's match keys; attribution
+    gives a copy with location and package set."""
 
-    detector_id: str
+    detector: str
     target_class: str
     target_method: str
     caller_class: str
     dex_file: str
     code_offset: int
     location: str = ""
-    attributed_package: str = ""
+    package: str = ""
 
 
 # The order of matches in a report: by DEX file, code offset, then detector.
-MATCH_ORDER = attrgetter("dex_file", "code_offset", "detector_id")
+MATCH_ORDER = attrgetter("dex_file", "code_offset", "detector")
 
 _DEFINING_CLASS = attrgetter("defining_class")
 
@@ -255,7 +255,7 @@ class UnitHits:
         invoked = {i for _, i, _, _ in sites}
         sites += [("", i, unit.method_ids_off + 8 * i, detectors)
                   for i, detectors in self.crypto.items() if i not in invoked]
-        return [MatchRecord(detector_id=detector,
+        return [MatchRecord(detector=detector,
                             target_class=unit.methods[i].defining_class,
                             target_method=unit.methods[i].method_name,
                             caller_class=caller,

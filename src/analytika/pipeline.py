@@ -12,6 +12,7 @@ loader threads read and hash the next few apps ahead of it.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import time
 from collections import deque
@@ -19,6 +20,7 @@ from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from urllib.parse import urlsplit
 
 from .attribution import (
     classify_location,
@@ -95,6 +97,15 @@ class AnalysisConfig:
             raise ValueError("timeout_seconds must be at least 1")
         if self.worker_count < 1:
             raise ValueError("worker_count must be at least 1")
+        # Checked before any download: a URL that fails to open fails with
+        # the whole query, API key included, in its message.
+        endpoint = self.fetch_endpoint
+        if endpoint is not None:
+            parts = urlsplit(endpoint)
+            if (parts.scheme not in ("http", "https") or not parts.hostname
+                    or " " in endpoint or not endpoint.isprintable()):
+                raise ValueError("fetch_endpoint must be an http or https "
+                                 "URL with a host and no whitespace")
 
 
 @contextmanager
@@ -166,12 +177,13 @@ def _analyze_hashed(data: bytes, digest: str, digest_s: float,
 
         with _stage(timings, "attribution", deadline):
             app_pkg = parse_package(info.package_name)
-            for record in records:
+            for k, record in enumerate(records):
                 pkg = (package_of_class(record.caller_class)
                        if record.caller_class else ())
-                record.attributed_package = render_package(pkg)
-                record.location = classify_location(
-                    app_pkg, pkg, proguard_as_main=config.proguard_as_main)
+                records[k] = record._replace(
+                    location=classify_location(
+                        app_pkg, pkg, proguard_as_main=config.proguard_as_main),
+                    package=render_package(pkg))
 
         with _stage(timings, "native", deadline):
             native_hits = match_native_libs(enumerate_native_libs(index),
@@ -250,9 +262,10 @@ def _load_entry_bytes(entry: CorpusEntry, config: AnalysisConfig) -> bytes:
 def _unread_name(entry: CorpusEntry) -> str:
     """The stand-in digest naming the report of an entry without a sha256
     whose bytes could not be read: stable across runs, and distinct for
-    entries with distinct sources or package names."""
+    entries with distinct sources or package names. Its key is a name, not
+    app bytes, so it is hashed apart from the app digests."""
     key = os.fsencode(f"{entry.source}\0{entry.expected_package_name or ''}")
-    return f"unread-{sha256_digest(key)}"
+    return f"unread-{hashlib.sha256(key).hexdigest()}"
 
 
 def _load(entry: CorpusEntry, config: AnalysisConfig):
@@ -300,8 +313,9 @@ def run_corpus(entries, config: AnalysisConfig,
     entry without a sha256 is checked once its bytes are hashed, just
     before its analysis, so a repeat of an earlier entry's bytes is
     skipped; that one digest also names its report. If its bytes cannot be
-    read, its error report is named by `_unread_name` instead. Patterns not
-    given are the shipped ones, loaded before the output directory is made.
+    read, its error report is named by `_unread_name` instead, and a later
+    run that reads them removes that report. Patterns not given are the
+    shipped ones, loaded before the output directory is made.
     `run.log` gets one line per analyzed app, in input order.
     """
     if patterns is None:
@@ -327,10 +341,14 @@ def run_corpus(entries, config: AnalysisConfig,
                 report = loaded         # its bytes could not be read
             else:
                 data, digest, digest_s = loaded
-                if not entry.sha256 and not config.force and _has_ok_report(
-                        out_dir, digest):
-                    summary.skipped += 1
-                    continue
+                if not entry.sha256:
+                    # Its bytes are read, so an earlier run's report that
+                    # they could not be is stale, whatever comes of them.
+                    report_path(out_dir, _unread_name(entry)).unlink(
+                        missing_ok=True)
+                    if not config.force and _has_ok_report(out_dir, digest):
+                        summary.skipped += 1
+                        continue
                 report = _analyze_hashed(data, digest, digest_s, entry,
                                          config, patterns)
             write_report(report, out_dir)

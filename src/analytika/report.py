@@ -2,8 +2,9 @@
 
 One report file per app, named <sha256>.json. Everything except the
 "timing" section is deterministic for a given input, so two runs can be
-compared byte-for-byte after dropping that one key. The field names below
-are a stable contract for downstream tooling; `read_record` reads them back.
+compared byte-for-byte after dropping that one key. The field names below,
+and a match's (`MatchRecord`'s), are a stable contract for downstream
+tooling; `read_record` reads them back.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ class AppReport:
     timings: dict[str, float] = field(default_factory=dict)
 
     def to_document(self) -> dict:
-        detectors = {m.detector_id for m in self.matches}
+        detectors = {m.detector for m in self.matches}
         return {
             "meta": {
                 "package": self.package_name,
@@ -55,19 +56,7 @@ class AppReport:
                 "min_sdk": self.min_sdk,
                 "api_summary": {d: d in detectors for d in TEE_DETECTORS},
             },
-            "matches": [
-                {
-                    "detector": m.detector_id,
-                    "target_class": m.target_class,
-                    "target_method": m.target_method,
-                    "caller_class": m.caller_class,
-                    "dex_file": m.dex_file,
-                    "code_offset": m.code_offset,
-                    "location": m.location,
-                    "package": m.attributed_package,
-                }
-                for m in self.matches
-            ],
+            "matches": [m._asdict() for m in self.matches],
             "native_libs": [{"library": lib, "file": name}
                             for lib, name in self.native_lib_hits],
             "crypto_libs": sorted(detectors.difference(TEE_DETECTORS)),

@@ -130,7 +130,7 @@ def test_ac03_planted_detection_and_false_positive_rule():
         unit = parse_dex(data)
         records = match_tee_apis(unit, patterns.tee_sets)
         assert len(records) == 6
-        assert {(r.detector_id, r.target_class, r.target_method)
+        assert {(r.detector, r.target_class, r.target_method)
                 for r in records} == PLANTED_EXPECTED
         assert all(r.target_class != "android.security.keystore.KeyProperties"
                    for r in records)

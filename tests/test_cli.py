@@ -457,6 +457,29 @@ def test_analyze_missing_api_key_env(tmp_path, monkeypatch, capsys):
     assert "NOPE_KEY" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("endpoint", ["dl.example/api/download",
+                                      "http://127.0.0.1:9/api dl"])
+def test_analyze_refuses_a_fetch_endpoint_that_is_no_http_url(
+        tmp_path, monkeypatch, capsys, endpoint):
+    import socket
+
+    def no_connection(*args):
+        raise AssertionError("the run opened a connection")
+
+    monkeypatch.setattr(socket.socket, "connect", no_connection)
+    corpus = tmp_path / "corpus.csv"
+    corpus.write_text(f"{'ab' * 32},com.x,Tools,20000,2021-01-01,remote\n")
+    monkeypatch.setenv("TEST_DL_KEY", "sekrit-key")
+    out_dir = tmp_path / "reports"
+    code = main(["analyze", "--corpus", str(corpus), "--out", str(out_dir),
+                 "--fetch-endpoint", endpoint, "--api-key-env", "TEST_DL_KEY"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("invalid option: fetch_endpoint must be")
+    assert not out_dir.exists()
+    assert "sekrit-key" not in captured.out + captured.err
+
+
 def test_stats_end_to_end(tmp_path, capsys):
     report_dir = tmp_path / "reports"
     synth.random_corpus(__import__("random").Random(5), report_dir,

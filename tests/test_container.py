@@ -95,6 +95,12 @@ def test_enumerate_dex_excludes_non_matching_names():
     assert enumerate_dex(open_archive(make_apk({"resources.arsc": b"x"}))) == []
 
 
+def test_enumerate_dex_reads_no_name_with_a_trailing_newline():
+    apk = make_apk({"classes.dex": b"a", "classes.dex\n": b"b",
+                    "classes2.dex\n": b"c"})
+    assert enumerate_dex(open_archive(apk)) == ["classes.dex"]
+
+
 def test_enumerate_native_libs():
     apk = make_apk({
         "lib/arm64-v8a/libcrypto.so": b"1",

@@ -107,7 +107,7 @@ def test_load_native_pattern_file(tmp_path):
 def test_media_drm_invocation_matches_drm(patterns):
     records = match_tee_apis(_unit("android.media.MediaDrm", "openSession"),
                              patterns.tee_sets)
-    assert [r.detector_id for r in records] == ["drm"]
+    assert [r.detector for r in records] == ["drm"]
     assert records[0].target_method == "openSession"
 
 
@@ -124,7 +124,7 @@ def test_inner_class_matches_outer_pattern(patterns):
     records = match_tee_apis(
         _unit("android.media.MediaDrm$SessionThing", "openSession"),
         patterns.tee_sets)
-    assert [r.detector_id for r in records] == ["drm"]
+    assert [r.detector for r in records] == ["drm"]
 
 
 def test_prefix_lookalike_class_does_not_match(patterns):
@@ -138,7 +138,7 @@ def test_planted_fixture_yields_exactly_expected_records(patterns):
         PLANTED_PLAN, extra_strings=(UNREFERENCED_PATTERN_STRING,)))
     records = match_tee_apis(unit, patterns.tee_sets)
     assert len(records) == 6
-    assert {(r.detector_id, r.target_class, r.target_method)
+    assert {(r.detector, r.target_class, r.target_method)
             for r in records} == PLANTED_EXPECTED
 
 
@@ -160,7 +160,7 @@ def test_string_scan_oracle_agreement(patterns):
     data = build_fixture_dex(
         PLANTED_PLAN, extra_strings=("Landroid/drm/DrmStore;",))
     records = match_tee_apis(parse_dex(data), patterns.tee_sets)
-    matched = {r.detector_id for r in records}
+    matched = {r.detector for r in records}
 
     strings = list_strings(data)
     scanned = set()
@@ -179,7 +179,7 @@ def test_crypto_package_reference_matches(patterns):
     unit = parse_dex(build_fixture_dex(
         [("com.app.Main", [("org.bouncycastle.crypto.Digest", "update")])]))
     records = match_crypto_packages(unit, patterns.crypto_sets)
-    assert {r.detector_id for r in records} == {"bouncycastle"}
+    assert {r.detector for r in records} == {"bouncycastle"}
     by_caller = [r for r in records if r.caller_class]
     assert by_caller and by_caller[0].caller_class == "com.app.Main"
 
@@ -196,7 +196,7 @@ def test_two_libraries_detected(patterns):
                           ("androidx.security.crypto.MasterKey", "getDefault")]),
     ]))
     records = match_crypto_packages(unit, patterns.crypto_sets)
-    assert {r.detector_id for r in records} == {"google_tink", "jetpack_security"}
+    assert {r.detector for r in records} == {"google_tink", "jetpack_security"}
 
 
 def test_same_shorty_overloads_give_one_record_per_invocation(patterns):
@@ -216,7 +216,7 @@ def test_uninvoked_crypto_reference_counts_at_app_scope(patterns):
     records = match_crypto_packages(unit, patterns.crypto_sets)
     assert len(records) == 1
     record = records[0]
-    assert record.detector_id == "jasypt"
+    assert record.detector == "jasypt"
     assert record.caller_class == ""
     assert record.code_offset >= unit.method_ids_off
 
@@ -227,7 +227,7 @@ def test_each_matcher_uses_only_the_sets_of_its_own_kind(patterns):
     every_set = patterns.tee_sets + patterns.crypto_sets
     tee = match_tee_apis(unit, patterns.tee_sets)
     crypto = match_crypto_packages(unit, patterns.crypto_sets)
-    assert len(tee) == 6 and {r.detector_id for r in crypto} == {"bouncycastle"}
+    assert len(tee) == 6 and {r.detector for r in crypto} == {"bouncycastle"}
     assert match_tee_apis(unit, every_set) == tee
     assert match_crypto_packages(unit, every_set) == crypto
     assert match_tee_apis(unit, patterns.crypto_sets) == []
@@ -265,7 +265,7 @@ def test_records_never_fall_outside_loaded_patterns(patterns, smoke_corpus):
 
     def satisfied_by_rows(record):
         for pattern_set in patterns.tee_sets:
-            if pattern_set.detector_id != record.detector_id:
+            if pattern_set.detector_id != record.detector:
                 continue
             for cls, method in pattern_set.rows:
                 class_ok = (record.target_class == cls
@@ -276,7 +276,7 @@ def test_records_never_fall_outside_loaded_patterns(patterns, smoke_corpus):
 
     def under_crypto_prefix(record):
         for pattern_set in patterns.crypto_sets:
-            if pattern_set.detector_id != record.detector_id:
+            if pattern_set.detector_id != record.detector:
                 continue
             for prefix, _ in pattern_set.rows:
                 if record.target_class == prefix \
@@ -315,7 +315,7 @@ def test_class_def_without_data_keeps_caller_attribution(patterns):
     unit = parse_dex(bytes(data))
     assert unit.class_names == ("com.app.Empty", "com.app.Caller")
     records = match_tee_apis(unit, patterns.tee_sets)
-    assert [(r.detector_id, r.caller_class) for r in records] == [
+    assert [(r.detector, r.caller_class) for r in records] == [
         ("drm", "com.app.Caller")]
 
 
@@ -353,7 +353,7 @@ def _random_units(seed: int, callers, draw_target):
         yield parse_dex(build_fixture_dex(plan))
 
 
-_RECORD_ROW = attrgetter("detector_id", "target_class", "target_method",
+_RECORD_ROW = attrgetter("detector", "target_class", "target_method",
                          "caller_class", "code_offset", "dex_file")
 
 
@@ -528,7 +528,7 @@ def test_pipeline_merges_both_kinds_where_a_prefix_covers_api_classes(
     assert list(map(_RECORD_ROW, report.matches)) == list(
         map(_RECORD_ROW, sorted(expected, key=MATCH_ORDER)))
     assert sorted(
-        (r.detector_id, r.target_class, r.caller_class)
+        (r.detector, r.target_class, r.caller_class)
         for r in report.matches
         if r.target_class.startswith("android.hardware.biometrics")) == [
         ("biometrics", "android.hardware.biometrics.BiometricPrompt",
@@ -537,5 +537,5 @@ def test_pipeline_merges_both_kinds_where_a_prefix_covers_api_classes(
          ""),
         ("x", "android.hardware.biometrics.BiometricPrompt",
          "com.fixture.app.BioHelper")]
-    assert {r.detector_id for r in report.matches
+    assert {r.detector for r in report.matches
             if r.dex_file == "classes2.dex"} == {"jasypt"}

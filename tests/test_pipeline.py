@@ -72,7 +72,7 @@ def test_analyze_planted_fixture(tmp_path, fixture_apk_bytes):
     assert by_caller["com.fixture.app.MainActivity"] == "inmain"
     assert by_caller["com.fixture.app.BioHelper"] == "inmain"
     assert by_caller["com.thirdparty.sdk.Tracker"] == "inlib"
-    assert {m.attributed_package for m in report.matches} == {
+    assert {m.package for m in report.matches} == {
         "com.fixture.app", "com.thirdparty.sdk"}
 
 
@@ -82,7 +82,7 @@ def test_analyze_single_drm_plant(tmp_path):
     ]])
     report = analyze_apk(apk, _entry_for(apk), _config(tmp_path))
     assert report.status == "ok"
-    assert [m.detector_id for m in report.matches] == ["drm"]
+    assert [m.detector for m in report.matches] == ["drm"]
 
 
 def test_fingerprint_manager_from_app_code_is_one_biometrics_inmain_match(
@@ -93,7 +93,7 @@ def test_fingerprint_manager_from_app_code_is_one_biometrics_inmain_match(
              "authenticate")]),
     ]])
     report = analyze_apk(apk, _entry_for(apk), _config(tmp_path))
-    assert [(m.detector_id, m.location) for m in report.matches] == [
+    assert [(m.detector, m.location) for m in report.matches] == [
         ("biometrics", "inmain")]
 
 
@@ -809,3 +809,28 @@ def test_unreadable_entries_without_a_sha256_get_distinct_stable_reports(
     assert all(d["meta"]["status"] == "error" for d in docs)
     totals = compute_stats(load_corpus(tmp_path / "reports"))["totals"]
     assert (totals["analyzed"], totals["failed"]) == (2, 2)
+
+
+@pytest.mark.parametrize("outcome", ["ok", "error", "skipped"])
+def test_reading_an_app_removes_its_stale_unread_report(
+        tmp_path, fixture_apk_bytes, outcome):
+    from analytika.aggregate import compute_stats, load_corpus
+
+    source = tmp_path / "app.apk"
+    entries = [CorpusEntry(sha256="", source=str(source))]
+    reports = tmp_path / "reports"
+    data = b"not an archive" if outcome == "error" else fixture_apk_bytes
+    if outcome == "skipped":            # the app's own report is already ok
+        source.write_bytes(data)
+        run_corpus(entries, _config(tmp_path))
+        source.unlink()
+    run_corpus(entries, _config(tmp_path))
+    assert any(p.name.startswith("unread-") for p in reports.glob("*.json"))
+    source.write_bytes(data)
+    summary = run_corpus(entries, _config(tmp_path))
+    assert summary.skipped == (outcome == "skipped")
+    assert [p.name for p in reports.glob("*.json")] == [
+        sha256_digest(data) + ".json"]
+    totals = compute_stats(load_corpus(reports))["totals"]
+    assert (totals["analyzed"], totals["ok"], totals["failed"]) == (
+        (1, 0, 1) if outcome == "error" else (1, 1, 0))

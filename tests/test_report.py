@@ -28,10 +28,10 @@ def _report():
         sha256="ab" * 32,
         package_name="com.x.app",
         matches=[MatchRecord(
-            detector_id="drm", target_class="android.media.MediaDrm",
+            detector="drm", target_class="android.media.MediaDrm",
             target_method="openSession", caller_class="com.x.app.P",
             dex_file="classes.dex", code_offset=64, location="inmain",
-            attributed_package="com.x.app")],
+            package="com.x.app")],
         native_lib_hits=[("openssl", "lib/x86/libssl.so")],
         timings={"total": 0.5, "archive": 0.1})
 
@@ -39,10 +39,10 @@ def _report():
 def test_document_layout_is_the_stable_contract():
     report = _report()
     report.matches.append(MatchRecord(
-        detector_id="java_security", target_class="javax.crypto.Cipher",
+        detector="java_security", target_class="javax.crypto.Cipher",
         target_method="getInstance", caller_class="com.x.app.P",
         dex_file="classes.dex", code_offset=96, location="inmain",
-        attributed_package="com.x.app"))
+        package="com.x.app"))
     doc = report.to_document()
     assert set(doc) == {"meta", "matches", "native_libs", "crypto_libs",
                         "timing"}
