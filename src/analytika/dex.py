@@ -8,15 +8,20 @@ decoder. Each class_data item is decoded in one pass, and a method body is
 walked, instruction by instruction, as soon as its entry is decoded, with
 byte tables for the step and the invoke kind of each opcode; the walk
 appends the byte offset and method index of each invoke-kind instruction
-straight onto the unit's columns. Given `wanted`, a regex scan first finds
-the wanted entries' invokes, and only code holding one is walked. Invokes
-are kept as three parallel index columns (calling class_def, method-pool
-entry, byte offset), so detectors resolve each method-pool entry once and
-select invokes by index; the full method pool also serves package-reference
-matching, which needs methods that are referenced without being invoked.
-The string, type and proto pools are decoded and checked, but the unit
-keeps only the method pool, the class names and the invoke columns.
-"""
+straight onto the unit's columns. Invokes are kept as three parallel index
+columns (calling class_def, method-pool entry, byte offset), so detectors
+resolve each method-pool entry once and select invokes by index; the
+method pool also serves package-reference matching, which needs methods
+that are referenced without being invoked.
+
+Without `wanted`, every string, type, proto and method entry is decoded
+and checked, and every code item is walked. Given `wanted`, whose keys
+name the classes that can hit, a regex over the raw descriptor bytes
+picks the types whose names can start with a key, and only the method
+entries of those types are decoded, with the strings, types and type
+lists they use; every pool's index columns are still bounds-checked. A
+regex scan then finds the wanted entries' invokes, and only code holding
+one is walked."""
 
 from __future__ import annotations
 
@@ -25,7 +30,10 @@ import struct
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple
+from functools import cache, lru_cache
+from itertools import compress, count, groupby, repeat
+from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple,
+                    Sequence)
 
 from .errors import MalformedDexError
 
@@ -86,11 +94,15 @@ class MethodRef(NamedTuple):
 @dataclass(frozen=True)
 class DexUnit:
     """The method pool, the class names and the invokes (all, or those of
-    the wanted entries) as parallel columns, in parse order."""
+    the wanted entries) as parallel columns, in parse order.
 
-    methods: tuple[MethodRef, ...]
+    A unit parsed with `wanted` holds only the decoded method entries and
+    the names of the invokes' callers, each keyed by its index."""
+
+    methods: Sequence[MethodRef] | Mapping[int, MethodRef]
     method_ids_off: int             # file offset of the method pool
-    class_names: tuple[str, ...]    # one per class_def, data or not
+    # one per class_def, data or not (given `wanted`, per kept caller)
+    class_names: Sequence[str] | Mapping[int, str]
     invoke_callers: array           # class_def index into class_names
     invoke_methods: array           # method-pool index into methods
     invoke_offsets: array           # absolute byte offset of the instruction
@@ -171,17 +183,18 @@ def _u32(data, off, limit):
 
 
 def _read_type_list(data: bytes, off: int, limit: int,
-                    types: list[str]) -> tuple[str, ...]:
-    """Decode a type_list (u32 size, then u16 type indices); 0 means empty."""
+                    type_count: int) -> tuple[int, ...]:
+    """The type indices of a type_list (u32 size, then u16 type indices);
+    0 means empty."""
     if off == 0:
         return ()
     size = _u32(data, off, limit)
     if off + 4 + 2 * size > limit:
         raise MalformedDexError("type list out of bounds")
     indices = struct.unpack_from(f"<{size}H", data, off + 4)
-    if indices and max(indices) >= len(types):
+    if indices and max(indices) >= type_count:
         raise MalformedDexError("type list index out of bounds")
-    return tuple(types[i] for i in indices)
+    return indices
 
 
 def _parse_header(data: bytes) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -271,6 +284,20 @@ def _fixed_pool(data: bytes, fmt: str,
     return struct.iter_unpack(fmt, data[off:off + struct.calcsize(fmt) * size])
 
 
+def _string_at(data: bytes, off: int, limit: int) -> str:
+    """Decode the string_data_item at `off`: a uleb128 length, then
+    modified UTF-8 up to a NUL."""
+    _utf16_len, pos = _read_uleb128(data, off, limit)
+    # MUTF-8 encodes U+0000 as C0 80, so the first 00 byte ends the
+    # string; an all-ASCII body decodes the same as ASCII.
+    end = data.find(0, pos, limit)
+    if end >= 0:
+        body = data[pos:end]
+        if body.isascii():
+            return body.decode("ascii")
+    return decode_mutf8(data, pos, limit)[0]
+
+
 def _read_strings(data: bytes, string_ids: tuple[int, int],
                   limit: int) -> list[str]:
     """Decode every entry of the string pool, in pool order."""
@@ -278,18 +305,76 @@ def _read_strings(data: bytes, string_ids: tuple[int, int],
     for (data_off,) in _fixed_pool(data, "<I", string_ids):
         if data_off >= limit:
             raise MalformedDexError("string data offset out of bounds")
-        _utf16_len, pos = _read_uleb128(data, data_off, limit)
-        # MUTF-8 encodes U+0000 as C0 80, so the first 00 byte ends the
-        # string; an all-ASCII body decodes the same as ASCII.
-        end = data.find(0, pos, limit)
-        if end >= 0:
-            body = data[pos:end]
-            if body.isascii():
-                strings.append(body.decode("ascii"))
-                continue
-        text, _ = decode_mutf8(data, pos, limit)
-        strings.append(text)
+        strings.append(_string_at(data, data_off, limit))
     return strings
+
+
+def _columns(data: bytes, pool: tuple[int, int], code: str,
+             width: int) -> list[tuple[int, ...]]:
+    """The `width` columns of a (size, offset) pool whose items are
+    `width` fields of struct `code`, unpacked with one struct call (one
+    repeat count, so the compiled format stays small); the header check
+    has bounded the region, and an empty pool's offset is never read."""
+    size, off = pool
+    flat = (struct.unpack_from(f"<{width * size}{code}", data, off) if size
+            else ())
+    return [flat[k::width] for k in range(width)]
+
+
+# ASCII up to the first `[` (0x5B): the part of a key that the bytes of an
+# ASCII descriptor can show. (A class up to U+10FFFF would cost
+# milliseconds to compile.)
+_KEY_HEAD = re.compile(r"[\x00-\x5a\x5c-\x7f]*")
+
+
+def _literal(text: bytes) -> bytes:
+    """A pattern for `text` in which each `.` matches `.` or `/`."""
+    return re.escape(text).replace(rb"\.", rb"[./]")
+
+
+def _alternation(heads: list[bytes]) -> bytes:
+    """A pattern for the sorted `heads`, none of which starts another,
+    that branches once per distinct next byte."""
+    parts = []
+    for first, group in groupby(heads, key=lambda head: head[:1]):
+        rest = [head[1:] for head in group]
+        parts.append(_literal(first + rest[0]) if len(rest) == 1
+                     else _literal(first) + _alternation(rest))
+    return parts[0] if len(parts) == 1 else b"(?:" + b"|".join(parts) + b")"
+
+
+@lru_cache(maxsize=8)
+def _type_selector(keys: tuple[str, ...]) -> re.Pattern:
+    """A pattern that matches at the string_data_item of every type
+    descriptor whose dotted name can start with one of `keys`, and of some
+    whose name cannot.
+
+    An ASCII descriptor's dotted name is its bytes past any `[` and an
+    `L`, with `/` read as `.` (and `;` dropped), then `[]` per `[`; a lone
+    primitive letter reads as its Java name. So each key is cut at its
+    first `[` or non-ASCII character, a `.` or `/` of it matches either,
+    and a key that starts another is dropped. A descriptor with any byte
+    of 0x80 or more always matches, to be decoded and checked whole.
+    """
+    heads: list[str] = []
+    for head in sorted(_KEY_HEAD.match(key)[0].replace("/", ".")
+                       for key in keys):
+        if not heads or not head.startswith(heads[-1]):
+            heads.append(head)
+    primitives = "".join(letter for letter, name in _PRIMITIVES.items()
+                         if name.startswith(tuple(heads)))
+    alternatives = []
+    if heads:
+        alternatives.append(rb"\[*L?" + _alternation(
+            [head.encode("ascii") for head in heads]))
+    if primitives:
+        alternatives.append(rb"\[*[" + primitives.encode("ascii") + rb"]\x00")
+    # The lookahead takes the longest ASCII run at once, so a descriptor
+    # with no byte of 0x80 or more fails without backtracking through it.
+    alternatives.append(rb"(?=([\x01-\x7f]*))\1[\x80-\xff]")
+    # The uleb128 length: up to four continuation bytes, then a final one.
+    return re.compile(rb"[\x80-\xff]{0,4}[\x00-\x7f](?:"
+                      + b"|".join(alternatives) + b")")
 
 
 def _invoke_sites(data: bytes, limit: int, keep: frozenset[int],
@@ -315,22 +400,10 @@ def _invoke_sites(data: bytes, limit: int, keep: frozenset[int],
     return sites + [limit]
 
 
-def parse_dex(data: bytes, entry_name: str = "classes.dex",
-              cancel_check: Callable[[], None] | None = None,
-              wanted: Callable[..., Iterable[int]] | None = None) -> DexUnit:
-    """Parse one DEX file into its method pool plus the invoke columns.
-
-    Every pool is decoded and checked, but only what the unit holds
-    outlives the call. `wanted` maps the method pool to the indexes whose
-    invokes the caller needs; the columns then keep only those, and only
-    code that can hold one is walked. `cancel_check` runs once per class
-    definition and scan chunk so
-    oversized inputs can be abandoned cooperatively. Raises
-    MalformedDexError on any structural problem; never reads outside the
-    input buffer.
-    """
-    limit, (string_ids, type_ids, proto_ids, _field_ids, method_ids,
-            class_defs) = _parse_header(data)
+def _decode_pools(data: bytes, limit: int, string_ids, type_ids, proto_ids,
+                  method_ids) -> tuple[list[MethodRef], list[str]]:
+    """Decode and check every string, type, proto and method entry, in
+    pool order; return the method pool and the type names."""
     strings = _read_strings(data, string_ids, limit)
 
     types: list[str] = []
@@ -344,8 +417,9 @@ def parse_dex(data: bytes, entry_name: str = "classes.dex",
             data, "<3I", proto_ids):
         if shorty_idx >= len(strings) or return_idx >= len(types):
             raise MalformedDexError("proto indices out of bounds")
-        protos.append((types[return_idx],
-                       _read_type_list(data, parameters_off, limit, types)))
+        protos.append((types[return_idx], tuple(map(
+            types.__getitem__,
+            _read_type_list(data, parameters_off, limit, len(types))))))
 
     # tuple.__new__ skips the named tuple's Python-level constructor.
     new_ref = tuple.__new__
@@ -357,33 +431,116 @@ def parse_dex(data: bytes, entry_name: str = "classes.dex",
             raise MalformedDexError("method indices out of bounds")
         methods.append(new_ref(MethodRef, (types[class_idx], strings[name_idx])
                                + protos[proto_idx]))
-    keep = None if wanted is None else frozenset(wanted(methods))
-    sites = None if keep is None else _invoke_sites(data, limit, keep,
-                                                     cancel_check)
+    return methods, types
+
+
+def _select_pools(data: bytes, limit: int, string_ids, type_ids, proto_ids,
+                  method_ids, keys: tuple[str, ...]
+                  ) -> tuple[dict[int, MethodRef], Callable[[int], str]]:
+    """The method entries whose defining class can start with one of
+    `keys`, keyed by pool index, and a function that names a type.
+
+    Each pool's index columns are unpacked whole and bounded with one
+    `max()` each, which are the full decode's index checks. Types are
+    picked by their descriptor bytes (`_type_selector`), and a string, a
+    type name or a proto is decoded only when a picked entry, or a caller
+    of `type_name`, needs it.
+    """
+    (string_offs,) = _columns(data, string_ids, "I", 1)
+    (type_strings,) = _columns(data, type_ids, "I", 1)
+    shorties, returns, parameters = _columns(data, proto_ids, "I", 3)
+    # method_id_item: u16 class_idx, u16 proto_idx, u32 name_idx
+    method_types, method_protos, _, _ = _columns(data, method_ids, "H", 4)
+    _, method_names = _columns(data, method_ids, "I", 2)
+    if max(string_offs, default=-1) >= limit:
+        raise MalformedDexError("string data offset out of bounds")
+    if max(type_strings, default=-1) >= len(string_offs):
+        raise MalformedDexError("type descriptor index out of bounds")
+    if max(shorties, default=-1) >= len(string_offs) \
+            or max(returns, default=-1) >= len(type_strings):
+        raise MalformedDexError("proto indices out of bounds")
+    if max(method_types, default=-1) >= len(type_strings) \
+            or max(method_protos, default=-1) >= len(shorties) \
+            or max(method_names, default=-1) >= len(string_offs):
+        raise MalformedDexError("method indices out of bounds")
+
+    string = cache(lambda i: _string_at(data, string_offs[i], limit))
+    type_name = cache(lambda t: descriptor_to_dotted(string(type_strings[t])))
+    proto = cache(lambda p: (type_name(returns[p]), tuple(map(
+        type_name, _read_type_list(data, parameters[p], limit,
+                                   len(type_strings))))))
+    picked = set(compress(count(), map(
+        _type_selector(keys).match, repeat(data),
+        map(string_offs.__getitem__, type_strings), repeat(limit))))
+    new_ref = tuple.__new__
+    methods = {i: new_ref(MethodRef, (type_name(method_types[i]),
+                                      string(method_names[i]))
+                          + proto(method_protos[i]))
+               for i in compress(count(), map(picked.__contains__,
+                                              method_types))}
+    return methods, type_name
+
+
+def parse_dex(data: bytes, entry_name: str = "classes.dex",
+              cancel_check: Callable[[], None] | None = None,
+              wanted: Callable[..., Iterable[int]] | None = None) -> DexUnit:
+    """Parse one DEX file into its method pool plus the invoke columns.
+
+    Without `wanted`, every pool is decoded and checked, every code item is
+    walked, and the unit holds the whole method pool and every class name.
+    `wanted` has `keys`, a tuple of dotted class-name prefixes, and maps
+    the method entries whose defining class can start with one of them
+    (given as a mapping from pool index to `MethodRef`, possibly with a few
+    more entries) to the indexes whose invokes the caller needs. Only
+    those entries are decoded; the columns keep only their invokes, only
+    code that can hold one is walked, and the unit's `methods` and
+    `class_names` are mappings that hold the entries given to `wanted` and
+    the callers of the kept invokes. The index bounds of every pool are
+    still checked, but a malformed string, proto or type list that no
+    decoded entry uses fails nothing. `cancel_check` runs once per class
+    definition and scan chunk so oversized inputs can be abandoned
+    cooperatively. Raises MalformedDexError on any structural problem;
+    never reads outside the input buffer.
+    """
+    limit, (string_ids, type_ids, proto_ids, _field_ids, method_ids,
+            class_defs) = _parse_header(data)
+    pools = (data, limit, string_ids, type_ids, proto_ids, method_ids)
+    if wanted is None:
+        methods, types = _decode_pools(*pools)
+        type_name, keep, sites = types.__getitem__, None, None
+    else:
+        methods, type_name = _select_pools(*pools, wanted.keys)
+        keep = frozenset(wanted(methods))
+        sites = _invoke_sites(data, limit, keep, cancel_check)
 
     invoke_callers, invoke_methods, invoke_offsets = (
         array("I"), array("I"), array("I"))
-    class_names: list[str] = []
+    class_types: list[int] = []
     # class_idx and class_data_off of each 32-byte class_def_item
     for i, (class_idx, class_data_off) in enumerate(
             _fixed_pool(data, "<I20xI4x", class_defs)):
         if cancel_check is not None:
             cancel_check()
-        if class_idx >= len(types):
+        if class_idx >= type_ids[0]:
             raise MalformedDexError("class_def type index out of bounds")
-        class_names.append(types[class_idx])
+        class_types.append(class_idx)
         if class_data_off == 0:
             continue
         if class_data_off >= limit:
             raise MalformedDexError("class_data offset out of bounds")
         before = len(invoke_methods)
-        _walk_class_data(data, class_data_off, limit, len(methods),
+        _walk_class_data(data, class_data_off, limit, method_ids[0],
                          invoke_offsets, invoke_methods, sites, keep)
         invoke_callers.extend([i] * (len(invoke_methods) - before))
 
-    return DexUnit(methods=tuple(methods), method_ids_off=method_ids[1],
-                   class_names=tuple(class_names),
-                   invoke_callers=invoke_callers,
+    if wanted is None:
+        methods = tuple(methods)
+        class_names = tuple(map(type_name, class_types))
+    else:
+        class_names = {i: type_name(class_types[i])
+                       for i in set(invoke_callers)}
+    return DexUnit(methods=methods, method_ids_off=method_ids[1],
+                   class_names=class_names, invoke_callers=invoke_callers,
                    invoke_methods=invoke_methods,
                    invoke_offsets=invoke_offsets, entry_name=entry_name)
 

@@ -13,13 +13,13 @@ from dataclasses import dataclass
 from itertools import compress, count, repeat
 from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from . import defaults
 from .errors import PatternParseError
 
 if TYPE_CHECKING:
-    from .dex import DexUnit
+    from .dex import DexUnit, MethodRef
 
 KIND_TEE_API = "tee_api"
 KIND_CRYPTO_SOFTWARE = "crypto_software"
@@ -164,7 +164,7 @@ def match_tee_apis(unit: DexUnit, sets) -> list[MatchRecord]:
     `sets` add nothing.
     """
     hits = UnitHits(index_patterns(s for s in sets if s.kind == KIND_TEE_API))
-    hits(unit.methods)
+    hits(dict(enumerate(unit.methods)))
     return sorted(hits.records(unit), key=MATCH_ORDER)
 
 
@@ -180,8 +180,14 @@ def match_crypto_packages(unit: DexUnit, sets) -> list[MatchRecord]:
     """
     hits = UnitHits(index_patterns(s for s in sets
                                    if s.kind == KIND_CRYPTO_SOFTWARE))
-    hits(unit.methods)
+    hits(dict(enumerate(unit.methods)))
     return sorted(hits.records(unit), key=MATCH_ORDER)
+
+
+def index_keys(index: PatternIndex) -> tuple[str, ...]:
+    """Every class or package name the index keys, sorted: a class hits
+    only if its name starts with one of them."""
+    return tuple(sorted(index.tee.keys() | index.crypto.keys()))
 
 
 def _resolve(name: str, index: dict, sep: str) -> list:
@@ -198,30 +204,32 @@ def _resolve(name: str, index: dict, sep: str) -> list:
 class UnitHits:
     """The hit entries of one unit's method pool, resolved once.
 
-    Called with the pool, it resolves each distinct defining class once for
-    both kinds: against the API rows of the class and of each enclosing
-    class along `$` (`KeyGenParameterSpec$Builder`, then
-    `KeyGenParameterSpec`), and against the crypto prefixes of the class and
-    of each enclosing package along `.`. A pool entry of a hit class hits
-    the API detectors whose row names its method or `*`, and every crypto
-    detector of its class. It returns the indexes of the entries whose
-    invokes give records, so it serves as `parse_dex`'s `wanted`.
+    Called with method-pool entries (a mapping from pool index to
+    `MethodRef`), it resolves each distinct defining class once for both
+    kinds: against the API rows of the class and of each enclosing class
+    along `$` (`KeyGenParameterSpec$Builder`, then `KeyGenParameterSpec`),
+    and against the crypto prefixes of the class and of each enclosing
+    package along `.`. An entry of a hit class hits the API detectors
+    whose row names its method or `*`, and every crypto detector of its
+    class. It returns the indexes of the entries whose invokes give
+    records, and `keys` names the classes that can hit, so it serves as
+    `parse_dex`'s `wanted`.
     """
 
     def __init__(self, index: PatternIndex):
         # invoked: pool index -> the detectors an invoke of it hits, API
         # then crypto; crypto: the crypto ones, for entries never invoked.
         self.index, self.invoked, self.crypto = index, {}, {}
+        self.keys = index_keys(index)
 
-    def __call__(self, methods) -> Iterable[int]:
+    def __call__(self, methods: Mapping[int, MethodRef]) -> Iterable[int]:
         # Every name `_resolve` looks up is a prefix of the class, so a
         # class that starts with no index key hits nothing: most are dropped.
-        keys = tuple(self.index.tee.keys() | self.index.crypto.keys())
-        classes = set(map(_DEFINING_CLASS, methods))
+        classes = set(map(_DEFINING_CLASS, methods.values()))
         tee_by_class: dict[str, list[tuple[str, str]]] = {}
         crypto_by_class: dict[str, set[str]] = {}
         for cls in compress(classes, map(str.startswith, classes,
-                                         repeat(keys))):
+                                         repeat(self.keys))):
             rows = _resolve(cls, self.index.tee, "$")
             if rows:
                 tee_by_class[cls] = rows
@@ -230,8 +238,9 @@ class UnitHits:
                 crypto_by_class[cls] = set(detectors)
 
         hit_classes = tee_by_class.keys() | crypto_by_class.keys()
-        for i in compress(count(), map(hit_classes.__contains__,
-                                       map(_DEFINING_CLASS, methods))):
+        for i in compress(methods.keys(), map(hit_classes.__contains__,
+                                              map(_DEFINING_CLASS,
+                                                  methods.values()))):
             cls, name = methods[i][:2]
             crypto = crypto_by_class.get(cls, ())
             detectors = [*{detector for detector, method

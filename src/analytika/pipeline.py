@@ -98,14 +98,17 @@ class AnalysisConfig:
         if self.worker_count < 1:
             raise ValueError("worker_count must be at least 1")
         # Checked before any download: a URL that fails to open fails with
-        # the whole query, API key included, in its message.
+        # the whole query, API key included, in its message, and a request
+        # drops a fragment with whatever query follows it.
         endpoint = self.fetch_endpoint
         if endpoint is not None:
             parts = urlsplit(endpoint)
             if (parts.scheme not in ("http", "https") or not parts.hostname
-                    or " " in endpoint or not endpoint.isprintable()):
+                    or " " in endpoint or not endpoint.isprintable()
+                    or "#" in endpoint):
                 raise ValueError("fetch_endpoint must be an http or https "
-                                 "URL with a host and no whitespace")
+                                 "URL with a host, no whitespace and no "
+                                 "fragment")
 
 
 @contextmanager
@@ -373,8 +376,11 @@ def fetch_by_hash(sha256: str, endpoint: str, api_key: str) -> bytes:
     import urllib.parse
     import urllib.request
 
+    # The endpoint's own query, if any, keeps its place before ours.
+    parts = urllib.parse.urlsplit(endpoint)
     query = urllib.parse.urlencode({"apikey": api_key, "sha256": sha256})
-    url = f"{endpoint}?{query}"
+    url = urllib.parse.urlunsplit(parts._replace(
+        query=f"{parts.query}&{query}" if parts.query else query))
     try:
         with urllib.request.urlopen(url, timeout=_FETCH_TIMEOUT_S) as response:
             data = response.read()

@@ -458,7 +458,8 @@ def test_analyze_missing_api_key_env(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("endpoint", ["dl.example/api/download",
-                                      "http://127.0.0.1:9/api dl"])
+                                      "http://127.0.0.1:9/api dl",
+                                      "http://127.0.0.1:9/api#dl"])
 def test_analyze_refuses_a_fetch_endpoint_that_is_no_http_url(
         tmp_path, monkeypatch, capsys, endpoint):
     import socket

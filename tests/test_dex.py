@@ -23,6 +23,16 @@ from analytika.dex import (
     parse_dex,
 )
 from analytika.errors import MalformedDexError
+from analytika.matchers import (
+    KIND_CRYPTO_SOFTWARE,
+    KIND_TEE_API,
+    MATCH_ORDER,
+    WILDCARD,
+    PatternSet,
+    UnitHits,
+    index_patterns,
+    load_patterns,
+)
 
 import dexfuzz
 from conftest import (
@@ -524,6 +534,19 @@ SELECTIONS = {
 }
 
 
+class _EveryClass:
+    """A `wanted` that is given every method entry, since its one key, "",
+    starts every class name, and picks the indexes `select` gives."""
+
+    keys = ("",)
+
+    def __init__(self, select):
+        self.select = select
+
+    def __call__(self, methods):
+        return self.select(methods)
+
+
 def _columns(unit) -> tuple[list, list, list]:
     return (list(unit.invoke_callers), list(unit.invoke_methods),
             list(unit.invoke_offsets))
@@ -536,26 +559,59 @@ def _restricted(columns, wanted) -> tuple[list, list, list]:
 
 
 def _filtered_agrees(data: bytes, select) -> str:
-    """Compare `parse_dex(data, wanted=select)` with the full walk of
-    `data`: "both" when both parse and the filtered columns are the full
-    ones restricted to the wanted entries, "full-failed" when only the full
-    walk raises, "both-failed" when both do."""
+    """Compare `parse_dex(data, wanted=_EveryClass(select))` with the full
+    walk of `data`: "both" when both parse and the filtered columns are the
+    full ones restricted to the wanted entries, "full-failed" when only the
+    full walk raises, "both-failed" when both do."""
     try:
         full = parse_dex(data)
     except MalformedDexError:
         full = None
     try:
-        unit = parse_dex(data, wanted=select)
+        unit = parse_dex(data, wanted=_EveryClass(select))
     except MalformedDexError:
         assert full is None, "only the filtered walk failed"
         return "both-failed"
     if full is None:
         return "full-failed"
-    assert (unit.methods, unit.class_names, unit.method_ids_off) == (
-        full.methods, full.class_names, full.method_ids_off)
+    assert unit.methods == dict(enumerate(full.methods))
+    assert unit.class_names == {k: full.class_names[k]
+                                for k in unit.invoke_callers}
+    assert unit.method_ids_off == full.method_ids_off
     assert _columns(unit) == _restricted(_columns(full),
                                          set(select(full.methods)))
     return "both"
+
+
+PATTERN_INDEX = load_patterns().index
+
+
+def _full_records(unit, index=PATTERN_INDEX) -> list:
+    """The records of a fully parsed unit: `UnitHits` over its whole pool."""
+    hits = UnitHits(index)
+    hits(dict(enumerate(unit.methods)))
+    return sorted(hits.records(unit), key=MATCH_ORDER)
+
+
+def _hits_agree(data: bytes, index=PATTERN_INDEX) -> tuple[str, list]:
+    """The verdict of `_filtered_agrees` for `parse_dex(data,
+    wanted=UnitHits(index))`, whose records must be the full unit's, and
+    those records."""
+    try:
+        full = _full_records(parse_dex(data), index)
+    except MalformedDexError:
+        full = None
+    hits = UnitHits(index)
+    try:
+        unit = parse_dex(data, wanted=hits)
+    except MalformedDexError:
+        assert full is None, "only the filtered parse failed"
+        return "both-failed", []
+    records = sorted(hits.records(unit), key=MATCH_ORDER)
+    if full is None:
+        return "full-failed", records
+    assert records == full
+    return "both", records
 
 
 @pytest.mark.parametrize("name", ["flip", "truncate", "class_data_flip"])
@@ -565,24 +621,31 @@ def test_filtered_walk_agrees_with_full_walk_on_fuzz_cases(name):
     verdicts = [_filtered_agrees(data, select)
                 for data in cases for select in SELECTIONS.values()]
     assert "both" in verdicts
+    hits = [_hits_agree(data) for data in cases]
+    assert any(verdict == "both" and records for verdict, records in hits)
 
 
 def _assert_finds(data: bytes, select) -> tuple[list, list, list]:
     """The filtered columns of `data`, checked against the full walk and
     checked to hold at least one invoke."""
     assert _filtered_agrees(data, select) == "both"
-    columns = _columns(parse_dex(data, wanted=select))
+    columns = _columns(parse_dex(data, wanted=_EveryClass(select)))
     assert columns[1]
     return columns
 
 
 def test_filtered_walk_on_random_plans():
     rng = random.Random(2718)
+    found = 0
     for _ in range(40):
         data = build_fixture_dex(random_plan(rng, max_classes=12,
                                              max_targets=6))
         for select in SELECTIONS.values():
             assert _filtered_agrees(data, select) == "both"
+        verdict, records = _hits_agree(data)
+        assert verdict == "both"
+        found += len(records)
+    assert found
 
 
 def test_wanted_index_with_a_surrogate_low_byte():
@@ -645,7 +708,7 @@ def test_site_straddling_a_scan_chunk_is_found(monkeypatch):
     (site,), (target,) = full.invoke_offsets, full.invoke_methods
     # The first chunk ends between the opcode word and the index word.
     monkeypatch.setattr(dex, "_SCAN_CHUNK", site + 2)
-    unit = parse_dex(data, wanted=lambda m: [target])
+    unit = parse_dex(data, wanted=_EveryClass(lambda m: [target]))
     assert list(unit.invoke_offsets) == [site]
     assert _invoke_sites(data, len(data), frozenset({target}), None) == [
         site, len(data)]
@@ -657,7 +720,7 @@ def test_empty_wanted_walks_nothing_but_checks_bounds():
                             [_units(0x003E)])
     with pytest.raises(MalformedDexError, match="invalid opcode"):
         parse_dex(data)
-    unit = parse_dex(data, wanted=lambda methods: ())
+    unit = parse_dex(data, wanted=_EveryClass(lambda methods: ()))
     assert _columns(unit) == ([], [], [])
     assert len(unit.methods) == POOL
     # An instruction region past the end of the file fails both walks.
@@ -665,4 +728,111 @@ def test_empty_wanted_walks_nothing_but_checks_bounds():
     insns_size_at = CODE_AT + 12
     struct.pack_into("<I", data, insns_size_at, len(data))
     with pytest.raises(MalformedDexError, match="instruction region"):
-        parse_dex(bytes(data), wanted=lambda methods: ())
+        parse_dex(bytes(data), wanted=_EveryClass(lambda methods: ()))
+
+
+def test_empty_pools_are_not_read_at_their_offsets():
+    data = bytearray(build_fixture_dex([]))
+    for pool_field in range(56, 104, 8):      # each empty pool's offset
+        struct.pack_into("<I", data, pool_field + 4, 0xFFFFFF00)
+    assert _hits_agree(bytes(data)) == ("both", [])
+    unit = parse_dex(bytes(data), wanted=UnitHits(PATTERN_INDEX))
+    assert (unit.methods, unit.class_names) == ({}, {})
+
+
+def _with_string(data: bytes, text: str, body: bytes) -> bytes:
+    """`data` with the string pool entry `text` replaced by the
+    string_data_item of raw `body`."""
+    (slot,) = [slot for slot, pos in _string_data(data)
+               if decode_mutf8(data, pos, len(data))[0] == text]
+    return _with_string_body(data, slot,
+                             encode_uleb128(len(body)) + body + b"\x00")
+
+
+# Descriptor bytes that all read as a class under the crypto key
+# androidx.security.crypto: `descriptor_to_dotted` keeps a descriptor that
+# is not `L...;` as it is, and C1 8C is an overlong `L`.
+CRYPTO_DESCRIPTORS = {
+    "slashes": b"Landroidx/security/crypto/Foo;",
+    "array": b"[Landroidx/security/crypto/Foo;",
+    "dots-and-slash": b"Landroidx.security.crypto/Foo;",
+    "dotted": b"androidx.security.crypto.Foo",
+    "dotted-array": b"[androidx.security.crypto.Foo",
+    "overlong-L": b"\xc1\x8candroidx/security/crypto/Foo;",
+}
+
+
+@pytest.mark.parametrize("form", list(CRYPTO_DESCRIPTORS))
+def test_selection_keeps_every_descriptor_form_of_a_key(form):
+    data = _with_string(
+        build_fixture_dex([("com.a.B", [("androidx.security.crypto.Foo",
+                                         "go")])]),
+        "Landroidx/security/crypto/Foo;", CRYPTO_DESCRIPTORS[form])
+    verdict, records = _hits_agree(data)
+    assert verdict == "both"
+    assert [(r.detector, r.caller_class) for r in records] == [
+        ("jetpack_security", "com.a.B")]
+
+
+def test_selection_keeps_an_inner_class_of_a_pattern_class():
+    builder = "android.security.keystore.KeyGenParameterSpec$Builder"
+    data = build_fixture_dex([("com.a.B", [(builder, "setIsStrongBoxBacked"),
+                                           (builder, "setNotAPatternRow")])])
+    verdict, records = _hits_agree(data)
+    assert verdict == "both"
+    assert [(r.detector, r.target_class, r.target_method)
+            for r in records] == [("keystore", builder,
+                                   "setIsStrongBoxBacked")]
+
+
+def test_selection_escapes_keys_with_regex_metacharacters():
+    # "int[]" names the array type [I: its key is cut at the `[`, and the
+    # primitive letter reads as int.
+    index = index_patterns([
+        PatternSet("keystore", KIND_TEE_API, (("com.x.Y$Z", "go"),
+                                              ("int[]", "clone"))),
+        PatternSet("dashed", KIND_CRYPTO_SOFTWARE, (("com.x-y", WILDCARD),))])
+    data = build_fixture_dex([("com.a.B", [("com.x.Y$Z", "go"),
+                                           ("com.x.Y", "go"),
+                                           ("com.xy.Lib", "run"),
+                                           ("com.x.Ints", "clone")])])
+    data = _with_string(data, "Lcom/xy/Lib;", b"Lcom/x-y/Lib;")
+    data = _with_string(data, "Lcom/x/Ints;", b"[I")
+    verdict, records = _hits_agree(data, index)
+    assert verdict == "both"
+    assert sorted((r.detector, r.target_class) for r in records) == [
+        ("dashed", "com.x-y.Lib"), ("keystore", "com.x.Y$Z"),
+        ("keystore", "int[]")]
+
+
+def _malformed_unused_string(data: bytes) -> bytes:
+    last_slot = _string_data(data)[-1][0]
+    return _with_string_body(data, last_slot, b"\x02\xc3\x41\x00")
+
+
+def _malformed_unused_type_list(data: bytes) -> bytes:
+    data = bytearray(data)
+    assert _patch_type_lists(data, lambda d, slot, off: struct.pack_into(
+        "<H", d, off + 4, 0xFFFF)) == 1
+    return bytes(data)
+
+
+def _malformed_unused_descriptor(data: bytes) -> bytes:
+    # A parameter type only: no method entry is defined by it.
+    return _with_string(data, "Lq/r/Param;", b"Lq/r/P\xc3\x41;")
+
+
+@pytest.mark.parametrize("break_", [
+    _malformed_unused_string, _malformed_unused_type_list,
+    _malformed_unused_descriptor], ids=["string", "type-list", "descriptor"])
+def test_malformed_entry_no_selected_entry_uses_fails_only_the_full_parse(
+        break_):
+    plan = [("com.a.B", [("javax.crypto.Cipher", "getInstance"),
+                         ("x.y.Z", "go", "void", ("q.r.Param",))])]
+    good = build_fixture_dex(plan, extra_strings=["unused"])
+    expected = _full_records(parse_dex(good))
+    assert [r.target_class for r in expected] == ["javax.crypto.Cipher"]
+    bad = break_(good)
+    with pytest.raises(MalformedDexError):
+        parse_dex(bad)
+    assert _hits_agree(bad) == ("full-failed", expected)

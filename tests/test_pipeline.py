@@ -726,6 +726,27 @@ def test_fetch_by_hash_from_a_closed_port_raises_network_error():
                       "test-key")
 
 
+@pytest.mark.parametrize("endpoint, url", [
+    ("http://dl.example/api", "http://dl.example/api?apikey=K&sha256="),
+    ("http://dl.example/api?region=eu",
+     "http://dl.example/api?region=eu&apikey=K&sha256="),
+], ids=["bare", "own-query"])
+def test_fetch_by_hash_adds_its_query_to_the_endpoints(monkeypatch, endpoint,
+                                                       url):
+    import io
+    import urllib.request
+
+    requested = []
+
+    def fake_urlopen(target, timeout):
+        requested.append(target)
+        return io.BytesIO(b"apk")
+
+    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+    assert fetch_by_hash("ab" * 32, endpoint, "K") == b"apk"
+    assert requested == [url + "ab" * 32]
+
+
 def test_every_name_the_benchmark_trace_calls_exists():
     # bench/traced.py calls the program's functions by name and records a
     # name that no longer resolves as a missing call instead of failing.
