@@ -4,12 +4,15 @@ APK files are ordinary ZIP archives. The index is one map from entry name to
 its metadata, built in one pass over the central directory; each directory
 entry and local header is bounds-checked, then unpacked once. Only the
 stored and deflated methods are read, and ZIP64 and multi-disk archives are
-refused as malformed.
+refused as malformed. A deflated entry is inflated from a view of the
+archive bytes into one buffer that becomes the result, so it costs about
+its own size.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import re
 import struct
 import zlib
@@ -150,9 +153,14 @@ def read_entry(index: ArchiveIndex, name: str,
     """Return the fully decompressed bytes of one entry.
 
     An entry declaring more than MAX_ENTRY_SIZE bytes raises
-    SizeMismatchError before any inflation. `cancel_check` is invoked
-    between decompression chunks so long inflations can be abandoned
-    cooperatively.
+    SizeMismatchError before any inflation, and one that inflates past its
+    declared size raises at the first piece past it. A deflated entry is
+    read through a view of the archive bytes, _READ_CHUNK bytes of input
+    at a time, and inflated in pieces of at most _READ_CHUNK bytes into one
+    buffer that becomes the result, so it costs its own size (plus up to
+    an eighth while the buffer grows) and about two pieces; a stored entry
+    is one copy. `cancel_check` is invoked before each piece so long
+    inflations can be abandoned cooperatively.
     """
     meta = index.entries.get(name)
     if meta is None:
@@ -163,7 +171,8 @@ def read_entry(index: ArchiveIndex, name: str,
         raise SizeMismatchError(
             f"entry {name!r} declares {meta.uncompressed_size} bytes, "
             f"over the {MAX_ENTRY_SIZE}-byte limit")
-    raw = index.data[meta.data_offset:meta.data_offset + meta.compressed_size]
+    raw = memoryview(index.data)[
+        meta.data_offset:meta.data_offset + meta.compressed_size]
 
     if meta.method_code == _METHOD_STORED:
         return bytes(raw)
@@ -171,27 +180,42 @@ def read_entry(index: ArchiveIndex, name: str,
         raise DecompressionError(
             f"unsupported compression method {meta.method_code} for {name!r}")
 
-    out = bytearray()
+    # getvalue() hands back the buffer itself while no view of it is
+    # alive, so getbuffer() is never called.
+    out = io.BytesIO()
+    written = 0
     want = meta.uncompressed_size
     decomp = zlib.decompressobj(-15)
     try:
-        # Output capped one byte past `want` leaves input unread only once
-        # the entry has inflated past its size, which raises at once.
         for pos in range(0, len(raw), _READ_CHUNK):
-            if cancel_check is not None:
-                cancel_check()
-            out += decomp.decompress(raw[pos:pos + _READ_CHUNK],
-                                     want - len(out) + 1)
-            if len(out) > want:
-                raise SizeMismatchError(
-                    f"entry {name!r} inflates past declared size {want}")
-        out += decomp.flush()
+            if decomp.eof:
+                break               # bytes past the final block are ignored
+            pending = raw[pos:pos + _READ_CHUNK]
+            while True:
+                if cancel_check is not None:
+                    cancel_check()
+                # Capped one byte past `want`, a piece passes it only once
+                # the entry has inflated past its size, which raises at once.
+                cap = min(want - written + 1, _READ_CHUNK)
+                piece = decomp.decompress(pending, cap)
+                written += out.write(piece)
+                if written > want:
+                    raise SizeMismatchError(
+                        f"entry {name!r} inflates past declared size {want}")
+                pending = decomp.unconsumed_tail
+                # A full piece may leave output behind, even with no input
+                # left; a short one ends the slice, which it must have used.
+                if len(piece) < cap:
+                    if pending:
+                        raise zlib.error("inflate stopped with input left")
+                    break
+        written += out.write(decomp.flush())
     except zlib.error as exc:
         raise DecompressionError(f"corrupt deflate stream in {name!r}: {exc}") from exc
-    if len(out) != want:
+    if written != want:
         raise SizeMismatchError(
-            f"entry {name!r} inflated to {len(out)} bytes, declared {want}")
-    return bytes(out)
+            f"entry {name!r} inflated to {written} bytes, declared {want}")
+    return out.getvalue()
 
 
 def enumerate_dex(index: ArchiveIndex) -> list[str]:

@@ -1,8 +1,9 @@
 """DEX bytecode parsing: pools, class definitions, and method invocations.
 
 The parser reads each fixed-width pool (string/type/proto/method ids and
-class_defs) with one bulk struct call; the header check has already bounded
-every pool region by the file size. String data that is pure ASCII up to
+class_defs) with one bulk struct call over a view of the file, so no pool
+region is copied; the header check has already bounded every pool region
+by the file size. String data that is pure ASCII up to
 its NUL terminator is decoded as ASCII, anything else by the modified-UTF-8
 decoder. Each class_data item is decoded in one pass, and a method body is
 walked, instruction by instruction, as soon as its entry is decoded, with
@@ -19,7 +20,8 @@ and checked, and every code item is walked. Given `wanted`, whose keys
 name the classes that can hit, a regex over the raw descriptor bytes
 picks the types whose names can start with a key, and only the method
 entries of those types are decoded, with the strings, types and type
-lists they use; every pool's index columns are still bounds-checked. A
+lists they use; every pool's index columns are still read, as compact
+arrays of 2 or 4 bytes a field, and bounds-checked. A
 regex scan then finds the wanted entries' invokes, and only code holding
 one is walked."""
 
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import re
 import struct
+import sys
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -278,10 +281,11 @@ def _walk_insns(data: bytes, insns_off: int, insns_units: int, limit: int,
 
 def _fixed_pool(data: bytes, fmt: str,
                 pool: tuple[int, int]) -> Iterator[tuple[int, ...]]:
-    """Unpack the items of a (size, offset) pool; the header check has
-    bounded the region."""
+    """Unpack the items of a (size, offset) pool through a view of `data`,
+    so the region is not copied; the header check has bounded it."""
     size, off = pool
-    return struct.iter_unpack(fmt, data[off:off + struct.calcsize(fmt) * size])
+    return struct.iter_unpack(
+        fmt, memoryview(data)[off:off + struct.calcsize(fmt) * size])
 
 
 def _string_at(data: bytes, off: int, limit: int) -> str:
@@ -310,14 +314,16 @@ def _read_strings(data: bytes, string_ids: tuple[int, int],
 
 
 def _columns(data: bytes, pool: tuple[int, int], code: str,
-             width: int) -> list[tuple[int, ...]]:
+             width: int) -> list[array]:
     """The `width` columns of a (size, offset) pool whose items are
-    `width` fields of struct `code`, unpacked with one struct call (one
-    repeat count, so the compiled format stays small); the header check
-    has bounded the region, and an empty pool's offset is never read."""
+    `width` little-endian fields of array type `code`, as compact arrays
+    (2 or 4 bytes a field); the header check has bounded the region, and
+    an empty pool's region is empty wherever its offset points."""
     size, off = pool
-    flat = (struct.unpack_from(f"<{width * size}{code}", data, off) if size
-            else ())
+    flat = array(code)
+    flat.frombytes(memoryview(data)[off:off + flat.itemsize * width * size])
+    if sys.byteorder == "big":
+        flat.byteswap()
     return [flat[k::width] for k in range(width)]
 
 
@@ -440,8 +446,9 @@ def _select_pools(data: bytes, limit: int, string_ids, type_ids, proto_ids,
     """The method entries whose defining class can start with one of
     `keys`, keyed by pool index, and a function that names a type.
 
-    Each pool's index columns are unpacked whole and bounded with one
-    `max()` each, which are the full decode's index checks. Types are
+    Each pool's index columns are read whole as compact arrays
+    (`_columns`) and bounded with one `max()` each, which are the full
+    decode's index checks. Types are
     picked by their descriptor bytes (`_type_selector`), and a string, a
     type name or a proto is decoded only when a picked entry, or a caller
     of `type_name`, needs it.

@@ -182,7 +182,7 @@ def build_smoke_corpus(seed: int = 7, count: int = 6):
 
 # In the timeout tests a deadline lasts this many checks, not seconds.
 # Analysis checks its deadline once per class definition (and at each stage
-# and inflate chunk), so the slow app below times out however fast the
+# and inflated piece), so the slow app below times out however fast the
 # parser is, and the small apps beside it never come near the limit.
 DEADLINE_CHECKS = 500
 

@@ -6,6 +6,7 @@ import struct
 import sys
 import threading
 import time
+import zlib
 from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from types import SimpleNamespace
@@ -35,7 +36,10 @@ from analytika.pipeline import (
 )
 from analytika.report import deterministic_document, read_report_document
 
-from conftest import PLANTED_PLAN, make_fixture_apk, planted_apk
+import conftest
+from axml_encoder import manifest_bytes
+from conftest import (PLANTED_PLAN, CheckCountDeadline, make_apk,
+                      make_fixture_apk, planted_apk)
 from dexbuild import build_fixture_dex
 
 
@@ -297,6 +301,37 @@ def test_slow_app_times_out(tmp_path, slow_apk):
     assert report.status == "timeout"
     assert report.matches == []
     assert elapsed < 3.0   # deadline plus bounded grace
+
+
+def test_a_zero_run_times_out_partway_through_its_inflate(tmp_path,
+                                                         monkeypatch):
+    """8 MiB of zeros deflate to about 8 KiB, one input slice. The deadline
+    is checked before each inflated piece, so one that lasts a few checks
+    stops the inflate partway."""
+    apk = make_apk({"AndroidManifest.xml": manifest_bytes("com.zero.app"),
+                    "classes.dex": bytes(8 << 20)},
+                   stored=("AndroidManifest.xml",))
+    inflated = []
+    real_inflater = zlib.decompressobj
+
+    class CountingInflater:
+        def __init__(self, wbits):
+            self.inner = real_inflater(wbits)
+
+        def decompress(self, data, max_length):
+            piece = self.inner.decompress(data, max_length)
+            inflated.append(len(piece))
+            return piece
+
+        def __getattr__(self, name):
+            return getattr(self.inner, name)
+
+    monkeypatch.setattr(zlib, "decompressobj", CountingInflater)
+    monkeypatch.setattr(pipeline, "Deadline", CheckCountDeadline)
+    monkeypatch.setattr(conftest, "DEADLINE_CHECKS", 6)
+    report = analyze_apk(apk, _entry_for(apk), _config(tmp_path))
+    assert report.status == "timeout"
+    assert 0 < sum(inflated) < 8 << 20
 
 
 def test_crypto_and_proguard_attribution(tmp_path):
